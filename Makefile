@@ -75,11 +75,13 @@ spec-lint:
 test:
 	$(GO) test ./...
 
-# The engine, experiment, and litmus packages run real concurrency; keep
-# them clean under the race detector. Short mode skips the big experiment
-# matrices but still exercises the pool, memo cache, and parallel litmus.
+# The engine, experiment, litmus, and model-checker packages run real
+# concurrency; keep them clean under the race detector. Short mode skips
+# the big experiment matrices but still exercises the pool, memo cache,
+# parallel litmus, and the checker's parallel frontier (the one place
+# mem.Memory values cross goroutines).
 race:
-	$(GO) test -race -short ./internal/runner ./internal/experiments ./internal/litmus
+	$(GO) test -race -short ./internal/runner ./internal/experiments ./internal/litmus ./internal/coherence/check
 
 # Small chaos campaign: every catalog fault plan over the full litmus
 # suite on the WritersBlock and tardis variants (base is the golden
@@ -176,20 +178,20 @@ bench-check:
 
 # Kernel microbenchmarks: cycles/sec and allocs/op for the scheduler's
 # inner loop and the mesh (loaded and quiescent), plus a short
-# end-to-end throughput smoke of the sequential and sharded kernels
-# (3 iterations each; sim-cycles/sec is the headline metric).
+# end-to-end throughput smoke (3 iterations; sim-cycles/sec is the
+# headline metric).
 bench-kernel:
 	$(GO) test -count=1 -run '^$$' -bench 'SystemStep' -benchtime 50000x -benchmem ./internal/core
 	$(GO) test -count=1 -run '^$$' -bench 'MeshTick' -benchtime 200000x -benchmem ./internal/network
-	$(GO) test -count=1 -run '^$$' -bench 'SimulatorThroughput/shards=(1|2)$$' -benchtime 3x -benchmem .
+	$(GO) test -count=1 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem .
 
 # End-to-end throughput benchmark, compared against the checked-in
 # pre-change record (BENCH_baseline.json). Uses benchstat when it is
 # installed; otherwise prints the new numbers next to the baseline.
 bench-compare: bench-compare-dir
-	@$(GO) test -count=3 -run '^$$' -bench 'SimulatorThroughput/shards=1$$' -benchtime 3x -benchmem . | tee /tmp/wbsim-bench-new.txt
+	@$(GO) test -count=3 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem . | tee /tmp/wbsim-bench-new.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
-		grep -E '^Benchmark' /tmp/wbsim-bench-new.txt | sed 's|/shards=1||' > /tmp/wbsim-bench-new.bench; \
+		grep -E '^Benchmark' /tmp/wbsim-bench-new.txt > /tmp/wbsim-bench-new.bench; \
 		python3 -c 'import json;d=json.load(open("BENCH_baseline.json"))["benchmarks"]["BenchmarkSimulatorThroughput"];print("BenchmarkSimulatorThroughput 1 %d ns/op %d B/op %d allocs/op"%(d["ns_per_op"],d["bytes_per_op"],d["allocs_per_op"]))' > /tmp/wbsim-bench-base.bench; \
 		benchstat /tmp/wbsim-bench-base.bench /tmp/wbsim-bench-new.bench; \
 	else \

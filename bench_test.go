@@ -152,29 +152,19 @@ func BenchmarkSquashElimination(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// cycles per second) on a representative 16-core run, across kernel
-// shard counts. shards=1 is the sequential kernel; the sharded runs
-// produce byte-identical results (the golden gate pins this), so any
-// sim-cycles/sec delta between sub-benchmarks is pure kernel overhead
-// or speedup on the host's cores.
+// cycles per second) on a representative 16-core run.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	w, _ := workload.Get("fft")
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig(core.SLM, core.OoOWB)
-				cfg.Shards = shards
-				_, res, err := workload.Run(w, cfg, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += uint64(res.Cycles)
-			}
-			b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/sec")
-		})
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		_, res, err := workload.Run(w, core.DefaultConfig(core.SLM, core.OoOWB), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += uint64(res.Cycles)
 	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/sec")
 }
 
 // maxCol returns the maximum numeric value in column c.

@@ -20,9 +20,7 @@
 // of every failed (workload, config, seed) job — as one JSON document
 // instead of text. The engine report goes to stderr in text mode so
 // stdout stays a clean table stream. -chaos-seeds sizes the chaos
-// campaign. -shards runs each simulated machine on that many worker
-// goroutines; tables are identical at any shard count, and -parallel is
-// clamped when parallel x shards would oversubscribe the host.
+// campaign.
 package main
 
 import (
@@ -36,7 +34,6 @@ import (
 	"wbsim/internal/faults"
 	"wbsim/internal/litmus"
 	"wbsim/internal/profiling"
-	"wbsim/internal/runner"
 	"wbsim/internal/sim"
 	"wbsim/internal/stats"
 )
@@ -49,7 +46,6 @@ func mainExit() int {
 		scale      = flag.Int("scale", 2, "workload scale factor")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (<=0: GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "worker goroutines per simulation (tables identical at any setting)")
 		jsonOut    = flag.Bool("json", false, "emit tables and engine counters as JSON")
 		maxCycles  = flag.Uint64("max-cycles", 0, "cycle budget per simulation (0: config default)")
 		chaosSeeds = flag.Int("chaos-seeds", 8, "seeds per (plan, test, variant) chaos cell")
@@ -66,12 +62,8 @@ func mainExit() int {
 	}
 	defer stopProf()
 
-	fan, warn := runner.ClampParallelForShards(*parallel, *shards)
-	if warn != "" {
-		fmt.Fprintf(os.Stderr, "experiments: %s\n", warn)
-	}
-	opt := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed, MaxCycles: sim.Cycle(*maxCycles), Shards: *shards}
-	eng := experiments.NewEngine(fan)
+	opt := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed, MaxCycles: sim.Cycle(*maxCycles)}
+	eng := experiments.NewEngine(*parallel)
 
 	what := "all"
 	if flag.NArg() > 0 {
@@ -164,9 +156,8 @@ func mainExit() int {
 		summary := litmus.Chaos(litmus.Suite(), core.SoundVariants(), faults.Catalog(), litmus.Options{
 			Seeds:     *chaosSeeds,
 			Jitter:    24,
-			Parallel:  fan,
+			Parallel:  *parallel,
 			MaxCycles: sim.Cycle(*maxCycles),
-			Shards:    *shards,
 		})
 		if *jsonOut {
 			out, err := json.MarshalIndent(summary, "", "  ")

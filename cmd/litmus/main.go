@@ -13,10 +13,7 @@
 //	litmus -plan hostile -test MP -seeds 1 -max-cycles 1000000
 //
 // The last form replays one (plan, test, seed) cell — e.g. a hang found
-// by the chaos campaign — in a single invocation. -shards runs each
-// simulated machine on that many worker goroutines; outcome histograms
-// are identical at any shard count, and -parallel is clamped when
-// parallel x shards would oversubscribe the host.
+// by the chaos campaign — in a single invocation.
 package main
 
 import (
@@ -30,7 +27,6 @@ import (
 	"wbsim/internal/faults"
 	"wbsim/internal/litmus"
 	"wbsim/internal/profiling"
-	"wbsim/internal/runner"
 	"wbsim/internal/sim"
 )
 
@@ -42,7 +38,6 @@ func run() int {
 		seeds     = flag.Int("seeds", 60, "independent runs per test/variant")
 		jitter    = flag.Int("jitter", 24, "max random extra network latency")
 		parallel  = flag.Int("parallel", 0, "max concurrent seed simulations (<=0: GOMAXPROCS)")
-		shards    = flag.Int("shards", 1, "worker goroutines per simulation (outcomes identical at any setting)")
 		unsafe    = flag.Bool("unsafe", false, "also run the ooo-unsafe violation demo")
 		chaos     = flag.Bool("chaos", false, "run the fault-plan chaos campaign instead of the plain suite")
 		plans     = flag.String("plans", "", "comma-separated fault-plan names for -chaos (default: whole catalog)")
@@ -62,16 +57,11 @@ func run() int {
 	}
 	defer stopProf()
 
-	fan, warn := runner.ClampParallelForShards(*parallel, *shards)
-	if warn != "" {
-		fmt.Fprintf(os.Stderr, "litmus: %s\n", warn)
-	}
 	opts := litmus.Options{
 		Seeds:     *seeds,
 		Jitter:    *jitter,
-		Parallel:  fan,
+		Parallel:  *parallel,
 		MaxCycles: sim.Cycle(*maxCycles),
-		Shards:    *shards,
 	}
 	if *planName != "" {
 		p, err := faults.ByName(*planName)

@@ -80,7 +80,6 @@ var knownVerbs = map[string]string{
 	"unguarded":  "panicboundary",
 	"rawcounter": "statsdiscipline",
 	"uncloned":   "clonecomplete",
-	"shared":     "shardsafety",
 }
 
 const directivePrefix = "wbsim:"
@@ -151,7 +150,7 @@ func parseDirective(text string) (*Directive, error) {
 		d.Verb = fields[0]
 	}
 	if _, ok := knownVerbs[d.Verb]; !ok {
-		return nil, fmt.Errorf("unknown //wbsim: directive verb %q (known: partial, nondet, unguarded, rawcounter, uncloned, shared)", d.Verb)
+		return nil, fmt.Errorf("unknown //wbsim: directive verb %q (known: partial, nondet, unguarded, rawcounter, uncloned)", d.Verb)
 	}
 	if !hasReason || reason == "" {
 		return nil, fmt.Errorf("//wbsim:%s directive needs a justification: `//wbsim:%s -- <reason>`", d.Verb, d.Verb)
@@ -248,7 +247,6 @@ func All() []*Analyzer {
 		DeterminismAnalyzer,
 		ExhaustiveAnalyzer,
 		PanicBoundaryAnalyzer,
-		ShardSafetyAnalyzer,
 		StatsDisciplineAnalyzer,
 	}
 }

@@ -181,8 +181,8 @@ type Bank struct {
 
 // NewBank builds an LLC bank/directory slice attached to the network at
 // the given endpoint. port is where outbound protocol messages go (the
-// mesh itself, or a capture port under the sharded kernel); memory is the
-// (shared) backing store; mode selects the WritersBlock protocol delta
+// mesh itself, or the model checker's port); memory is the (shared)
+// backing store; mode selects the WritersBlock protocol delta
 // (the bank must match its cores).
 func NewBank(id network.Endpoint, port network.Port, params *Params, memory *mem.Memory, mode Mode) *Bank {
 	flavor := dirFlavorFor(mode, params.NonSilentSharedEvictions)
@@ -219,10 +219,6 @@ func (b *Bank) EventsDue(now sim.Cycle) bool {
 
 // NextEventCycle reports the cycle of the bank's earliest deferred event.
 func (b *Bank) NextEventCycle() (sim.Cycle, bool) { return b.events.NextAt() }
-
-// SetPort redirects the bank's outbound messages (the sharded kernel
-// interposes a capture port for the duration of a run).
-func (b *Bank) SetPort(p network.Port) { b.port = p }
 
 // Quiescent reports whether the bank has no pending events, transactions,
 // or queued requests.

@@ -751,11 +751,9 @@ func (m *Model) CheckTerminal() (violation string) {
 	return ""
 }
 
-// memWord reads line's word 0 from backing memory. A model's memory is
-// private to the goroutine fingerprinting it, so the unsynced read is
-// safe and skips a mutex on a very hot path.
+// memWord reads line's word 0 from backing memory.
 func (m *Model) memWord(line mem.Line) uint64 {
-	d := m.memory.ReadLineUnsynced(line)
+	d := m.memory.ReadLine(line)
 	return uint64(d.Get(line.Base()))
 }
 

@@ -122,16 +122,6 @@ type Config struct {
 	// machine mid-flight, and for the determinism gate that proves the
 	// equivalence.
 	CycleAccurate bool
-
-	// Shards > 1 runs the machine on that many worker goroutines,
-	// partitioning tiles (core + private cache + co-located LLC bank)
-	// into contiguous shards that advance independently within
-	// epoch-length windows bounded by the minimum cross-tile message
-	// latency, and synchronize at a deterministic cycle barrier (see
-	// internal/core/shard.go). Simulated outcomes are byte-identical to
-	// the sequential kernel at every shard count. Zero or one selects
-	// the sequential kernel.
-	Shards int
 }
 
 // DefaultConfig returns the paper's 16-core machine for a class/variant.

@@ -79,12 +79,6 @@ type Core struct {
 	recurOK   bool
 	stallKind uint8
 
-	// quietTicks counts consecutive ticks taken on the quiet-done fast
-	// path. Such ticks change nothing but Stats.Cycles, so the sharded
-	// kernel may roll them back (RollbackQuiet) when its epoch overshot
-	// the global completion cycle.
-	quietTicks uint64
-
 	Stats Stats
 	now   sim.Cycle
 
@@ -153,7 +147,6 @@ func (c *Core) Tick(now sim.Cycle) {
 		c.sbLen() == 0 && c.readyLen() == 0 && len(c.seenLines) == 0 &&
 		c.events.empty() {
 		c.Stats.Cycles++
-		c.quietTicks++
 		c.recurOK = c.recur == [4]uint64{}
 		c.recur = [4]uint64{}
 		c.inert = true
@@ -161,7 +154,6 @@ func (c *Core) Tick(now sim.Cycle) {
 		return
 	}
 
-	c.quietTicks = 0
 	c.Stats.Cycles++
 
 	// Snapshot everything a state-changing tick must disturb. Any
@@ -269,26 +261,6 @@ func (c *Core) CreditIdle(n uint64) {
 	c.Stats.LDTFullStalls += n * c.recur[1]
 	c.pcu.Stats.Loads += n * c.recur[2]
 	c.pcu.Stats.LoadMisses += n * c.recur[3]
-}
-
-// QuietTicks reports the current run of consecutive quiet-done ticks.
-// It is zero right after any tick that did real work, so the sharded
-// kernel reads it to classify the tick it just issued.
-func (c *Core) QuietTicks() uint64 { return c.quietTicks }
-
-// RollbackQuiet un-counts n trailing quiet-done ticks. The sharded
-// kernel ticks every shard to its epoch end and the global completion
-// cycle is only known afterwards, so done cores may overshoot it by a
-// few quiet ticks; rolling those back makes the final cycle counts match
-// the sequential kernel, which stops all cores on the same cycle. Only
-// ticks taken on the quiet-done fast path — pure Stats.Cycles increments
-// — may be rolled back.
-func (c *Core) RollbackQuiet(n uint64) {
-	if n > c.quietTicks {
-		panic(fmt.Sprintf("cpu: rollback of %d cycles exceeds %d quiet ticks", n, c.quietTicks))
-	}
-	c.Stats.Cycles -= n
-	c.quietTicks -= n
 }
 
 // ---------------------------------------------------------------------

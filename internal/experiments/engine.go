@@ -181,7 +181,6 @@ func figConfig(class core.Class, v core.Variant, opt Options) core.Config {
 	cfg := core.DefaultConfig(class, v)
 	cfg.Cores = opt.Cores
 	cfg.Seed = opt.Seed
-	cfg.Shards = opt.Shards
 	if opt.MaxCycles > 0 {
 		cfg.MaxCycles = opt.MaxCycles
 	}

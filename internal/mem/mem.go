@@ -7,10 +7,7 @@
 // views.
 package mem
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Geometry constants. The paper's system uses 64-byte lines; words are
 // 8 bytes, and all loads and stores in the tiny ISA are word sized and
@@ -63,12 +60,10 @@ func (d *LineData) Set(a Addr, w Word) { d[WordIndex(a)] = w }
 // ever written are materialized; unwritten lines read as zero, matching
 // the zero-initialized memory the paper's litmus examples assume.
 //
-// Access is guarded by a mutex: under the sharded kernel, banks on
-// different shards touch memory concurrently. Every line is homed at
-// exactly one bank, so the values read and written stay deterministic —
-// the lock only protects the map structure itself.
+// A Memory is not safe for concurrent use: one machine owns it and drives
+// it from one goroutine. The model checker's parallel frontier hands each
+// frontier state, and the clones made from it, to one worker at a time.
 type Memory struct {
-	mu    sync.Mutex
 	lines map[Line]*LineData
 }
 
@@ -78,10 +73,8 @@ func NewMemory() *Memory {
 }
 
 // Clone returns an independent copy of the memory contents (model
-// checker state cloning). The copy has its own lock and line storage.
+// checker state cloning). The copy has its own line storage.
 func (m *Memory) Clone() *Memory {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := &Memory{lines: make(map[Line]*LineData, len(m.lines))}
 	block := make([]LineData, 0, len(m.lines)) // one allocation for all lines
 	//wbsim:nondet -- per-key copy; which block slot a line lands in is unobservable
@@ -96,8 +89,6 @@ func (m *Memory) Clone() *Memory {
 // storage where the keys match (model-checker state pooling: dst is a
 // retired clone nothing else references).
 func (m *Memory) CloneInto(dst *Memory) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	//wbsim:nondet -- each delete decision depends only on its own key
 	for l := range dst.lines {
 		if _, ok := m.lines[l]; !ok {
@@ -115,21 +106,8 @@ func (m *Memory) CloneInto(dst *Memory) {
 	}
 }
 
-// ReadLineUnsynced returns a copy of the line's data without taking the
-// lock. Only safe when the caller owns the memory exclusively — the
-// model checker's fingerprint path, where each model's memory is
-// touched by one goroutine at a time.
-func (m *Memory) ReadLineUnsynced(l Line) LineData {
-	if d, ok := m.lines[l]; ok {
-		return *d
-	}
-	return LineData{}
-}
-
 // ReadLine returns a copy of the line's data.
 func (m *Memory) ReadLine(l Line) LineData {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d, ok := m.lines[l]; ok {
 		return *d
 	}
@@ -138,16 +116,12 @@ func (m *Memory) ReadLine(l Line) LineData {
 
 // WriteLine replaces the line's data.
 func (m *Memory) WriteLine(l Line, d LineData) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	nd := d
 	m.lines[l] = &nd
 }
 
 // ReadWord returns the word at address a.
 func (m *Memory) ReadWord(a Addr) Word {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d, ok := m.lines[LineOf(a)]; ok {
 		return d.Get(a)
 	}
@@ -156,8 +130,6 @@ func (m *Memory) ReadWord(a Addr) Word {
 
 // WriteWord stores w at address a.
 func (m *Memory) WriteWord(a Addr, w Word) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	l := LineOf(a)
 	d, ok := m.lines[l]
 	if !ok {
@@ -169,7 +141,5 @@ func (m *Memory) WriteWord(a Addr, w Word) {
 
 // Footprint reports how many distinct lines have been materialized.
 func (m *Memory) Footprint() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.lines)
 }

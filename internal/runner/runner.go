@@ -14,7 +14,6 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,38 +24,6 @@ import (
 // DefaultParallel is the worker count used when a caller passes a
 // non-positive parallelism: one worker per available CPU.
 func DefaultParallel() int { return runtime.GOMAXPROCS(0) }
-
-// ClampParallelForShards bounds the simulation fan-out when each
-// simulation itself runs on shards worker goroutines (core.Config.Shards).
-// parallel × shards runnable goroutines beyond GOMAXPROCS only add
-// scheduler churn — every simulation slows down and none finish sooner —
-// so the harnesses clamp the fan-out, never the shard count: shards is
-// part of the machine the user asked to simulate, parallel is just how
-// many of them run at once. A non-positive parallel resolves to
-// DefaultParallel() first, mirroring ForEach. The returned warning is
-// non-empty exactly when the fan-out was reduced; callers print it.
-func ClampParallelForShards(parallel, shards int) (clamped int, warning string) {
-	if parallel <= 0 {
-		parallel = DefaultParallel()
-	}
-	if shards <= 1 {
-		return parallel, ""
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if parallel*shards <= procs {
-		return parallel, ""
-	}
-	clamped = procs / shards
-	if clamped < 1 {
-		clamped = 1
-	}
-	if clamped == parallel {
-		return parallel, ""
-	}
-	return clamped, fmt.Sprintf(
-		"runner: %d parallel simulations x %d shards oversubscribes GOMAXPROCS=%d; clamping parallel to %d",
-		parallel, shards, procs, clamped)
-}
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most parallel
 // workers. fn must write its result into a caller-owned slot for index i;

@@ -5,10 +5,7 @@
 // The simulator is cycle driven. Every component implements Ticker and
 // is advanced once per cycle by the owning System in a fixed order,
 // which makes a whole run a pure function of (configuration, workload,
-// seed). The sharded kernel (internal/core/shard.go) partitions the
-// components across worker goroutines but preserves exactly that order
-// through its epoch barrier, so the pure-function property holds at
-// every shard count.
+// seed).
 package sim
 
 import "fmt"
