@@ -114,9 +114,9 @@ check-liveness:
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -max-states 50000
 
 # Nightly liveness sweep. The two-core/two-line space runs exhaustively
-# both raw (~18k states) and reduced, and the raw/reduced pair
-# cross-checks the reductions on every nightly: both must pass with the
-# same verdict. The state-space reductions close the three-core/2-bank/
+# both raw (~18k states) and symmetry-reduced, and the raw/reduced pair
+# cross-checks the reduction on every nightly: both must pass with the
+# same verdict. Symmetry reduction closes the three-core/2-bank/
 # 2-line squash space exhaustively (2.7M canonical states, ~3 min) —
 # previously only reachable capped — but the closed graph peaks at
 # ~17GB RSS (the BFS frontier holds materialized models; edges are kept
@@ -131,11 +131,11 @@ check-liveness:
 CHECK3C_FLAGS ?=
 check-liveness-deep: check-liveness
 	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2
-	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2 -reduce sym,por
-	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2 -mode tardis -reduce sym,por
-	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -reduce sym,por -progress $(CHECK3C_FLAGS)
-	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode lockdown -lockdowns 1 -reduce sym,por -max-states 500000
-	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode tardis -reduce sym,por -max-states 500000
+	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2 -reduce sym
+	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2 -mode tardis -reduce sym
+	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -reduce sym -progress $(CHECK3C_FLAGS)
+	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode lockdown -lockdowns 1 -reduce sym -max-states 500000
+	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode tardis -reduce sym -max-states 500000
 
 # Zero-allocation gates for the event-driven kernel: a warmed-up mesh
 # cycle and a drained System.Step may not allocate (see DESIGN.md,
@@ -170,7 +170,7 @@ bench-compare-dir:
 	@python3 scripts/dirbench_gate.py /tmp/wbsim-dirbench-new.txt
 
 # Model-checker throughput gate: re-run the deep 2c/2l exploration (raw
-# and fully reduced) and compare states/sec to the records in
+# and symmetry-reduced) and compare states/sec to the records in
 # BENCH_check.json; counters must match exactly and a >35% states/sec
 # deficit exits non-zero (see scripts/checkbench_gate.py).
 bench-check:

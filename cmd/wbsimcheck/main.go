@@ -91,7 +91,7 @@ func mainExit() int {
 		maxStates = flag.Int("max-states", 0, "state cap, 0 = unlimited (exhaustive)")
 		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel frontier workers (output is byte-identical at any count)")
-		reduce    = flag.String("reduce", "none", "sound reductions: none, sym, por, or sym,por")
+		reduce    = flag.String("reduce", "none", "state-space reduction: none or sym (symmetry)")
 		progress  = flag.Bool("progress", false, "print per-layer frontier progress to stderr")
 	)
 	flag.Parse()
@@ -125,17 +125,13 @@ func mainExit() int {
 	}
 
 	ccfg := check.Config{Model: mcfg, MaxStates: *maxStates, Workers: *workers}
-	for _, r := range strings.Split(*reduce, ",") {
-		switch strings.TrimSpace(r) {
-		case "", "none":
-		case "sym":
-			ccfg.Symmetry = true
-		case "por":
-			ccfg.POR = true
-		default:
-			fmt.Fprintf(os.Stderr, "wbsimcheck: unknown -reduce %q (want none, sym, por, or sym,por)\n", r)
-			return 2
-		}
+	switch *reduce {
+	case "none":
+	case "sym":
+		ccfg.Symmetry = true
+	default:
+		fmt.Fprintf(os.Stderr, "wbsimcheck: unknown -reduce %q (want none or sym)\n", *reduce)
+		return 2
 	}
 	start := time.Now()
 	if *progress {
@@ -145,8 +141,8 @@ func mainExit() int {
 			if el > 0 {
 				rate = float64(p.States) / el
 			}
-			fmt.Fprintf(os.Stderr, "wbsimcheck: depth %d frontier %d states %d transitions %d deferred %d (%.0f states/sec)\n",
-				p.Depth, p.Frontier, p.States, p.Transitions, p.DeferredEdges, rate)
+			fmt.Fprintf(os.Stderr, "wbsimcheck: depth %d frontier %d states %d transitions %d (%.0f states/sec)\n",
+				p.Depth, p.Frontier, p.States, p.Transitions, rate)
 		}
 	}
 	res := check.Explore(ccfg)
@@ -176,9 +172,8 @@ func mainExit() int {
 			mcfg.Cores, mcfg.Banks, mcfg.Lines, mcfg.OpsPerCore, *mode)
 		fmt.Printf("explored %d states, %d transitions, %d terminals, depth %d in %v (%s)\n",
 			res.States, res.Transitions, res.Terminals, res.MaxDepth, wall.Round(time.Millisecond), scope)
-		if res.SymmetryGroup > 1 || res.DeferredEdges > 0 {
-			fmt.Printf("reductions: symmetry group %d, %d deferred diamond edges\n",
-				res.SymmetryGroup, res.DeferredEdges)
+		if res.SymmetryGroup > 1 {
+			fmt.Printf("reductions: symmetry group %d\n", res.SymmetryGroup)
 		}
 		if res.Violation != nil {
 			fmt.Print(res.Violation.String())

@@ -17,15 +17,14 @@
 //     starved scheduler.
 //
 // States are materialized by deep-cloning the frontier (one clone per
-// transition) rather than replaying choice paths, expansion is split
+// transition) rather than replaying choice paths, and expansion is split
 // across Workers with all cross-layer decisions resolved
-// deterministically at layer barriers, and two sound reductions are
-// available: Symmetry dedups states up to the model's automorphism
-// group, and POR skips the second leg of commuting-delivery diamonds
-// while reconstructing the skipped edges, so the explored graph keeps
-// the exact state and edge set liveness checking needs. BFS order makes
-// the first counterexample found minimal in transition count, and the
-// output is byte-identical at any worker count.
+// deterministically at layer barriers. The one reduction is Symmetry,
+// which dedups states up to the model's automorphism group; every
+// enabled transition of every admitted state is still executed, so the
+// quotient graph carries all the edges liveness checking needs. BFS
+// order makes the first counterexample found minimal in transition
+// count, and the output is byte-identical at any worker count.
 package check
 
 import (
@@ -51,11 +50,6 @@ type Config struct {
 	// Sound for both properties: every orbit member reaches the same
 	// canonical successors.
 	Symmetry bool
-	// POR enables partial-order reduction over commuting message
-	// deliveries: the second leg of each delivery diamond is skipped
-	// and its edge reconstructed from the sibling's target, preserving
-	// the exact reachable state and edge set.
-	POR bool
 	// Progress, when set, is called once per completed BFS layer.
 	Progress func(ProgressInfo)
 	// CollectStates retains every admitted state's canonical
@@ -65,11 +59,10 @@ type Config struct {
 
 // ProgressInfo is one per-layer progress snapshot.
 type ProgressInfo struct {
-	Depth         int // completed BFS depth
-	Frontier      int // states admitted at this depth
-	States        int // total distinct states so far
-	Transitions   int // total edges traversed so far
-	DeferredEdges int // POR-skipped edges reconstructed so far
+	Depth       int // completed BFS depth
+	Frontier    int // states admitted at this depth
+	States      int // total distinct states so far
+	Transitions int // total edges traversed so far
 }
 
 // Counterexample is a minimized violating run: the choice path from the
@@ -106,7 +99,7 @@ func (c *Counterexample) String() string {
 // Result summarizes one exploration.
 type Result struct {
 	States      int  // distinct states reached (canonical orbits under Symmetry)
-	Transitions int  // edges traversed (including duplicates and deferred POR edges)
+	Transitions int  // transitions executed (including those reaching already-seen states)
 	Terminals   int  // distinct terminal states
 	MaxDepth    int  // deepest BFS level reached
 	Exhaustive  bool // full state space explored (MaxStates not hit)
@@ -114,9 +107,6 @@ type Result struct {
 	// SymmetryGroup is the automorphism group order used (1 when
 	// Symmetry is off or the config admits no renaming).
 	SymmetryGroup int
-	// DeferredEdges counts POR-skipped diamond edges that were
-	// reconstructed instead of executed (included in Transitions).
-	DeferredEdges int
 	// StateSet holds every admitted state's canonical fingerprint when
 	// Config.CollectStates is set, in node-id order.
 	StateSet []string `json:"-"`
@@ -143,7 +133,6 @@ func Explore(cfg Config) *Result {
 		cfg:     cfg,
 		workers: workers,
 		sym:     cfg.Symmetry,
-		por:     cfg.POR,
 		store:   newStateStore(),
 		pools:   make([][]*coherence.Model, workers),
 	}
@@ -163,9 +152,8 @@ func Explore(cfg Config) *Result {
 	en.succs = append(en.succs, nil)
 	en.models = append(en.models, init)
 	if cfg.CollectStates {
-		fp, _ := init.CanonicalFingerprint()
 		if !en.sym {
-			res.StateSet = append(res.StateSet, fp)
+			res.StateSet = append(res.StateSet, init.CanonicalFingerprint())
 		} else {
 			res.StateSet = append(res.StateSet, string(root.fp))
 		}

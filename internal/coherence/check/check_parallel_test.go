@@ -20,7 +20,7 @@ func requireIdentical(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.States != b.States || a.Transitions != b.Transitions ||
 		a.Terminals != b.Terminals || a.MaxDepth != b.MaxDepth ||
-		a.Exhaustive != b.Exhaustive || a.DeferredEdges != b.DeferredEdges {
+		a.Exhaustive != b.Exhaustive {
 		t.Errorf("%s: counters drifted across worker counts:\n  1 worker: %+v\n  N workers: %+v", label, a, b)
 	}
 	if av, bv := ceString(a.Violation), ceString(b.Violation); av != bv {
@@ -36,7 +36,9 @@ func requireIdentical(t *testing.T, label string, a, b *Result) {
 // the same counters and byte-identical counterexample reports. The
 // counterexample cases matter most — they exercise the barrier-side
 // tie-break that picks the canonical (parent, choice) discoverer for
-// every state on the violating path.
+// every state on the violating path. The capped case exercises the
+// barrier's cap: which new states are admitted and which are dropped
+// (with their edges) must not depend on the worker count either.
 func TestParallelExplorationByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,11 +55,17 @@ func TestParallelExplorationByteIdentical(t *testing.T) {
 			Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2,
 			Mode: coherence.ModeSquash, CorruptWriteRace: true,
 		}}},
-		{"reduced-sym-por", Config{
+		{"reduced-sym", Config{
 			Model: coherence.ModelConfig{
 				Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeSquash,
 			},
-			Symmetry: true, POR: true,
+			Symmetry: true,
+		}},
+		{"capped-sym-3c2b2l", Config{
+			Model: coherence.ModelConfig{
+				Cores: 3, Banks: 2, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash,
+			},
+			Symmetry: true, MaxStates: 2000,
 		}},
 	}
 	for _, tc := range cases {
@@ -65,7 +73,11 @@ func TestParallelExplorationByteIdentical(t *testing.T) {
 			serial, parallel := tc.cfg, tc.cfg
 			serial.Workers = 1
 			parallel.Workers = 4
-			requireIdentical(t, tc.name, Explore(serial), Explore(parallel))
+			a := Explore(serial)
+			if tc.cfg.MaxStates > 0 && (a.Exhaustive || a.States != tc.cfg.MaxStates) {
+				t.Fatalf("%s: cap not hit mid-layer (%d states, exhaustive=%v) — no states dropped", tc.name, a.States, a.Exhaustive)
+			}
+			requireIdentical(t, tc.name, a, Explore(parallel))
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,7 +9,7 @@ import (
 )
 
 // The explorer is a layer-synchronous BFS: every node of depth d is
-// expanded (in parallel) before any node of depth d+1. Three properties
+// expanded (in parallel) before any node of depth d+1. Two properties
 // hang off that structure:
 //
 //   - Determinism at any worker count. Workers race only inside one
@@ -30,16 +29,12 @@ import (
 //     (each equals the replay of its recorded choice path), so the
 //     replay reproduces them exactly.
 //
-//   - Sound reduction hooks. Symmetry folds states into canonical
-//     orbits at the dedup key; partial-order reduction skips the second
-//     leg of commuting-delivery diamonds and reconstructs the skipped
-//     edge at the barrier, so the explored graph keeps the exact state
-//     AND edge set of the unreduced exploration (liveness needs both).
+// Symmetry reduction needs no structure of its own: it only changes the
+// dedup key to the state's canonical orbit fingerprint.
 type engine struct {
 	cfg     Config
 	workers int
 	sym     bool
-	por     bool
 
 	store  *stateStore
 	nodes  []*entry
@@ -55,27 +50,6 @@ type engine struct {
 	// retired models.
 	pools [][]*coherence.Model
 	rr    int
-
-	// POR bookkeeping for the layer about to be expanded, keyed by node
-	// id. All signatures are in canonical coordinates (mapped through
-	// the discovering child's canonicalizing element), so they compare
-	// meaningfully against any orbit representative.
-	requests map[int32]map[coherence.MsgSig]bool
-	skips    map[int32][]skipEntry
-}
-
-// skipEntry defers one delivery at a node: the diamond sibling x will
-// execute its own matching delivery (xSig) and the skipped edge is
-// wired to that target at the barrier.
-type skipEntry struct {
-	sig  coherence.MsgSig
-	x    int32
-	xSig coherence.MsgSig
-}
-
-type resKey struct {
-	x   int32
-	sig coherence.MsgSig
 }
 
 const (
@@ -101,17 +75,6 @@ type edgeRec struct {
 	to   *entry
 }
 
-type diamond struct {
-	ei, ej  *entry
-	sigIinJ coherence.MsgSig // delivery to skip at node j (canonical coords)
-	sigJinI coherence.MsgSig // delivery node i resolves for the deferred edge
-}
-
-type deferredSkip struct {
-	y   int32
-	key resKey
-}
-
 // workerOut is one worker's layer-local scratch, merged at the barrier
 // in worker-index order.
 type workerOut struct {
@@ -119,9 +82,6 @@ type workerOut struct {
 	transitions int
 	edges       []edgeRec
 	stops       []stopCand
-	diamonds    []diamond
-	resolutions map[resKey]*entry
-	deferred    []deferredSkip
 	panicked    any
 }
 
@@ -156,8 +116,7 @@ func (en *engine) recycleRR(m *coherence.Model) {
 // its arena on insert).
 func (en *engine) keyOf(m *coherence.Model) []byte {
 	if en.sym {
-		fp, _ := m.CanonicalFingerprintBytes()
-		return fp
+		return m.CanonicalFingerprintBytes()
 	}
 	return m.FingerprintBytes()
 }
@@ -176,46 +135,7 @@ func (en *engine) expandNode(id int32, w *workerOut) {
 		}
 		return
 	}
-	// POR signatures live in canonical coordinates only under symmetry,
-	// where a node's materialized model may be a different orbit
-	// representative than the diamond discoverer's child. Without
-	// symmetry every discoverer of a state reaches the identical
-	// concrete model, so raw signatures already compare consistently —
-	// and the children's recorded elements (cg below) stay identity,
-	// which must match the element used here.
-	g := 0
-	if en.por && en.sym {
-		_, g = m.CanonicalFingerprintBytes()
-	}
-	var reqs map[coherence.MsgSig]bool
-	var sks []skipEntry
-	var skipUsed []bool
-	if en.por {
-		reqs = en.requests[id]
-		sks = en.skips[id]
-		if len(sks) > 0 {
-			skipUsed = make([]bool, len(sks))
-		}
-	}
-	type dchild struct {
-		raw coherence.MsgSig
-		e   *entry
-		g   int
-	}
-	var dch []dchild
 	for pos, ch := range chs {
-		var raw, mapped coherence.MsgSig
-		isDel := en.por && m.IsDelivery(ch)
-		if isDel {
-			raw = m.DeliverySig(ch)
-			mapped = m.MapSig(raw, g)
-			if !reqs[mapped] {
-				if k := matchSkip(sks, skipUsed, mapped); k >= 0 {
-					w.deferred = append(w.deferred, deferredSkip{y: id, key: resKey{sks[k].x, sks[k].xSig}})
-					continue
-				}
-			}
-		}
 		var c *coherence.Model
 		if pos == len(chs)-1 {
 			// Last choice: consume the parent model instead of cloning.
@@ -233,14 +153,7 @@ func (en *engine) expandNode(id int32, w *workerOut) {
 			en.recycle(w.wi, c)
 			continue
 		}
-		var fp []byte
-		cg := 0
-		if en.sym {
-			fp, cg = c.CanonicalFingerprintBytes()
-		} else {
-			fp = c.FingerprintBytes()
-		}
-		e, isNew := en.store.insert(fp, id, int32(pos), ch, c)
+		e, isNew := en.store.insert(en.keyOf(c), id, int32(pos), ch, c)
 		if isNew {
 			e.term = c.Terminal()
 			if !e.term {
@@ -250,61 +163,18 @@ func (en *engine) expandNode(id int32, w *workerOut) {
 			// Duplicate child: nothing references c, reuse it.
 			en.recycle(w.wi, c)
 		}
-		if isDel {
-			dch = append(dch, dchild{raw: raw, e: e, g: cg})
-			if reqs[mapped] {
-				if _, ok := w.resolutions[resKey{id, mapped}]; !ok {
-					w.resolutions[resKey{id, mapped}] = e
-				}
-			}
-		}
 		w.edges = append(w.edges, edgeRec{id, e})
 	}
-	if en.por {
-		for a := 0; a < len(dch); a++ {
-			for b := a + 1; b < len(dch); b++ {
-				if dch[a].e == dch[b].e || !independentSigs(dch[a].raw, dch[b].raw) {
-					continue
-				}
-				w.diamonds = append(w.diamonds, diamond{
-					ei: dch[a].e, ej: dch[b].e,
-					sigIinJ: m.MapSig(dch[a].raw, dch[b].g),
-					sigJinI: m.MapSig(dch[b].raw, dch[a].g),
-				})
-			}
-		}
-	}
-}
-
-func matchSkip(sks []skipEntry, used []bool, sig coherence.MsgSig) int {
-	for k := range sks {
-		if !used[k] && sks[k].sig == sig {
-			used[k] = true
-			return k
-		}
-	}
-	return -1
-}
-
-// independentSigs reports whether two deliveries commute: distinct
-// destination endpoints and distinct lines means their write sets are
-// disjoint (each touches only its target component, its own line's
-// memory and latest-value slot, and appends to the network — and the
-// fingerprint serializes the network as a sorted multiset, so append
-// order is erased).
-func independentSigs(a, b coherence.MsgSig) bool {
-	return a.Dst != b.Dst && a.Line != b.Line
 }
 
 // runLayer expands nodes [lo, hi), then runs the barrier: sort and
-// admit new states, materialize their models, resolve stop events,
-// merge edges, and wire the POR bookkeeping for the next layer. Returns
-// true if a stop event ended the run (res is then final).
+// admit new states, materialize their models, resolve stop events and
+// merge edges. Returns true if a stop event ended the run (res is then
+// final).
 func (en *engine) runLayer(lo, hi int32, depth int32) bool {
 	outs := make([]workerOut, en.workers)
 	for i := range outs {
 		outs[i].wi = i
-		outs[i].resolutions = make(map[resKey]*entry)
 	}
 	if en.workers == 1 {
 		for id := lo; id < hi; id++ {
@@ -393,8 +263,7 @@ func (en *engine) runLayer(lo, hi int32, depth int32) bool {
 			if en.sym {
 				en.res.StateSet = append(en.res.StateSet, string(e.fp))
 			} else {
-				fp, _ := mdl.CanonicalFingerprint()
-				en.res.StateSet = append(en.res.StateSet, fp)
+				en.res.StateSet = append(en.res.StateSet, mdl.CanonicalFingerprint())
 			}
 		}
 	}
@@ -442,57 +311,12 @@ func (en *engine) runLayer(lo, hi int32, depth int32) bool {
 		}
 	}
 
-	// POR: wire deferred diamond edges discovered this layer to the
-	// targets their siblings executed.
-	if en.por {
-		resAll := make(map[resKey]*entry)
-		for i := range outs {
-			//wbsim:nondet -- one worker per node, so keys never conflict; a map-to-map merge is order-independent
-			for k, v := range outs[i].resolutions {
-				resAll[k] = v
-			}
-		}
-		for i := range outs {
-			for _, d := range outs[i].deferred {
-				t := resAll[d.key]
-				if t == nil {
-					panic(fmt.Sprintf("check: POR skip at node %d has no resolution from sibling %d", d.y, d.key.x))
-				}
-				if t.dropped {
-					continue
-				}
-				en.addSucc(d.y, t.id)
-				en.res.Transitions++
-				en.res.DeferredEdges++
-			}
-		}
-		// Attach next layer's diamonds: both children must be admitted
-		// new nodes this barrier (older nodes are already expanded).
-		en.requests = make(map[int32]map[coherence.MsgSig]bool)
-		en.skips = make(map[int32][]skipEntry)
-		for i := range outs {
-			for _, d := range outs[i].diamonds {
-				if d.ei.dropped || d.ej.dropped || d.ei.id < newStart || d.ej.id < newStart {
-					continue
-				}
-				en.skips[d.ej.id] = append(en.skips[d.ej.id], skipEntry{sig: d.sigIinJ, x: d.ei.id, xSig: d.sigJinI})
-				req := en.requests[d.ei.id]
-				if req == nil {
-					req = make(map[coherence.MsgSig]bool)
-					en.requests[d.ei.id] = req
-				}
-				req[d.sigJinI] = true
-			}
-		}
-	}
-
 	if en.cfg.Progress != nil {
 		en.cfg.Progress(ProgressInfo{
-			Depth:         int(depth),
-			Frontier:      len(en.nodes) - int(newStart),
-			States:        len(en.nodes),
-			Transitions:   en.res.Transitions,
-			DeferredEdges: en.res.DeferredEdges,
+			Depth:       int(depth),
+			Frontier:    len(en.nodes) - int(newStart),
+			States:      len(en.nodes),
+			Transitions: en.res.Transitions,
 		})
 	}
 	return false

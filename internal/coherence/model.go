@@ -457,10 +457,6 @@ func (m *Model) Apply(ch Choice) {
 	}
 }
 
-// IsDelivery reports whether ch delivers an in-flight network message
-// (the only choice kind the partial-order reduction considers).
-func (m *Model) IsDelivery(ch Choice) bool { return ch.kind == chDeliver }
-
 // ChoiceDesc renders the i-th enabled transition for counterexample
 // traces. It must be called before the choice is applied.
 func (m *Model) ChoiceDesc(i int) string {

@@ -111,9 +111,7 @@ func TestCloneIntoDirtyDestination(t *testing.T) {
 					t.Fatalf("cfg %+v walk %d step %d: pooled clone fingerprint diverges\n got %q\nwant %q",
 						cfg, walk, step, got.Fingerprint(), src.Fingerprint())
 				}
-				cf, _ := got.CanonicalFingerprint()
-				sf, _ := src.CanonicalFingerprint()
-				if cf != sf {
+				if got.CanonicalFingerprint() != src.CanonicalFingerprint() {
 					t.Fatalf("cfg %+v walk %d step %d: pooled clone canonical fingerprint diverges", cfg, walk, step)
 				}
 				// Mutating the pooled clone must never move the source.

@@ -191,94 +191,43 @@ func (m *Model) mapLine(p *symPerm, l mem.Line) mem.Line {
 }
 
 // ---------------------------------------------------------------------
-// Delivery signatures (partial-order reduction support)
-// ---------------------------------------------------------------------
-
-// MsgSig is the structural signature of one in-flight message: the full
-// message content plus its destination, with no multiset position. Two
-// deliveries with equal signatures are interchangeable (same handler,
-// same component state read, same effect). The explorer stores
-// signatures in canonical coordinates — mapped through a state's own
-// canonicalizing group element — which is what keeps the partial-order
-// bookkeeping sound when symmetry reduction is on.
-type MsgSig struct {
-	Type           MsgType
-	Line           mem.Line
-	Src, Dst, Req  network.Endpoint
-	Ack            int
-	Excl, Ev, Up   bool
-	Stale, HasData bool
-	Data0          uint64
-}
-
-// DeliverySig returns the signature of a delivery choice (ch must be a
-// delivery enumerated from this state).
-func (m *Model) DeliverySig(ch Choice) MsgSig {
-	nm := m.net[ch.idx]
-	pm := nm.Payload.(*Msg)
-	return MsgSig{
-		Type: pm.Type, Line: pm.Line, Src: pm.Src, Dst: nm.Dst,
-		Req: pm.Requester, Ack: pm.AckCount, Excl: pm.Excl,
-		Ev: pm.Eviction, Up: pm.Upgrade, Stale: pm.Stale,
-		HasData: pm.HasData, Data0: uint64(pm.Data[0]),
-	}
-}
-
-// MapSig renames a signature through group element g (an index returned
-// by CanonicalFingerprint).
-func (m *Model) MapSig(sig MsgSig, g int) MsgSig {
-	p := m.symmetry().perms[g]
-	sig.Line = m.mapLine(p, sig.Line)
-	sig.Src = m.mapEP(p, sig.Src)
-	sig.Dst = m.mapEP(p, sig.Dst)
-	sig.Req = m.mapEP(p, sig.Req)
-	return sig
-}
-
-// ---------------------------------------------------------------------
 // Canonical fingerprint
 // ---------------------------------------------------------------------
 
 // CanonicalFingerprint returns the lexicographically minimal
-// serialization of the state over the automorphism group, plus the
-// index of a group element achieving it. When several elements achieve
-// the minimum the state is self-symmetric and any of them is a valid
-// canonicalizer (the explorer relies only on g mapping this concrete
-// state onto the canonical representative).
-func (m *Model) CanonicalFingerprint() (string, int) {
-	b, g := m.CanonicalFingerprintBytes()
-	return string(b), g
+// serialization of the state over the automorphism group: two states
+// share it exactly when some group element maps one onto the other.
+func (m *Model) CanonicalFingerprint() string {
+	return string(m.CanonicalFingerprintBytes())
 }
 
 // CanonicalFingerprintBytes is CanonicalFingerprint without the string
 // allocation; the returned slice aliases the model's scratch buffer and
 // is valid only until the next fingerprint call on the same model.
-func (m *Model) CanonicalFingerprintBytes() ([]byte, int) {
+func (m *Model) CanonicalFingerprintBytes() []byte {
 	grp := m.symmetry()
 	if len(grp.perms) == 1 {
 		b := m.fingerprintMapped(grp.perms[0], m.fpScratch[:0], nil)
 		m.fpScratch = b
-		return b, 0
+		return b
 	}
-	best := -1
 	bestBuf := m.fpScratch[:0]
 	candBuf := m.symScratch[:0]
 	for i, p := range grp.perms {
 		var fb *fpBound
-		if best >= 0 {
+		if i > 0 {
 			fb = &fpBound{bound: bestBuf}
 		}
 		candBuf = m.fingerprintMapped(p, candBuf[:0], fb)
 		if fb != nil && fb.decided > 0 {
 			continue // proven greater mid-serialization; cannot win
 		}
-		if best < 0 || bytes.Compare(candBuf, bestBuf) < 0 {
+		if i == 0 || bytes.Compare(candBuf, bestBuf) < 0 {
 			bestBuf, candBuf = candBuf, bestBuf
-			best = i
 		}
 	}
 	m.fpScratch, m.symScratch = bestBuf, candBuf
-	return bestBuf, best
+	return bestBuf
 }
 
 // fpBound tracks an incremental lexicographic comparison of a candidate

@@ -135,16 +135,14 @@ CHECK_CONFIGS = {
     "2c_2l_deep": ["-cores", "2", "-banks", "1", "-lines", "2", "-ops", "2"],
     "2c_2l_deep_sym": ["-cores", "2", "-banks", "1", "-lines", "2", "-ops", "2",
                        "-reduce", "sym"],
-    "2c_2l_deep_sym_por": ["-cores", "2", "-banks", "1", "-lines", "2", "-ops", "2",
-                           "-reduce", "sym,por"],
     "3c_2b_2l_capped_gate": ["-cores", "3", "-banks", "2", "-lines", "2", "-ops", "2",
                              "-max-states", "50000"],
     "1c_2l_prefix_deadlock": ["-cores", "1", "-banks", "1", "-lines", "2", "-ops", "2",
                               "-prefix"],
 }
 DEEP_CHECK_CONFIGS = {
-    "3c_2b_2l_deep_sym_por": ["-cores", "3", "-banks", "2", "-lines", "2", "-ops", "2",
-                              "-reduce", "sym,por"],
+    "3c_2b_2l_deep_sym": ["-cores", "3", "-banks", "2", "-lines", "2", "-ops", "2",
+                          "-reduce", "sym"],
 }
 
 
@@ -182,8 +180,6 @@ def check_entry(key, args, rep):
         entry["peak_rss_kb"] = rep["peak_rss_kb"]
     if res.get("SymmetryGroup", 1) > 1:
         entry["symmetry_group"] = res["SymmetryGroup"]
-    if res.get("DeferredEdges", 0) > 0:
-        entry["deferred_edges"] = res["DeferredEdges"]
     if res.get("Trap"):
         entry["trap"] = "%s at depth %d" % (res["Trap"]["Kind"], res["MaxDepth"])
     return entry
@@ -210,37 +206,29 @@ def refresh_check(deep, runs):
               % (key, rep["result"]["States"], rep["wall_ms"],
                  rep["states_per_sec"]), file=sys.stderr)
 
-    # Reduction summary on the 2c/2l deep config: factors per technique
+    # Reduction summary on the 2c/2l deep config: the symmetry factor
     # and the effective speedup vs the frozen PR-7 baseline (effective
     # rate = full-space states the run stands for, per second).
     base = doc.get("baseline_pr7", {}).get("2c_2l_deep")
     full = reports.get("2c_2l_deep")
     sym = reports.get("2c_2l_deep_sym")
-    sympor = reports.get("2c_2l_deep_sym_por")
-    if base and full and sym and sympor:
+    if base and full and sym:
         full_states = full["result"]["States"]
         eff_sym = full_states / (sym["wall_ms"] / 1000.0)
-        eff_sympor = full_states / (sympor["wall_ms"] / 1000.0)
-        # At this small geometry POR's diamond bookkeeping can outweigh
-        # its savings (it pays off at 3c/2b/2l, where it defers ~1.5M
-        # expansions); the headline is the best reduced mode.
-        eff = max(eff_sym, eff_sympor)
         doc["reductions_2c_2l"] = {
             "full_states": full_states,
             "canonical_states": sym["result"]["States"],
             "symmetry_factor": round(full_states / sym["result"]["States"], 2),
-            "por_deferred_edges": sympor["result"].get("DeferredEdges", 0),
             "raw_states_per_sec_full": int(full["states_per_sec"]),
             "effective_states_per_sec_sym": int(eff_sym),
-            "effective_states_per_sec_sym_por": int(eff_sympor),
             "speedup_vs_pr7_full": round(
                 full["states_per_sec"] / base["states_per_sec"], 1),
             "speedup_vs_pr7_effective": round(
-                eff / base["states_per_sec"], 1),
+                eff_sym / base["states_per_sec"], 1),
             "note": "effective rate = full-space states the reduced run "
                     "stands for / wall; speedups measured against the "
                     "frozen PR-7 single-worker no-reduction baseline; "
-                    "the effective speedup is the best reduced mode",
+                    "the effective speedup is the symmetry-reduced run",
         }
 
     doc["recorded"] = datetime.date.today().isoformat()
