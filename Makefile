@@ -138,8 +138,8 @@ check-liveness-deep: check-liveness
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode tardis -reduce sym -max-states 500000
 
 # Zero-allocation gates for the event-driven kernel: a warmed-up mesh
-# cycle and a drained System.Step may not allocate (see DESIGN.md,
-# "Simulation kernel & performance model").
+# cycle, a drained System.Step and a busy core's System.Step may not
+# allocate (see DESIGN.md, "Simulation kernel & performance model").
 alloc-gate:
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/network ./internal/core
 

@@ -19,7 +19,16 @@ import (
 //  4. older store addresses resolved     — storesOK
 //  5. no older instruction will raise an exception — the ISA has none
 //  6. consistency: older loads performed — loadsOK (relaxed by ooo-wb)
+//
+// A scan is skipped while nothing it reads has changed since the last one
+// committed nothing (see Core.commitDirty).
 func (c *Core) commit() int {
+	if !c.commitDirty && !c.checkSkip {
+		c.Stats.LDTFullStalls += c.commitStalls
+		return 0
+	}
+	skipped := !c.commitDirty
+	stalls0 := c.Stats.LDTFullStalls
 	committed := 0
 	branchesOK := true
 	storesOK := true
@@ -32,6 +41,7 @@ func (c *Core) commit() int {
 		head := i == c.robHead
 		if c.canCommit(d, head, branchesOK, storesOK, loadsOK, atomicsOK, olderStorePending) {
 			c.commitOne(d, head)
+			c.release(d)
 			if head {
 				// Head retirement (the overwhelmingly common case) just
 				// advances the ring head instead of shifting the tail.
@@ -78,6 +88,15 @@ func (c *Core) commit() int {
 		c.robHead = 0
 	}
 	c.Stats.Committed += uint64(committed)
+	stalls := c.Stats.LDTFullStalls - stalls0
+	if skipped {
+		c.skipChecks++
+		if committed != 0 || stalls != c.commitStalls {
+			c.skipMismatches++
+		}
+	}
+	c.commitDirty = committed > 0
+	c.commitStalls = stalls
 	return committed
 }
 
@@ -180,15 +199,15 @@ func (c *Core) commitOne(d *DynInstr, head bool) {
 	switch d.op {
 	case isa.OpLoad:
 		c.Stats.CommittedLoads++
-		c.removeLoad(d.lq)
+		c.removeLoad(&d.lq)
 	case isa.OpAtomic:
 		c.Stats.CommittedLoads++
 		c.Stats.CommittedStores++
-		c.removeLoad(d.lq)
+		c.removeLoad(&d.lq)
 	case isa.OpStore:
 		c.Stats.CommittedStores++
-		c.sb = append(c.sb, sbEntry{seq: d.seq, addr: d.sq.addr, line: d.sq.line, value: d.sq.value})
-		c.removeStore(d.sq)
+		c.sb = pushRing(c.sb, &c.sbHead, sbEntry{seq: d.seq, addr: d.sq.addr, line: d.sq.line, value: d.sq.value})
+		c.removeStore(&d.sq)
 	case isa.OpHalt:
 		c.halted = true
 	}
@@ -204,7 +223,6 @@ func (c *Core) removeLoad(e *lqEntry) {
 	if idx < 0 {
 		panic(fmt.Sprintf("cpu %d: committing load not in LQ: %v", c.ID, e.d))
 	}
-	delete(c.tokens, e.d.seq)
 	ordered := c.isOrdered(e)
 	mask := e.ldtMask
 

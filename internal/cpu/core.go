@@ -41,22 +41,32 @@ type Core struct {
 	sb        []sbEntry
 	sbHead    int // consumed prefix of sb (ring-style, backing array reused)
 	ldt       []ldtEntry
-	readyQ    []*DynInstr
+	readyQ    []instrRef
 	readyHead int // consumed prefix of readyQ (ring-style, backing array reused)
 	iqCount   int
 
-	// Slab allocators. Dynamic instructions and LQ/SQ entries are carved
-	// from chunks instead of allocated individually — they are the
-	// simulator's dominant allocation sites. Entries are never recycled
-	// (stale *DynInstr references from in-flight events or waiter lists
-	// must keep pointing at the dead instruction, whose squashed flag
-	// they check), so this only amortizes allocator work; the GC frees a
-	// chunk once no instruction in it is referenced.
-	dslab  []DynInstr
-	lqslab []lqEntry
-	sqslab []sqEntry
+	// free holds the instruction-window slots no in-flight instruction
+	// occupies. NewCore allocates ROBSize slots, each with room for the
+	// instruction's LQ or SQ entry; commit and squash return a slot here
+	// and dispatch takes one, so the steady state allocates nothing.
+	// Every in-flight instruction sits in the ROB, whose occupancy fetch
+	// caps at ROBSize, so the list runs empty only if a slot leaks.
+	free []*DynInstr
 
-	tokens map[uint64]*lqEntry
+	// Commit-scan skip. Every write the commit scan reads — completion
+	// (which branch resolution goes through), jump execution, store
+	// address resolution, a load performing, an LDT release, an SB
+	// drain, a squash — sets commitDirty, and so does a scan that
+	// committed. While it is clear the next scan would repeat the last
+	// one exactly: commit nothing and charge commitStalls LDT-full
+	// stalls. Dispatch needs no flag: a new instruction at the ROB tail
+	// has not completed and has nothing younger to gate.
+	commitDirty  bool
+	commitStalls uint64
+	// checkSkip, set only by tests, makes every skip run the full scan
+	// anyway and count in skipChecks/skipMismatches whether it agreed.
+	checkSkip                  bool
+	skipChecks, skipMismatches int
 
 	// seenLines records cache lines for which an invalidation hit a
 	// lockdown (the union of the per-entry S bits of the paper); the
@@ -90,13 +100,18 @@ type Core struct {
 func NewCore(id int, cfg Config, program *isa.Program) *Core {
 	cfg.Validate()
 	c := &Core{
-		ID:      id,
-		cfg:     cfg,
-		program: program,
-		pred:    NewPredictor(12),
-		tokens:  make(map[uint64]*lqEntry),
-		ldt:     make([]ldtEntry, cfg.LDTSize),
-		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel)
+		ID:          id,
+		cfg:         cfg,
+		program:     program,
+		pred:        NewPredictor(12),
+		ldt:         make([]ldtEntry, cfg.LDTSize),
+		nextSeq:     1, // seq 0 reserved (fwdSeq sentinel, free slots)
+		free:        make([]*DynInstr, cfg.ROBSize),
+		commitDirty: true,
+	}
+	slots := make([]DynInstr, cfg.ROBSize)
+	for i := range slots {
+		c.free[i] = &slots[i]
 	}
 	return c
 }
@@ -322,41 +337,36 @@ func (c *Core) fetch() {
 	}
 }
 
-func (c *Core) newDynInstr() *DynInstr {
-	if len(c.dslab) == 0 {
-		c.dslab = make([]DynInstr, 128)
+// pushRing appends x to a ring whose first *head elements are consumed.
+// When the backing array is full and at least half consumed it slides the
+// live elements down to index 0 instead of growing, so a ring that never
+// fully drains still stops growing at twice its peak occupancy.
+func pushRing[T any](s []T, head *int, x T) []T {
+	if len(s) == cap(s) && *head >= len(s)/2 {
+		s = s[:copy(s, s[*head:])]
+		*head = 0
 	}
-	d := &c.dslab[0]
-	c.dslab = c.dslab[1:]
-	return d
+	return append(s, x)
 }
 
-func (c *Core) newLQEntry() *lqEntry {
-	if len(c.lqslab) == 0 {
-		c.lqslab = make([]lqEntry, 64)
-	}
-	e := &c.lqslab[0]
-	c.lqslab = c.lqslab[1:]
-	return e
-}
-
-func (c *Core) newSQEntry() *sqEntry {
-	if len(c.sqslab) == 0 {
-		c.sqslab = make([]sqEntry, 64)
-	}
-	e := &c.sqslab[0]
-	c.sqslab = c.sqslab[1:]
-	return e
-}
-
-// dispatch allocates the dynamic instruction, wires its dependencies, and
-// places it in the ROB (and LQ/SQ for memory operations).
+// dispatch takes a free window slot for the instruction, wires its
+// dependencies, and places it in the ROB (and LQ/SQ for memory
+// operations).
 func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
-	d := c.newDynInstr()
-	d.seq, d.pc, d.si, d.op = c.nextSeq, pc, si, si.Op
-	d.waiters = d.waitersBuf[:0]
+	n := len(c.free) - 1
+	if n < 0 {
+		panic(fmt.Sprintf("cpu %d: no free window slot with %d instructions in the ROB (a slot leaked)", c.ID, c.robLen()))
+	}
+	d := c.free[n]
+	c.free = c.free[:n]
+	// Clear in place and then fill in: a composite literal that reads *d
+	// would be built in a temporary and copied over the whole slot.
+	waiters := d.waiters[:0]
+	*d = DynInstr{}
+	d.seq, d.pc, d.si, d.op, d.waiters = c.nextSeq, pc, si, si.Op, waiters
+	d.lq.d, d.sq.d = d, d
 	c.nextSeq++
-	c.rob = append(c.rob, d)
+	c.rob = pushRing(c.rob, &c.robHead, d)
 	c.iqCount++
 
 	// Source 1 gates issue for every op that reads it.
@@ -382,28 +392,18 @@ func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
 		c.regProd[si.Dst] = d
 	}
 
-	//wbsim:partial(OpNop, OpALU, OpBranch, OpJump, OpHalt) -- non-memory ops allocate no LSQ entries
+	//wbsim:partial(OpNop, OpALU, OpBranch, OpJump, OpHalt) -- non-memory ops occupy no LSQ entries
 	switch si.Op {
-	case isa.OpLoad:
-		e := c.newLQEntry()
-		e.d = d
-		d.lq = e
-		c.lq = append(c.lq, e)
-	case isa.OpAtomic:
-		e := c.newLQEntry()
-		e.d, e.isAtomic = d, true
-		d.lq = e
-		c.lq = append(c.lq, e)
+	case isa.OpLoad, isa.OpAtomic:
+		d.lq.isAtomic = si.Op == isa.OpAtomic
+		c.lq = append(c.lq, &d.lq)
 	case isa.OpStore:
-		e := c.newSQEntry()
-		e.d = d
-		d.sq = e
-		c.sq = append(c.sq, e)
+		c.sq = append(c.sq, &d.sq)
 		if d.dataPending {
 			// value captured later via produceDone
 		} else {
-			e.value = d.src2Val
-			e.valueValid = true
+			d.sq.value = d.src2Val
+			d.sq.valueValid = true
 		}
 	}
 
@@ -431,7 +431,7 @@ func (c *Core) wireOperand(d *DynInstr, r isa.Reg, which int, gate bool) {
 		}
 	}
 	if prod != nil {
-		prod.waiters = append(prod.waiters, d)
+		prod.waiters = append(prod.waiters, ref(d))
 		if which == 1 {
 			d.src1Prod = prod
 		} else {
@@ -454,15 +454,12 @@ func (c *Core) wireOperand(d *DynInstr, r isa.Reg, which int, gate bool) {
 // makeReady queues d for issue.
 func (c *Core) makeReady(d *DynInstr) {
 	d.state = stReady
-	c.readyQ = append(c.readyQ, d)
+	c.readyQ = pushRing(c.readyQ, &c.readyHead, ref(d))
 }
 
 // produceDone is called when a producer completes, delivering its value
 // to d.
 func (c *Core) produceDone(d, prod *DynInstr) {
-	if d.squashed {
-		return
-	}
 	if d.src1Prod == prod {
 		d.src1Prod = nil
 		d.src1Val = prod.result
@@ -473,11 +470,9 @@ func (c *Core) produceDone(d, prod *DynInstr) {
 		d.src2Val = prod.result
 		if d.op == isa.OpStore {
 			d.dataPending = false
-			if d.sq != nil {
-				d.sq.value = d.src2Val
-				d.sq.valueValid = true
-				c.maybeCompleteStore(d)
-			}
+			d.sq.value = d.src2Val
+			d.sq.valueValid = true
+			c.maybeCompleteStore(d)
 		} else {
 			d.pendingIssue--
 		}
@@ -494,12 +489,12 @@ func (c *Core) produceDone(d, prod *DynInstr) {
 func (c *Core) issue() {
 	issued := 0
 	for issued < c.cfg.IssueWidth && c.readyHead < len(c.readyQ) {
-		d := c.readyQ[c.readyHead]
-		c.readyQ[c.readyHead] = nil
+		r := c.readyQ[c.readyHead]
 		c.readyHead++
-		if d.squashed || d.state != stReady {
+		if !r.live() || r.d.state != stReady {
 			continue
 		}
+		d := r.d
 		d.state = stIssued
 		c.iqCount--
 		issued++
@@ -520,6 +515,7 @@ func (c *Core) execute(d *DynInstr) {
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpJump:
 		d.resolved = true
+		c.commitDirty = true
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpALU:
 		lat := c.cfg.ALULatency
@@ -538,13 +534,13 @@ func (c *Core) execute(d *DynInstr) {
 		d.lq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
 		d.lq.line = mem.LineOf(d.lq.addr)
 		d.lq.addrValid = true
-		c.tokens[d.seq] = d.lq
 		// Memory issue is attempted by tryMemoryIssue (this cycle too).
 	case isa.OpStore:
 		d.sq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
 		d.sq.line = mem.LineOf(d.sq.addr)
 		d.sq.addrValid = true
-		c.memDepCheck(d.sq)
+		c.commitDirty = true
+		c.memDepCheck(&d.sq)
 		if !d.sq.prefetched {
 			d.sq.prefetched = true
 			c.pcu.StorePrefetch(c.now, d.sq.line)
@@ -559,7 +555,7 @@ func (c *Core) execute(d *DynInstr) {
 // known (completion makes it commit-eligible; it performs later from the
 // store buffer).
 func (c *Core) maybeCompleteStore(d *DynInstr) {
-	if d.state != stIssued || d.squashed {
+	if d.state != stIssued {
 		return
 	}
 	if d.sq.addrValid && d.sq.valueValid {
@@ -570,25 +566,23 @@ func (c *Core) maybeCompleteStore(d *DynInstr) {
 // complete finishes execution: the result becomes available and
 // dependents wake.
 func (c *Core) complete(d *DynInstr, result mem.Word) {
-	if d.squashed || d.state == stCompleted {
+	if d.state == stCompleted {
 		return
 	}
 	d.state = stCompleted
 	d.result = result
-	d.hasResult = true
-	waiters := d.waiters
-	d.waiters = nil
-	for _, w := range waiters {
-		c.produceDone(w, d)
+	c.commitDirty = true
+	for _, w := range d.waiters {
+		if w.live() {
+			c.produceDone(w.d, d)
+		}
 	}
+	d.waiters = d.waiters[:0]
 }
 
 // resolveBranch evaluates the branch, trains the predictor, and squashes
 // on a misprediction.
 func (c *Core) resolveBranch(d *DynInstr) {
-	if d.squashed {
-		return
-	}
 	b := d.src2Val
 	if d.si.UseImm {
 		b = d.si.Imm
@@ -631,30 +625,31 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		return
 	}
 
+	c.commitDirty = true
+	// Trim LQ and SQ (before the squashed slots are freed, which clears
+	// the seqs the trim compares).
+	c.lq = trimLQ(c.lq, cut)
+	c.sq = trimSQ(c.sq, cut)
+
 	// Collect LDT responsibilities held by squashed loads; they must
 	// survive on an older non-performed load (or be released if every
-	// older load has performed) — Section 4.2.
+	// older load has performed) — Section 4.2. Slots are freed youngest
+	// first, so dispatch next takes the oldest squashed one.
 	var orphanMask uint64
-	for _, d := range c.rob[idx:] {
+	for i := len(c.rob) - 1; i >= idx; i-- {
+		d := c.rob[i]
 		c.Stats.Squashed++
-		d.squashed = true
 		if d.state == stDispatched || d.state == stReady {
 			c.iqCount--
 		}
-		if d.lq != nil {
-			orphanMask |= d.lq.ldtMask
-			delete(c.tokens, d.seq)
-		}
+		orphanMask |= d.lq.ldtMask // zero for non-loads
+		c.release(d)
 	}
 	c.rob = c.rob[:idx]
 	if len(c.rob) == c.robHead {
 		c.rob = c.rob[:0]
 		c.robHead = 0
 	}
-
-	// Trim LQ and SQ.
-	c.lq = trimLQ(c.lq, cut)
-	c.sq = trimSQ(c.sq, cut)
 
 	// Reassign orphaned LDT responsibilities.
 	if orphanMask != 0 {
@@ -677,6 +672,13 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 	c.fetchStallUntil = c.now + sim.Cycle(penalty)
 	c.fetchHalted = false
 	c.onOrderingChange()
+}
+
+// release returns the slot of a committed or squashed instruction to the
+// free list. Zeroing its seq kills every instrRef still naming it.
+func (c *Core) release(d *DynInstr) {
+	d.seq = 0
+	c.free = append(c.free, d)
 }
 
 // newerThanArch reports whether seq is younger than the last committed

@@ -18,43 +18,61 @@ const (
 	stCompleted                // result available; commit-eligible
 )
 
-// DynInstr is one dynamic (in-flight) instruction.
+// DynInstr is one dynamic (in-flight) instruction. It lives in one of the
+// core's ROBSize window slots, which are recycled: a slot returns to the
+// free list when its instruction commits or is squashed, and the next
+// dispatch reuses it for a younger instruction.
 type DynInstr struct {
-	seq uint64 // per-core program-order age; also the memory token
+	seq uint64 // per-core program-order age; also the memory token (0 while the slot is free)
 	pc  int
 	si  *isa.Instr
 	op  isa.Op // si.Op, copied at dispatch: the commit scan reads the
 	// opcode of every in-flight instruction each cycle, and the copy
 	// spares it the si pointer chase
 
-	state    istate
-	squashed bool
+	state istate
 
 	// Operand capture. pendingIssue counts producers that must complete
 	// before the instruction can issue (for stores, only the address
 	// operand gates issue; the data operand is tracked separately).
+	// A producer pointer needs no seq check: the producer leaves the
+	// window either by completing, which clears the pointer, or by a
+	// squash, which squashes this (younger) instruction too.
 	src1Val, src2Val   mem.Word
 	src1Prod, src2Prod *DynInstr
 	pendingIssue       int
 	dataPending        bool // store data operand still outstanding
 
-	result    mem.Word
-	hasResult bool
-	waiters   []*DynInstr
-	// waitersBuf is the initial backing array of waiters: most producers
-	// have only a few dependents, so the common case never heap-allocates
-	// the waiter list.
-	waitersBuf [4]*DynInstr
+	result mem.Word
+	// waiters keeps its backing array across slot reuse, so a slot
+	// grows it at most once to its largest dependent count.
+	waiters []instrRef
 
 	// Control flow.
 	predTaken bool
 	histAt    uint64
 	resolved  bool // branch/jump outcome known
 
-	// Memory.
-	lq *lqEntry
-	sq *sqEntry
+	// Memory: the slot's LQ entry for loads and atomics, its SQ entry for
+	// stores; the other is unused.
+	lq lqEntry
+	sq sqEntry
 }
+
+// instrRef names the instruction that occupied a window slot when the
+// reference was taken. Holders that can outlive the instruction (queued
+// events, waiter lists, the ready queue) keep one: once the instruction
+// commits or is squashed its slot's seq changes, so the reference reads
+// as dead even after the slot is reused.
+type instrRef struct {
+	d   *DynInstr
+	seq uint64
+}
+
+func ref(d *DynInstr) instrRef { return instrRef{d, d.seq} }
+
+// live reports whether the referenced instruction is still in flight.
+func (r instrRef) live() bool { return r.d.seq == r.seq }
 
 // writesReg reports whether the instruction produces a register value.
 func (d *DynInstr) writesReg() bool {

@@ -13,20 +13,22 @@ import (
 // hottest allocation site) and keeps System.Step allocation-free in
 // steady state. Firing order is identical to the generic queue: (cycle,
 // insertion seq), and the key is unique per event, so behaviour does not
-// depend on heap layout.
+// depend on heap layout. An event names its instruction by instrRef: an
+// instruction squashed before its event fires may have handed its window
+// slot to a younger one, and the event must then do nothing.
 
 type coreEventKind uint8
 
 const (
-	evComplete coreEventKind = iota // complete(d, val)
-	evBranch                        // resolveBranch(d)
+	evComplete coreEventKind = iota // complete(r.d, val)
+	evBranch                        // resolveBranch(r.d)
 )
 
 type coreEvent struct {
 	at   sim.Cycle
 	seq  uint64
 	kind coreEventKind
-	d    *DynInstr
+	r    instrRef
 	val  mem.Word
 }
 
@@ -36,7 +38,7 @@ type coreEvents struct {
 }
 
 func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr, val mem.Word) {
-	q.h = append(q.h, coreEvent{at: now + delay, seq: q.seq, kind: kind, d: d, val: val})
+	q.h = append(q.h, coreEvent{at: now + delay, seq: q.seq, kind: kind, r: ref(d), val: val})
 	q.seq++
 	i := len(q.h) - 1
 	for i > 0 {
@@ -50,18 +52,20 @@ func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr
 }
 
 // run fires every event due at or before now, in order, returning the
-// number fired. Events scheduled while running (for the same cycle) also
-// fire.
+// number fired (events of squashed instructions count, but do nothing).
+// Events scheduled while running (for the same cycle) also fire.
 func (q *coreEvents) run(c *Core, now sim.Cycle) int {
 	fired := 0
 	for len(q.h) > 0 && q.h[0].at <= now {
 		e := q.h[0]
 		q.pop()
-		switch e.kind {
-		case evComplete:
-			c.complete(e.d, e.val)
-		case evBranch:
-			c.resolveBranch(e.d)
+		if e.r.live() {
+			switch e.kind {
+			case evComplete:
+				c.complete(e.r.d, e.val)
+			case evBranch:
+				c.resolveBranch(e.r.d)
+			}
 		}
 		fired++
 	}

@@ -35,6 +35,26 @@ func (c *Core) lqIndex(e *lqEntry) int {
 	return -1
 }
 
+// lqBySeq returns the LQ entry of the load (or atomic) with the given seq
+// — its memory token — if that load is still in flight and its address
+// has resolved, or nil. The LQ is in program order, so a binary search
+// finds it.
+func (c *Core) lqBySeq(seq uint64) *lqEntry {
+	lo, hi := 0, len(c.lq)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.lq[m].d.seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(c.lq) && c.lq[lo].d.seq == seq && c.lq[lo].addrValid {
+		return c.lq[lo]
+	}
+	return nil
+}
+
 // isOrdered reports whether every load older than e has performed.
 func (c *Core) isOrdered(e *lqEntry) bool {
 	for _, x := range c.lq {
@@ -172,6 +192,7 @@ func (c *Core) releaseMask(mask uint64) {
 			c.ldt[i].valid = false
 		}
 	}
+	c.commitDirty = true
 	c.resolveLockdowns()
 }
 
@@ -361,6 +382,7 @@ func (c *Core) performLoad(e *lqEntry, value mem.Word, fwdSeq uint64, wake sim.C
 	}
 	e.performed = true
 	e.issued = false
+	c.commitDirty = true
 	e.value = value
 	e.fwdSeq = fwdSeq
 	if fwdSeq == 0 && !c.isOrdered(e) {
@@ -404,6 +426,7 @@ func (c *Core) drainSB() {
 	head := c.sb[c.sbHead]
 	if c.pcu.StoreWrite(c.now, head.addr, head.value) {
 		c.sbHead++
+		c.commitDirty = true
 		// Rewind the ring when drained so the backing array is reused.
 		if c.sbHead == len(c.sb) {
 			c.sb = c.sb[:0]
@@ -430,8 +453,8 @@ var (
 // must retry once ordered (Section 3.4).
 func (c *Core) LoadDone(now sim.Cycle, token uint64, value mem.Word, tearoff bool) {
 	c.now = now
-	e, ok := c.tokens[token]
-	if !ok || e.performed {
+	e := c.lqBySeq(token)
+	if e == nil || e.performed {
 		return // squashed (or already bound via forwarding)
 	}
 	if tearoff {
@@ -452,8 +475,8 @@ func (c *Core) LoadDone(now sim.Cycle, token uint64, value mem.Word, tearoff boo
 // delivered.
 func (c *Core) AtomicDone(now sim.Cycle, token uint64, old mem.Word) {
 	c.now = now
-	e, ok := c.tokens[token]
-	if !ok || e.performed {
+	e := c.lqBySeq(token)
+	if e == nil || e.performed {
 		return
 	}
 	c.performLoad(e, old, 0, sim.Cycle(c.cfg.ForwardLatency))

@@ -5,9 +5,9 @@
 // reimplement the boilerplate (or drift in how they do it).
 //
 // It also owns the collector tuning the simulator wants: the hot loop
-// allocates instruction-window slabs that die in bulk when a run
-// finishes, and the default GOGC target makes the collector re-scan that
-// pointer-rich heap far too eagerly. TuneGC widens the target unless the
+// allocates short-lived coherence transactions against a pointer-rich
+// heap (cache arrays, directories, instruction windows), and the default
+// GOGC target makes the collector re-scan that heap far too eagerly. TuneGC widens the target unless the
 // user set GOGC themselves.
 package profiling
 
@@ -102,7 +102,7 @@ func (f *Flags) Start() (stop func(), err error) {
 // TuneGC raises the collector's heap-growth target for the simulator
 // commands. Simulation output is a pure function of (config, workload,
 // seed), so collector pacing can never change a result — only how much
-// wall-clock the collector burns re-scanning live instruction slabs. An
+// wall-clock the collector burns re-scanning the live heap. An
 // explicit GOGC in the environment wins.
 func TuneGC() {
 	if os.Getenv("GOGC") == "" {
