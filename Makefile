@@ -11,7 +11,7 @@ GO ?= go
 
 .PHONY: verify build test vet lint wbsimlint spec-lint race bench chaos-short chaos \
 	alloc-gate golden-short golden-full profile bench-compare bench-kernel \
-	bench-dir bench-compare-dir bench-check coverage-report check-liveness \
+	bench-dir bench-compare-dir bench-check perfbench-smoke coverage-report check-liveness \
 	check-liveness-deep print-staticcheck-version print-govulncheck-version
 
 verify: build vet lint spec-lint test race alloc-gate golden-short chaos-short check-liveness
@@ -184,6 +184,20 @@ bench-kernel:
 	$(GO) test -count=1 -run '^$$' -bench 'SystemStep' -benchtime 50000x -benchmem ./internal/core
 	$(GO) test -count=1 -run '^$$' -bench 'MeshTick' -benchtime 200000x -benchmem ./internal/network
 	$(GO) test -count=1 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem .
+
+# Benchmark smoke: perfbench is a module of its own (perfbench/go.mod),
+# so `go build ./...` and `go test ./...` never compile it and an API
+# change under internal/ could break it unnoticed. Vet and test it, then
+# run the sim workload for two seconds. Every sim operation must
+# reproduce the cycle-accurate 16-core reference, so the run also checks
+# the kernel's idle skips; the target fails unless the result line
+# reports a correct run with no failed operation.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@out=$$(python3 perfbench/run.py --workload sim --seed 1 --seconds 2 --trace 0) || exit 1; \
+	echo "$$out"; \
+	case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \
+	*) echo "perfbench-smoke: the run is not correct or has failed operations"; exit 1;; esac
 
 # End-to-end throughput benchmark, compared against the checked-in
 # pre-change record (BENCH_baseline.json). Uses benchstat when it is

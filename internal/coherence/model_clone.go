@@ -506,7 +506,9 @@ func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHook
 		}
 	}
 	np.Stats = p.Stats
+	np.blockedWrites = p.blockedWrites
 	np.now = p.now
+	np.activeAt = p.activeAt
 	if cc.reuse {
 		np.events.ForEachArg(cc.harvestArg)
 	}

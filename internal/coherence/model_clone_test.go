@@ -19,12 +19,32 @@ var cloneCfgs = []ModelConfig{
 	{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeSquash, PreFixPutRace: true},
 }
 
+// checkClonedPCUs asserts that every PCU of clone carries src's
+// blocked-write count and activity stamp — neither reaches the
+// fingerprint — and that the count matches the blocked write MSHRs. It
+// returns the largest count seen.
+func checkClonedPCUs(t *testing.T, clone, src *Model) int {
+	t.Helper()
+	most := 0
+	for i, p := range src.pcus {
+		np := clone.pcus[i]
+		if np.blockedWrites != p.blockedWrites || np.activeAt != p.activeAt {
+			t.Fatalf("pcu %d: clone has blockedWrites=%d activeAt=%d, source %d/%d",
+				i, np.blockedWrites, np.activeAt, p.blockedWrites, p.activeAt)
+		}
+		np.CheckInvariants()
+		most = max(most, p.blockedWrites)
+	}
+	return most
+}
+
 // TestCloneMatchesOriginal drives deep pseudo-random walks, cloning at
 // every step, and asserts the three clone contracts: a fresh clone
 // fingerprints identically to its source; applying the same choice to
 // clone and source keeps them identical; and mutating one never moves
 // the other (no shared mutable state survives Clone).
 func TestCloneMatchesOriginal(t *testing.T) {
+	sawBlocked := false
 	for _, cfg := range cloneCfgs {
 		rnd := lcg(uint64(cfg.Cores)*31 + uint64(cfg.Lines)*7 + uint64(cfg.Mode))
 		for walk := 0; walk < 12; walk++ {
@@ -37,6 +57,9 @@ func TestCloneMatchesOriginal(t *testing.T) {
 				cl := m.Clone()
 				if got, want := cl.Fingerprint(), m.Fingerprint(); got != want {
 					t.Fatalf("cfg %+v walk %d step %d: clone fingerprint diverges before any transition\n got %q\nwant %q", cfg, walk, step, got, want)
+				}
+				if checkClonedPCUs(t, cl, m) > 0 {
+					sawBlocked = true
 				}
 				frozen := cl.Fingerprint()
 				c := int(rnd.next() % uint64(n))
@@ -56,6 +79,9 @@ func TestCloneMatchesOriginal(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !sawBlocked {
+		t.Error("no walk reached a blocked write; the count's clone check is vacuous")
 	}
 }
 
@@ -111,6 +137,7 @@ func TestCloneIntoDirtyDestination(t *testing.T) {
 					t.Fatalf("cfg %+v walk %d step %d: pooled clone fingerprint diverges\n got %q\nwant %q",
 						cfg, walk, step, got.Fingerprint(), src.Fingerprint())
 				}
+				checkClonedPCUs(t, got, src)
 				if got.CanonicalFingerprint() != src.CanonicalFingerprint() {
 					t.Fatalf("cfg %+v walk %d step %d: pooled clone canonical fingerprint diverges", cfg, walk, step)
 				}

@@ -181,7 +181,18 @@ type PCU struct {
 
 	Stats PCUStats
 
+	// blockedWrites counts the write transactions a BlockedHint has
+	// marked blocked and that have not completed yet. Figure 8 puts them
+	// at about one per kilo-store, so while it is 0 PromoteSoS returns
+	// without searching the MSHRs for one.
+	blockedWrites int
+
 	now sim.Cycle
+	// activeAt is the last cycle a message arrived or a deferred event
+	// fired: the only ways the PCU changes the core's view of memory
+	// without the core calling it. The kernel re-ticks a core whose PCU
+	// was active this cycle (see core.System.Step).
+	activeAt sim.Cycle
 }
 
 // NewPCU builds a private cache unit attached at endpoint id. port is
@@ -213,8 +224,13 @@ func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFun
 // Tick runs deferred sends.
 func (p *PCU) Tick(now sim.Cycle) {
 	p.now = now
+	p.activeAt = now
 	p.events.Run(now)
 }
+
+// ActiveAt reports whether a message arrived or a deferred event fired
+// at cycle now.
+func (p *PCU) ActiveAt(now sim.Cycle) bool { return p.activeAt == now }
 
 // EventsDue reports whether Tick(now) would fire at least one deferred
 // send. Like the bank, a PCU with nothing due has a no-op Tick, so the
@@ -230,6 +246,22 @@ func (p *PCU) NextEventCycle() (sim.Cycle, bool) { return p.events.NextAt() }
 // Quiescent reports whether the PCU has no outstanding transactions.
 func (p *PCU) Quiescent() bool {
 	return p.events.Empty() && p.mshrs.InUse() == 0 && len(p.wbBuf) == 0
+}
+
+// CheckInvariants panics if the blocked-write count disagrees with the
+// MSHRs it summarizes — in particular if a drained PCU still counts a
+// blocked write, which would leave PromoteSoS searching forever. Run
+// calls it after every run, beside Bank.CheckInvariants.
+func (p *PCU) CheckInvariants() {
+	n := 0
+	p.mshrs.ForEach(func(m *cache.MSHR) {
+		if t := m.Payload.(*pcuTxn); t.write && t.blocked {
+			n++
+		}
+	})
+	if n != p.blockedWrites {
+		panicf("pcu %d: blocked-write count %d, but %d blocked write MSHRs", p.id, p.blockedWrites, n)
+	}
 }
 
 // sendAfter schedules a message after delay cycles of local processing.
@@ -256,9 +288,9 @@ func (p *PCU) Load(now sim.Cycle, token uint64, addr mem.Addr, ordered bool) Loa
 	line := mem.LineOf(addr)
 	if e := p.l2.Lookup(line); e != nil && e.State != stateInvalid && !p.leaseExpired(line, e) {
 		lat := p.params.L2Latency
-		if p.l1.Lookup(line) != nil {
+		if l1e := p.l1.Lookup(line); l1e != nil {
 			lat = p.params.L1Latency
-			p.l1.Touch(p.l1.Lookup(line))
+			p.l1.Touch(l1e)
 			p.Stats.LoadL1Hits++
 		} else {
 			p.installL1(line)
@@ -335,6 +367,9 @@ func (p *PCU) bypassBlockedWrite(writeMSHR *cache.MSHR, token uint64) {
 // this whenever its SoS designation changes while the load is pending.
 func (p *PCU) PromoteSoS(now sim.Cycle, token uint64, addr mem.Addr) {
 	p.now = now
+	if p.blockedWrites == 0 {
+		return
+	}
 	line := mem.LineOf(addr)
 	for _, m := range p.mshrs.LookupAll(line) {
 		txn := m.Payload.(*pcuTxn)
@@ -469,6 +504,7 @@ func (p *PCU) PeekWord(addr mem.Addr) (mem.Word, bool) {
 // once here.
 func (p *PCU) Receive(now sim.Cycle, nm *network.Message) {
 	p.now = now
+	p.activeAt = now
 	m := nm.Payload.(*Msg)
 	ev := pcuEventOf(m.Type)
 	var rd, wr *cache.MSHR
@@ -535,6 +571,9 @@ func (p *PCU) maybeCompleteWrite(ms *cache.MSHR) {
 
 	atomics := txn.atomics
 	loads := txn.loads
+	if txn.blocked {
+		p.blockedWrites--
+	}
 	p.mshrs.Free(ms)
 
 	// Atomics execute in order against the freshly-owned line.

@@ -448,7 +448,10 @@ func pcuActPutAck(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 // pcuActHint marks the write transaction as blocked behind a
 // WritersBlock so SoS loads bypass it (Section 3.5.2).
 func pcuActHint(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	wr.Payload.(*pcuTxn).blocked = true
+	if txn := wr.Payload.(*pcuTxn); !txn.blocked {
+		txn.blocked = true
+		p.blockedWrites++
+	}
 }
 
 // pcuActHintStale drops a hint that lost the race with write completion.

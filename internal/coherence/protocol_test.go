@@ -608,6 +608,9 @@ func TestSoSBypassOnBlockedWrite(t *testing.T) {
 	if _, done := r.cores[0].loads[42]; done {
 		t.Fatal("unordered load should wait behind the write")
 	}
+	if n := r.pcus[0].blockedWrites; n != 1 {
+		t.Fatalf("blocked-write count before the bypass = %d, want 1", n)
+	}
 	// The load becomes the SoS load: it must bypass the blocked write.
 	r.pcus[0].PromoteSoS(r.now(), 42, addr)
 	r.run(2000)
@@ -621,6 +624,10 @@ func TestSoSBypassOnBlockedWrite(t *testing.T) {
 
 	r.cores[1].lift(r.now(), line)
 	r.settle()
+	if n := r.pcus[0].blockedWrites; n != 0 {
+		t.Fatalf("blocked-write count after the write completed = %d, want 0", n)
+	}
+	r.pcus[0].CheckInvariants()
 }
 
 // TestWritePastFullDirectorySet: a write that cannot allocate a directory

@@ -14,10 +14,12 @@ import (
 // event-driven kernel: running with the idle-skip fast-forward (the
 // default) must produce *exactly* the run that cycle-accurate stepping
 // produces — same final cycle, same Results down to every stall and
-// squash counter, same architectural registers — across commit variants,
-// fault plans, and random programs. The fast-forward is only allowed to
-// skip cycles it can prove are replays; any divergence here means it
-// skipped one it couldn't.
+// squash counter, same architectural registers — across every registered
+// variant, fault plans, and random programs. The fast-forward and the
+// per-core skip in Step are only allowed to skip ticks they can prove are
+// replays; any divergence here means one skipped a tick it couldn't.
+// Every subtest must also see the per-core skip fire, so the comparison
+// never passes vacuously.
 func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 	plans := []*faults.Plan{nil}
 	for _, p := range faults.Catalog() {
@@ -30,8 +32,7 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 		seeds = seeds[:1]
 	}
 
-	variants := []Variant{InOrderBase, InOrderWB, OoOBase, OoOWB, OoOUnsafe}
-	for _, v := range variants {
+	for _, v := range AllVariants() {
 		for _, plan := range plans {
 			for _, seed := range seeds {
 				name := "none"
@@ -47,7 +48,7 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 					cores = 2
 				}
 				t.Run(fmt.Sprintf("%v/%s/seed%d", v, name, seed), func(t *testing.T) {
-					run := func(accurate bool) (sim.Cycle, Results, [16]uint64) {
+					run := func(accurate bool) (sim.Cycle, Results, [16]uint64, uint64) {
 						rng := sim.NewRand(9000 + seed)
 						progs := make([]*isa.Program, cores)
 						for i := range progs {
@@ -68,10 +69,16 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 								regs[r] ^= uint64(sys.Cores[i].Reg(isa.Reg(r))) << i
 							}
 						}
-						return cycles, sys.Collect(), regs
+						return cycles, sys.Collect(), regs, sys.idleSkips
 					}
-					accCycles, accRes, accRegs := run(true)
-					cycles, res, regs := run(false)
+					accCycles, accRes, accRegs, accSkips := run(true)
+					cycles, res, regs, skips := run(false)
+					if accSkips != 0 {
+						t.Errorf("cycle-accurate run skipped %d core ticks", accSkips)
+					}
+					if skips == 0 {
+						t.Error("the per-core idle skip never fired")
+					}
 					if cycles != accCycles {
 						t.Errorf("idle-skip cycles: %d, cycle-accurate %d", cycles, accCycles)
 					}

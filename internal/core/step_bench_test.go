@@ -28,9 +28,11 @@ func stepBenchProgram(id int) *isa.Program {
 	return b.Program()
 }
 
-// BenchmarkSystemStep measures one cycle-accurate step of a busy 4-core
-// system — the simulator's innermost loop, with every component active
-// and sharing lines. One iteration is one simulated cycle.
+// BenchmarkSystemStep measures one Step of a busy 4-core system — the
+// simulator's innermost loop, with every component active and sharing
+// lines. One iteration is one simulated cycle: Step never warps the
+// clock (Run does), though it credits the tick of a core that is idle
+// that cycle instead of executing it.
 func BenchmarkSystemStep(b *testing.B) {
 	progs := make([]*isa.Program, 4)
 	for i := range progs {

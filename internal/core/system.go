@@ -28,6 +28,10 @@ type System struct {
 	// stepHook, when set (tests), runs at the top of every Step — used to
 	// inject panics and probe the recover boundary.
 	stepHook func(sim.Cycle)
+
+	// idleSkips counts core ticks Step credited instead of executing
+	// (tests read it).
+	idleSkips uint64
 }
 
 // NewSystem builds a machine. programs must have exactly Cfg.Cores
@@ -119,10 +123,16 @@ func (s *System) ReadWord(addr mem.Addr) mem.Word {
 }
 
 // Step advances the machine one cycle. Components whose Tick would
-// provably do nothing — a mesh with no arrival due, banks and PCUs with
-// no deferred event due (their Tick only refreshes a timestamp every
-// handler sets itself) — are skipped; cores always tick, because the
-// cycle counter and stall accounting advance every cycle.
+// provably do nothing are skipped: a mesh with no arrival due, banks and
+// PCUs with no deferred event due (their Tick only refreshes a
+// timestamp every handler sets itself), and idle cores. A core is idle
+// at now when its last executed tick was idle-stable, its PCU received
+// nothing and fired nothing this cycle, and no core event or fetch
+// re-enable falls due: nothing it reads has changed since that tick, so
+// this one would repeat it, and CreditIdle charges it instead. PCU
+// activity in an earlier cycle made the core tick in that cycle, and
+// PCUs run before cores, so activity this cycle is already visible.
+// stepHook and Config.CycleAccurate force every core to tick.
 func (s *System) Step() {
 	now := s.Clock.Advance()
 	if s.stepHook != nil {
@@ -141,10 +151,21 @@ func (s *System) Step() {
 			p.Tick(now)
 		}
 	}
-	for _, c := range s.Cores {
+	accurate := s.cycleAccurate()
+	for i, c := range s.Cores {
+		if !accurate && c.IdleStable() && !s.PCUs[i].ActiveAt(now) && !c.WakeDue(now) {
+			c.CreditIdle(1)
+			s.idleSkips++
+			continue
+		}
 		c.Tick(now)
 	}
 }
+
+// cycleAccurate reports whether every cycle must execute and every core
+// tick in it: the CycleAccurate escape hatch, or a stepHook probing
+// individual cycles.
+func (s *System) cycleAccurate() bool { return s.Cfg.CycleAccurate || s.stepHook != nil }
 
 // Done reports whether every core has halted and drained and no protocol
 // activity remains.
@@ -181,9 +202,7 @@ func (s *System) Run() (cycles sim.Cycle, err error) {
 		}
 	}()
 	wd := faults.NewWatchdog(s.Cfg.Watchdog, len(s.Cores))
-	// stepHook (tests probing individual cycles) and the CycleAccurate
-	// escape hatch force every cycle to execute.
-	accurate := s.Cfg.CycleAccurate || s.stepHook != nil
+	accurate := s.cycleAccurate()
 	for !s.Done() {
 		now := s.Clock.Now()
 		if now >= s.Cfg.MaxCycles {
@@ -201,6 +220,9 @@ func (s *System) Run() (cycles sim.Cycle, err error) {
 	}
 	for _, b := range s.Banks {
 		b.CheckInvariants()
+	}
+	for _, p := range s.PCUs {
+		p.CheckInvariants()
 	}
 	return s.Clock.Now(), nil
 }

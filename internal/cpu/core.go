@@ -76,14 +76,15 @@ type Core struct {
 	// dispatch-block reason for this cycle's stall accounting.
 	blockReason string
 
-	// Idle-skip bookkeeping (see core.System fast-forward). inert records
-	// that the last Tick provably changed nothing but the cycle counter
-	// and per-cycle stall/polling counters; recur holds that tick's
-	// deltas of the recurring counters (MemDepWait, LDTFullStalls, PCU
-	// Loads, PCU LoadMisses) and recurOK that they matched the previous
-	// tick's — the steady-state signature that makes crediting skipped
-	// cycles exact. stallKind persists the accountStall bucket so skipped
-	// cycles charge the same stall reason a real tick would have.
+	// Idle-skip bookkeeping (see core.System's fast-forward and per-core
+	// skip). inert records that the last Tick provably changed nothing
+	// but the cycle counter and per-cycle stall/polling counters; recur
+	// holds that tick's deltas of the recurring counters (MemDepWait,
+	// LDTFullStalls, PCU Loads, PCU LoadMisses) and recurOK that they
+	// matched the previous tick's — the steady-state signature that makes
+	// crediting skipped cycles exact. stallKind persists the accountStall
+	// bucket so skipped cycles charge the same stall reason a real tick
+	// would have.
 	inert     bool
 	recur     [4]uint64
 	recurOK   bool
@@ -239,7 +240,8 @@ func (c *Core) sbLen() int { return len(c.sb) - c.sbHead }
 // tick before (so the core is past any one-shot transition such as
 // registering a miss waiter). While every core of a system is idle-stable
 // and no component has work due, ticks are exact repeats: the scheduler
-// may credit them wholesale instead of executing them.
+// may credit them wholesale instead of executing them. The same holds
+// for one core alone while its PCU stays inactive and WakeDue is false.
 func (c *Core) IdleStable() bool { return c.inert && c.recurOK }
 
 // NextEventCycle returns the earliest future cycle at which this core can
@@ -254,6 +256,13 @@ func (c *Core) NextEventCycle(now sim.Cycle) (at sim.Cycle, ok bool) {
 		}
 	}
 	return at, ok
+}
+
+// WakeDue reports whether a scheduled event or the fetch re-enable
+// falls due at or before now, counting from the last executed tick.
+func (c *Core) WakeDue(now sim.Cycle) bool {
+	at, ok := c.NextEventCycle(c.now)
+	return ok && at <= now
 }
 
 // CreditIdle accounts n skipped cycles as if they had been executed: the
