@@ -10,9 +10,9 @@
 GO ?= go
 
 .PHONY: verify build test vet lint wbsimlint spec-lint race bench chaos-short chaos \
-	alloc-gate golden-short golden-full profile bench-compare bench-kernel \
-	bench-dir bench-compare-dir bench-check perfbench-smoke coverage-report check-liveness \
-	check-liveness-deep print-staticcheck-version print-govulncheck-version
+	alloc-gate golden-short golden-full profile bench-kernel bench-dir bench-pair \
+	perfbench-smoke coverage-report check-liveness check-liveness-deep \
+	print-staticcheck-version print-govulncheck-version
 
 verify: build vet lint spec-lint test race alloc-gate golden-short chaos-short check-liveness
 
@@ -162,20 +162,6 @@ bench:
 bench-dir:
 	$(GO) test -count=5 -run '^$$' -bench 'DirDispatch' -benchtime 200x -benchmem ./internal/coherence
 
-# Dispatch regression gate: run the dispatch benchmark and compare the
-# medians to the pre-refactor record in BENCH_baseline.json; a breached
-# budget exits non-zero (see scripts/dirbench_gate.py for thresholds).
-bench-compare-dir:
-	@$(GO) test -count=5 -run '^$$' -bench 'DirDispatch$$' -benchtime 200x -benchmem ./internal/coherence | tee /tmp/wbsim-dirbench-new.txt
-	@python3 scripts/dirbench_gate.py /tmp/wbsim-dirbench-new.txt
-
-# Model-checker throughput gate: re-run the deep 2c/2l exploration (raw
-# and symmetry-reduced) and compare states/sec to the records in
-# BENCH_check.json; counters must match exactly and a >35% states/sec
-# deficit exits non-zero (see scripts/checkbench_gate.py).
-bench-check:
-	@python3 scripts/checkbench_gate.py
-
 # Kernel microbenchmarks: cycles/sec and allocs/op for the scheduler's
 # inner loop and the mesh (loaded and quiescent), plus a short
 # end-to-end throughput smoke (3 iterations; sim-cycles/sec is the
@@ -199,19 +185,27 @@ perfbench-smoke:
 	case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \
 	*) echo "perfbench-smoke: the run is not correct or has failed operations"; exit 1;; esac
 
-# End-to-end throughput benchmark, compared against the checked-in
-# pre-change record (BENCH_baseline.json). Uses benchstat when it is
-# installed; otherwise prints the new numbers next to the baseline.
-bench-compare: bench-compare-dir
-	@$(GO) test -count=3 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem . | tee /tmp/wbsim-bench-new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		grep -E '^Benchmark' /tmp/wbsim-bench-new.txt > /tmp/wbsim-bench-new.bench; \
-		python3 -c 'import json;d=json.load(open("BENCH_baseline.json"))["benchmarks"]["BenchmarkSimulatorThroughput"];print("BenchmarkSimulatorThroughput 1 %d ns/op %d B/op %d allocs/op"%(d["ns_per_op"],d["bytes_per_op"],d["allocs_per_op"]))' > /tmp/wbsim-bench-base.bench; \
-		benchstat /tmp/wbsim-bench-base.bench /tmp/wbsim-bench-new.bench; \
-	else \
-		echo "--- baseline (BENCH_baseline.json) ---"; \
-		python3 -c 'import json;d=json.load(open("BENCH_baseline.json"))["benchmarks"]["BenchmarkSimulatorThroughput"];print("ns/op=%d  sim-cycles/op=%d  B/op=%d  allocs/op=%d"%(d["ns_per_op"],d["sim_cycles_per_op"],d["bytes_per_op"],d["allocs_per_op"]))'; \
-	fi
+# Paired timing comparison of the working tree against commit REV, run
+# in a detached worktree of REV that is removed on exit. Each tree builds
+# and runs its own perfbench/run.py: 10 pairs of the sim, sweep and check
+# workloads, seeded with the pair number, REV first in odd pairs. Every
+# result line is printed tagged `parent` or `change` and its pair number;
+# compare the medians of the pairs. Timing is host-bound, so nothing
+# here passes or fails on it (exact bounds live in `go test ./...`).
+bench-pair:
+	@[ -n "$(REV)" ] || { echo "usage: make bench-pair REV=<commit>"; exit 2; }
+	@wt=$$(mktemp -d) || exit 1; trap 'rm -rf "$$wt"; git worktree prune' EXIT; \
+	trap 'exit 130' INT TERM; \
+	git worktree add -q --detach "$$wt" "$(REV)" || exit 1; \
+	for p in 1 2 3 4 5 6 7 8 9 10; do \
+		order="parent change"; [ $$((p % 2)) -eq 1 ] || order="change parent"; \
+		for w in sim sweep check; do for tree in $$order; do \
+			dir=.; [ $$tree = change ] || dir=$$wt; \
+			out=$$(cd "$$dir" && python3 perfbench/run.py --workload $$w \
+				--seed $$p --seconds 10 --trace 0) || exit 1; \
+			echo "$$tree $$p $$out"; \
+		done; done; \
+	done
 
 # CPU+heap profile of a representative run (fft + lu_cb, 4 cores), then
 # the top-10 consumers of each. Profiles land in ./cpu.pprof, ./mem.pprof.

@@ -2,11 +2,18 @@ package wbsim_test
 
 // Golden-output gate for the event-driven simulation kernel: the
 // command-line tools must produce byte-identical stdout to the goldens
-// captured from the tree *before* the kernel rework (testdata/golden_*,
-// see BENCH_baseline.json for their provenance). Idle-skip scheduling,
-// the zero-alloc mesh, and every allocation-shaving change in between
-// are pure performance work; a single changed byte here means a changed
-// simulated outcome, which is a correctness bug by definition.
+// captured from the tree *before* the kernel rework (commit d942bcb)
+// into testdata/:
+//
+//	golden_tsosim_fft_lucb_c4s1.txt  tsosim -workload fft,lu_cb -cores 4 -scale 1 (ooo-wb, SLM)
+//	golden_litmus_s2.txt             litmus suite, 4 variants, -seeds 2 (jitter 24)
+//	golden_chaos_s2.txt              litmus -chaos, fault catalog, inorder-wb+ooo-wb, -seeds 2 (jitter 24)
+//	golden_experiments_all_c4s1.txt  experiments all -cores 4 -scale 1
+//
+// Idle-skip scheduling, the zero-alloc mesh, and every allocation-shaving
+// change in between are pure performance work; a single changed byte here
+// means a changed simulated outcome, which is a correctness bug by
+// definition.
 
 import (
 	"bytes"

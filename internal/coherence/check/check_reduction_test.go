@@ -46,17 +46,20 @@ func diffSets(t *testing.T, label string, full, reduced []string) {
 
 // TestSymmetryPreservesCanonicalStateSet: the symmetry run's state set
 // must be exactly the full run's states folded through canonicalization
-// — same orbits, no orbit lost, no orbit invented. The state counts of
-// both runs are pinned, so a drift in either the model or the quotient
-// fails even when the two drift together.
+// — same orbits, no orbit lost, no orbit invented. The counters of both
+// runs are pinned, so a drift in either the model or the quotient fails
+// even when the two drift together.
 func TestSymmetryPreservesCanonicalStateSet(t *testing.T) {
 	configs := []struct {
-		mcfg        coherence.ModelConfig
-		full, canon int
+		mcfg      coherence.ModelConfig
+		full, sym counters
 	}{
-		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeSquash}, 881, 439},
-		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash}, 18111, 9069},
-		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeTardis}, 14107, 7067},
+		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeSquash},
+			counters{881, 3042, 4, 42}, counters{439, 1514, 2, 42}},
+		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash},
+			counters{18111, 85402, 3, 51}, counters{9069, 42747, 2, 51}},
+		{coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeTardis},
+			counters{14107, 63320, 3, 47}, counters{7067, 31706, 2, 47}},
 	}
 	if testing.Short() {
 		configs = configs[:1]
@@ -69,10 +72,8 @@ func TestSymmetryPreservesCanonicalStateSet(t *testing.T) {
 		if !full.Exhaustive || !sym.Exhaustive {
 			t.Fatalf("%s: space did not close", label)
 		}
-		if full.States != c.full || sym.States != c.canon {
-			t.Errorf("%s: %d full / %d canonical states, want %d / %d",
-				label, full.States, sym.States, c.full, c.canon)
-		}
+		wantCounters(t, label+" full", full, c.full)
+		wantCounters(t, label+" sym", sym, c.sym)
 		// The full run collects canonical fingerprints too, so folding it
 		// to a set performs the orbit quotient the sym run does online.
 		canon := sortedSet(full.StateSet)

@@ -7,6 +7,19 @@ import (
 	"wbsim/internal/coherence"
 )
 
+// counters is an exploration's exact outcome. The explorer is
+// deterministic and independent of the host, so a drift in any counter
+// is a change to the model or the tables, never noise.
+type counters struct{ States, Transitions, Terminals, MaxDepth int }
+
+// wantCounters fails the test when res's counters differ from want.
+func wantCounters(t *testing.T, label string, res *Result, want counters) {
+	t.Helper()
+	if got := (counters{res.States, res.Transitions, res.Terminals, res.MaxDepth}); got != want {
+		t.Errorf("%s: counters %+v, want %+v", label, got, want)
+	}
+}
+
 // TestExhaustiveSingleCore closes the smallest interesting space — one
 // core forced through private-cache conflict evictions across two lines
 // — and must find no safety violation and no trap.
@@ -21,9 +34,7 @@ func TestExhaustiveSingleCore(t *testing.T) {
 	if !res.Passed() {
 		t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
 	}
-	if res.Terminals == 0 {
-		t.Error("no terminal (drained) state reached")
-	}
+	wantCounters(t, "1c/2l/3ops", res, counters{1024, 3129, 2, 36})
 }
 
 // TestExhaustiveTwoCoreSquash is the acceptance configuration: two cores
@@ -40,18 +51,16 @@ func TestExhaustiveTwoCoreSquash(t *testing.T) {
 	if !res.Passed() {
 		t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
 	}
-	if res.Terminals == 0 {
-		t.Error("no terminal (drained) state reached")
-	}
+	wantCounters(t, "2c/1l squash", res, counters{881, 3042, 4, 42})
 }
 
 // TestExhaustiveTwoCoreWritersBlock runs the same contention under
 // lockdown mode with a one-lockdown budget, which pulls the whole
 // Nack/DelayedAck/WritersBlock row family into the explored space.
-// ~40k states; skipped under -short.
+// 43k states, about 1 s; skipped under -short.
 func TestExhaustiveTwoCoreWritersBlock(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive WritersBlock exploration (~5s)")
+		t.Skip("exhaustive WritersBlock exploration (~1s)")
 	}
 	res := Explore(Config{Model: coherence.ModelConfig{
 		Cores: 2, Banks: 1, Lines: 1, OpsPerCore: 2,
@@ -63,11 +72,12 @@ func TestExhaustiveTwoCoreWritersBlock(t *testing.T) {
 	if !res.Passed() {
 		t.Fatalf("violation=%v trap=%v", res.Violation, res.Trap)
 	}
+	wantCounters(t, "2c/1l lockdown", res, counters{43159, 229766, 16, 70})
 }
 
 // TestDeterministicExploration: two explorations of the same config must
-// agree on every counter — the checker is itself a simulation-path
-// component and replays must be exact.
+// agree on every counter and match the pinned ones — the checker is
+// itself a simulation-path component and replays must be exact.
 func TestDeterministicExploration(t *testing.T) {
 	cfg := Config{Model: coherence.ModelConfig{
 		Cores: 1, Banks: 1, Lines: 2, OpsPerCore: 2,
@@ -78,6 +88,7 @@ func TestDeterministicExploration(t *testing.T) {
 		a.Terminals != b.Terminals || a.MaxDepth != b.MaxDepth {
 		t.Fatalf("non-deterministic exploration: %+v vs %+v", a, b)
 	}
+	wantCounters(t, "1c/2l/2ops", a, counters{90, 212, 1, 21})
 }
 
 // TestPreFixDeadlockTrap is the root-cause regression: on the pre-fix
@@ -118,6 +129,7 @@ func TestPreFixDeadlockTrap(t *testing.T) {
 	if len(res.Trap.Steps) > 30 {
 		t.Errorf("counterexample not minimal: %d steps", len(res.Trap.Steps))
 	}
+	wantCounters(t, "1c/2l pre-fix", res, counters{132, 321, 1, 21})
 }
 
 // TestCorruptRowSafetyViolation deletes protocol correctness one row at

