@@ -139,9 +139,10 @@ check-liveness-deep: check-liveness
 
 # Zero-allocation gates for the event-driven kernel: a warmed-up mesh
 # cycle, a drained System.Step and a busy core's System.Step may not
-# allocate (see DESIGN.md, "Simulation kernel & performance model").
+# allocate (see DESIGN.md, "Simulation kernel & performance model"); nor
+# may the model checker's clone into a warmed destination model.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/network ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/network ./internal/core ./internal/coherence
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast

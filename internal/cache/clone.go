@@ -5,47 +5,18 @@ import "wbsim/internal/mem"
 // Deep-copy support for the model checker's state cloning
 // (coherence.Model.Clone). The structures here hand out interior
 // pointers (*Entry frames, *MSHR entries) that the coherence layer
-// stores in its own state, so each Clone returns a remap function
-// translating a pointer into the original structure to its counterpart
-// in the copy.
+// stores in its own state, so the copy must translate a pointer into
+// the original structure to its counterpart in the copy: FrameOf for
+// arrays, a remap function for MSHR files.
 
-// Clone returns a deep copy of the array and a remap function from
-// frames of the original to the corresponding frames of the copy
-// (nil maps to nil). LRU ticks and occupancy are preserved exactly, so
-// victim selection in the copy matches the original.
-func (a *Array) Clone() (*Array, func(*Entry) *Entry) {
-	out := &Array{
-		sets:     a.sets,
-		ways:     a.ways,
-		frames:   make([][]Entry, len(a.frames)),
-		tags:     make([][]mem.Line, len(a.tags)),
-		occupied: a.occupied,
-		lruTick:  a.lruTick,
-	}
-	for s, fs := range a.frames {
-		if fs == nil {
-			continue
-		}
-		nfs := make([]Entry, len(fs))
-		copy(nfs, fs)
-		out.frames[s] = nfs
-		nts := make([]mem.Line, len(a.tags[s]))
-		copy(nts, a.tags[s])
-		out.tags[s] = nts
-	}
-	remap := func(e *Entry) *Entry {
-		if e == nil {
-			return nil
-		}
-		return &out.frames[e.set][e.way]
-	}
-	return out, remap
-}
-
-// CloneInto overwrites dst — an array of the same geometry, previously
-// produced by Clone on this configuration — with a's contents, reusing
-// dst's frame and tag storage. Returns the remap function into dst.
-func (a *Array) CloneInto(dst *Array) func(*Entry) *Entry {
+// CloneInto overwrites dst — a zero Array, or one of the same geometry
+// previously written by CloneInto — with a deep copy of a, reusing dst's
+// frame and tag storage. LRU ticks and occupancy are preserved exactly,
+// so victim selection in the copy matches the original. A set untouched
+// in a keeps dst's frames, reset to invalid, so that a later clone that
+// touches it does not reallocate them. Map frames of a to their copies
+// with dst.FrameOf.
+func (a *Array) CloneInto(dst *Array) {
 	dst.sets, dst.ways = a.sets, a.ways
 	dst.occupied, dst.lruTick = a.occupied, a.lruTick
 	if len(dst.frames) != len(a.frames) {
@@ -54,7 +25,11 @@ func (a *Array) CloneInto(dst *Array) func(*Entry) *Entry {
 	}
 	for s, fs := range a.frames {
 		if fs == nil {
-			dst.frames[s], dst.tags[s] = nil, nil
+			// An untouched set and a set of invalid frames behave alike:
+			// every lookup misses and Victim hands out way 0 first.
+			for w := range dst.frames[s] {
+				dst.frames[s][w] = Entry{set: s, way: w}
+			}
 			continue
 		}
 		if len(dst.frames[s]) != len(fs) {
@@ -64,55 +39,25 @@ func (a *Array) CloneInto(dst *Array) func(*Entry) *Entry {
 		copy(dst.frames[s], fs)
 		copy(dst.tags[s], a.tags[s])
 	}
-	return func(e *Entry) *Entry {
-		if e == nil {
-			return nil
-		}
-		return &dst.frames[e.set][e.way]
-	}
 }
 
-// Clone returns a deep copy of the MSHR file and a remap function from
-// entries of the original to entries of the copy. clonePayload rewrites
+// FrameOf returns a's frame at the position of e, a frame of an array of
+// the same geometry (nil maps to nil). After src.CloneInto(a) it maps
+// each frame of src to its copy.
+func (a *Array) FrameOf(e *Entry) *Entry {
+	if e == nil {
+		return nil
+	}
+	return &a.frames[e.set][e.way]
+}
+
+// Clone returns a deep copy of the MSHR file. clonePayload rewrites
 // each live entry's Payload (the coherence layer stores transaction
 // state there); nil shares payloads.
-func (f *MSHRFile) Clone(clonePayload func(any) any) (*MSHRFile, func(*MSHR) *MSHR) {
-	out := &MSHRFile{
-		entries:  make([]MSHR, len(f.entries)),
-		index:    make(map[mem.Line][]*MSHR, len(f.index)),
-		capacity: f.capacity,
-		reserved: f.reserved,
-		inUse:    f.inUse,
-		resInUse: f.resInUse,
-	}
-	copy(out.entries, f.entries)
-	if clonePayload != nil {
-		for i := range out.entries {
-			if out.entries[i].valid {
-				out.entries[i].Payload = clonePayload(out.entries[i].Payload)
-			}
-		}
-	}
-	remap := func(m *MSHR) *MSHR {
-		if m == nil {
-			return nil
-		}
-		for i := range f.entries {
-			if &f.entries[i] == m {
-				return &out.entries[i]
-			}
-		}
-		panic("cache: remapping MSHR foreign to the cloned file")
-	}
-	//wbsim:nondet -- per-key rebuild; remap is a pure pointer translation
-	for l, es := range f.index {
-		nes := make([]*MSHR, len(es))
-		for i, e := range es {
-			nes[i] = remap(e)
-		}
-		out.index[l] = nes
-	}
-	return out, remap
+func (f *MSHRFile) Clone(clonePayload func(any) any) *MSHRFile {
+	out := &MSHRFile{index: make(map[mem.Line][]*MSHR, len(f.index))}
+	f.CloneInto(out, clonePayload, nil)
+	return out
 }
 
 // CloneInto overwrites dst — a file of the same capacity — with f's

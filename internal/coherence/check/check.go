@@ -135,6 +135,7 @@ func Explore(cfg Config) *Result {
 		sym:     cfg.Symmetry,
 		store:   newStateStore(),
 		pools:   make([][]*coherence.Model, workers),
+		outs:    make([]workerOut, workers),
 	}
 	res := &Result{Exhaustive: true, SymmetryGroup: 1}
 	en.res = res
@@ -147,7 +148,7 @@ func Explore(cfg Config) *Result {
 	root.id, root.depth = 0, 0
 	root.term = init.Terminal()
 	root.model = nil
-	en.store.drain() // the root is admitted here, not at a barrier
+	en.store.drain(nil) // the root is admitted here, not at a barrier
 	en.nodes = append(en.nodes, root)
 	en.succs = append(en.succs, nil)
 	en.models = append(en.models, init)

@@ -50,6 +50,11 @@ type engine struct {
 	// retired models.
 	pools [][]*coherence.Model
 	rr    int
+
+	// Layer scratch kept across layers: one output per worker, and the
+	// barrier's list of new entries.
+	outs []workerOut
+	news []*entry
 }
 
 const (
@@ -75,8 +80,9 @@ type edgeRec struct {
 	to   *entry
 }
 
-// workerOut is one worker's layer-local scratch, merged at the barrier
-// in worker-index order.
+// workerOut is one worker's layer-local output, merged at the barrier
+// in worker-index order. Its slices keep their storage from layer to
+// layer.
 type workerOut struct {
 	wi          int // index into engine.pools
 	transitions int
@@ -172,9 +178,11 @@ func (en *engine) expandNode(id int32, w *workerOut) {
 // merge edges. Returns true if a stop event ended the run (res is then
 // final).
 func (en *engine) runLayer(lo, hi int32, depth int32) bool {
-	outs := make([]workerOut, en.workers)
+	outs := en.outs
 	for i := range outs {
-		outs[i].wi = i
+		w := &outs[i]
+		w.wi, w.transitions, w.panicked = i, 0, nil
+		w.edges, w.stops = w.edges[:0], w.stops[:0]
 	}
 	if en.workers == 1 {
 		for id := lo; id < hi; id++ {
@@ -215,7 +223,8 @@ func (en *engine) runLayer(lo, hi int32, depth int32) bool {
 
 	// Admit new states: sort by chosen discoverer so ids reproduce the
 	// sequential explorer's discovery order at any worker count.
-	news := en.store.drain()
+	news := en.store.drain(en.news[:0])
+	en.news = news
 	sort.Slice(news, func(i, j int) bool {
 		if news[i].parent != news[j].parent {
 			return news[i].parent < news[j].parent

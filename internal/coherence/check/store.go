@@ -9,21 +9,27 @@ import (
 
 // stateStore is the deduplication set over state fingerprints, striped
 // for concurrent insertion by the layer workers. Fingerprint bytes are
-// interned into per-stripe append-only arenas instead of one Go string
-// per state: the map buckets key on a 64-bit FNV digest and fall back
-// to a byte compare, so the per-state overhead is one entry struct and
-// the fingerprint bytes themselves.
+// interned into per-stripe arenas of fixed-size blocks instead of one
+// Go string per state: a full block is left in place and a new one
+// started, so interned bytes never move and are never copied on growth.
+// The map buckets key on a 64-bit FNV digest and chain the entries
+// that share it through entry.next, falling back to a byte compare, so
+// the per-state overhead is one entry struct and the fingerprint bytes
+// themselves.
 type stateStore struct {
 	stripes [numStripes]storeStripe
 }
 
-const numStripes = 64
+const (
+	numStripes = 64
+	arenaBlock = 16 << 10 // bytes per fingerprint arena block
+)
 
 type storeStripe struct {
 	mu      sync.Mutex
-	arena   []byte
-	buckets map[uint64][]*entry
-	news    []*entry // entries created since the last drain (one BFS layer)
+	arena   []byte            // current block; earlier full blocks stay referenced by their entries
+	buckets map[uint64]*entry // digest -> chain head
+	news    []*entry          // entries created since the last drain (one BFS layer)
 }
 
 // entry is one deduplicated state. Discovery-candidate fields hold the
@@ -31,6 +37,7 @@ type storeStripe struct {
 // freezes them when it assigns the id.
 type entry struct {
 	fp    []byte // interned fingerprint bytes (dedup key)
+	next  *entry // next entry in the same digest chain
 	id    int32  // node id, -1 until the barrier admits it
 	depth int32
 
@@ -54,7 +61,7 @@ type entry struct {
 func newStateStore() *stateStore {
 	s := &stateStore{}
 	for i := range s.stripes {
-		s.stripes[i].buckets = make(map[uint64][]*entry)
+		s.stripes[i].buckets = make(map[uint64]*entry)
 	}
 	return s
 }
@@ -73,11 +80,17 @@ func fnv64(b []byte) uint64 {
 // inserter donates its child model. Returns the entry and whether this
 // call created it.
 func (s *stateStore) insert(fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool) {
-	dig := fnv64(fp)
+	return s.insertDigest(fnv64(fp), fp, parent, pos, rec, model)
+}
+
+// insertDigest is insert with the digest of fp supplied by the caller,
+// so tests can force two fingerprints into one chain.
+func (s *stateStore) insertDigest(dig uint64, fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool) {
 	st := &s.stripes[dig%numStripes]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, e := range st.buckets[dig] {
+	head := st.buckets[dig]
+	for e := head; e != nil; e = e.next {
 		if !bytes.Equal(e.fp, fp) {
 			continue
 		}
@@ -88,16 +101,27 @@ func (s *stateStore) insert(fp []byte, parent, pos int32, rec coherence.Choice, 
 		}
 		return e, false
 	}
-	st.arena = append(st.arena, fp...)
 	e := &entry{
-		fp:     st.arena[len(st.arena)-len(fp):],
+		fp:     st.intern(fp),
+		next:   head,
 		id:     -1,
 		parent: parent, pos: pos, rec: rec,
 		model: model, mparent: parent, mpos: pos,
 	}
-	st.buckets[dig] = append(st.buckets[dig], e)
+	st.buckets[dig] = e
 	st.news = append(st.news, e)
 	return e, true
+}
+
+// intern copies fp into the stripe's arena and returns the copy,
+// starting a new block when the current one cannot hold it.
+func (st *storeStripe) intern(fp []byte) []byte {
+	if len(st.arena)+len(fp) > cap(st.arena) {
+		st.arena = make([]byte, 0, max(arenaBlock, len(fp)))
+	}
+	n := len(st.arena)
+	st.arena = append(st.arena, fp...)
+	return st.arena[n:len(st.arena):len(st.arena)]
 }
 
 // seed installs the root entry (id 0) outside the worker path.
@@ -109,15 +133,14 @@ func (s *stateStore) seed(fp []byte, model *coherence.Model) *entry {
 	return e
 }
 
-// drain returns every entry created since the previous drain, in
-// stripe-scan order (the barrier sorts them before assigning ids).
-func (s *stateStore) drain() []*entry {
-	var out []*entry
+// drain appends every entry created since the previous drain to out,
+// in stripe-scan order (the barrier sorts them before assigning ids).
+func (s *stateStore) drain(out []*entry) []*entry {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		out = append(out, st.news...)
-		st.news = nil
+		st.news = st.news[:0]
 		st.mu.Unlock()
 	}
 	return out

@@ -1,0 +1,68 @@
+package check
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"wbsim/internal/coherence"
+)
+
+// TestStoreDigestCollision forces two different fingerprints under one
+// digest: they must become two entries of one chain, and a re-insert of
+// either must find its own entry (and update only its own discoverer).
+func TestStoreDigestCollision(t *testing.T) {
+	s := newStateStore()
+	const dig = 42
+	a, b := []byte("state a"), []byte("state b")
+	ea, created := s.insertDigest(dig, a, 3, 0, coherence.Choice{}, nil)
+	if !created {
+		t.Fatal("first fingerprint under the digest was not created")
+	}
+	eb, created := s.insertDigest(dig, b, 3, 1, coherence.Choice{}, nil)
+	if !created || eb == ea {
+		t.Fatalf("colliding fingerprint: created=%v, same entry=%v; want a second entry", created, eb == ea)
+	}
+	if got, created := s.insertDigest(dig, a, 1, 5, coherence.Choice{}, nil); got != ea || created {
+		t.Fatalf("re-insert of %q: got its own entry=%v, created=%v", a, got == ea, created)
+	}
+	if got, created := s.insertDigest(dig, b, 4, 0, coherence.Choice{}, nil); got != eb || created {
+		t.Fatalf("re-insert of %q: got its own entry=%v, created=%v", b, got == eb, created)
+	}
+	if ea.parent != 1 || ea.pos != 5 || eb.parent != 3 || eb.pos != 1 {
+		t.Errorf("discoverers: %q (%d,%d), %q (%d,%d); want (1,5) and (3,1)",
+			ea.fp, ea.parent, ea.pos, eb.fp, eb.parent, eb.pos)
+	}
+	a[0], b[0] = 'X', 'X' // the store interned copies, not the caller's bytes
+	if string(ea.fp) != "state a" || string(eb.fp) != "state b" {
+		t.Errorf("interned fingerprints %q, %q; want copies of the inserted bytes", ea.fp, eb.fp)
+	}
+	if news := s.drain(nil); len(news) != 2 {
+		t.Errorf("drain returned %d new entries; want 2", len(news))
+	}
+}
+
+// TestStoreArenaBlocks interns more fingerprint bytes than one arena
+// block holds, including one larger than a block, and checks that every
+// interned fingerprint keeps its bytes when later blocks are started.
+func TestStoreArenaBlocks(t *testing.T) {
+	s := newStateStore()
+	var fps [][]byte
+	var es []*entry
+	for i := 0; i < 3*arenaBlock/100; i++ {
+		fp := []byte(fmt.Sprintf("%099d", i))
+		if i == 7 {
+			fp = bytes.Repeat([]byte{'x'}, arenaBlock+1)
+		}
+		e, created := s.insert(fp, 0, int32(i), coherence.Choice{}, nil)
+		if !created {
+			t.Fatalf("fingerprint %d was not created", i)
+		}
+		fps, es = append(fps, fp), append(es, e)
+	}
+	for i, e := range es {
+		if !bytes.Equal(e.fp, fps[i]) {
+			t.Fatalf("fingerprint %d changed after later inserts", i)
+		}
+	}
+}

@@ -145,51 +145,53 @@ func vnetOf(t MsgType) network.VNet {
 // carriesData reports whether the message needs data-sized flits.
 func carriesData(m *Msg) bool { return m.HasData }
 
-// send wraps a Msg into a network message and injects it.
-func send(port network.Port, now simCycle, src, dst network.Endpoint, m *Msg, dataFlits, ctrlFlits int) {
+// send wraps a Msg into the network envelope env and injects it.
+func send(port network.Port, env *network.Message, now simCycle, src, dst network.Endpoint, m *Msg, dataFlits, ctrlFlits int) {
 	m.Src = src
 	flits := ctrlFlits
 	if carriesData(m) {
 		flits = dataFlits
 	}
-	port.Send(now, &network.Message{
+	*env = network.Message{
 		Src:     src,
 		Dst:     dst,
 		VNet:    vnetOf(m.Type),
 		Flits:   flits,
 		Payload: m,
-	})
+	}
+	port.Send(now, env)
 }
 
 // bankSend and pcuSend pack one scheduled protocol send — owner,
-// destination, and the message body itself — into a single allocation,
-// passed through EventQueue.AfterCall with a static fire function.
-// (A capturing closure plus a heap-allocated Msg used to cost two
-// allocations per send on the dispatch hot path.) The owner pointer is
-// read at fire time so the send stamps the owner's then-current cycle,
-// exactly as the closures it replaces did.
+// destination, the message body and its network envelope — into a
+// single allocation, passed through EventQueue.AfterCall with a static
+// fire function. The owner pointer is read at fire time so the send
+// stamps the owner's then-current cycle. A send fires once, so its
+// envelope is written once, at fire time; until then it is zero.
 type bankSend struct {
 	b   *Bank
 	dst network.Endpoint
 	m   Msg
+	env network.Message
 }
 
 func fireBankSend(a any) {
 	s := a.(*bankSend)
 	b := s.b
-	send(b.port, b.now, b.id, s.dst, &s.m, b.params.DataFlits, b.params.CtrlFlits)
+	send(b.port, &s.env, b.now, b.id, s.dst, &s.m, b.params.DataFlits, b.params.CtrlFlits)
 }
 
 type pcuSend struct {
 	p   *PCU
 	dst network.Endpoint
 	m   Msg
+	env network.Message
 }
 
 func firePCUSend(a any) {
 	s := a.(*pcuSend)
 	p := s.p
-	send(p.port, p.now, p.id, s.dst, &s.m, p.params.DataFlits, p.params.CtrlFlits)
+	send(p.port, &s.env, p.now, p.id, s.dst, &s.m, p.params.DataFlits, p.params.CtrlFlits)
 }
 
 // panicf reports a protocol-invariant violation. Handlers call this

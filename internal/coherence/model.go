@@ -96,8 +96,9 @@ type modelCore struct {
 }
 
 // Model is one explorable system state. It is mutated in place by
-// ApplyIndex; explorers that need to branch replay the choice sequence
-// from a fresh NewModel (there is no snapshot/undo).
+// Apply and ApplyIndex; explorers that need to branch deep-copy it
+// (Clone, CloneInto in model_clone.go) or replay the choice sequence
+// from a fresh NewModel.
 type Model struct {
 	cfg    ModelConfig
 	params Params
@@ -137,6 +138,10 @@ type Model struct {
 	dtxnArena []dirTxn
 	ptxnArena []pcuTxn
 	netArena  []network.Message
+
+	// cc is the clone context of the CloneInto calls that target this
+	// model, kept across generations; nil until the first one.
+	cc *cloneCtx
 }
 
 // modelPort funnels every component's sends into the model's multiset.
@@ -174,15 +179,25 @@ func NewModel(cfg ModelConfig) *Model {
 	m.params.EvictionBuf = 1
 	m.params.MSHRs, m.params.ReservedMSHRs = 2, 1
 
-	for i := 0; i < cfg.Lines; i++ {
-		m.lines = append(m.lines, mem.Line(i+1))
+	// Per-line and per-core state is carved from shared backing arrays
+	// (full slice expressions, so no carve can grow into its neighbour):
+	// construction cost matters because replay and every checker run
+	// start here.
+	m.lines = make([]mem.Line, cfg.Lines)
+	for i := range m.lines {
+		m.lines[i] = mem.Line(i + 1)
 	}
-	m.latest = make([]uint64, cfg.Lines)
+	words := make([]uint64, (cfg.Cores+1)*cfg.Lines) // latest, then each core's observed
+	flags := make([]bool, 2*cfg.Cores*cfg.Lines)     // each core's locked and seen
+	progs := make([]modelOp, cfg.Cores*cfg.OpsPerCore)
+	nl, nops := cfg.Lines, cfg.OpsPerCore
+	m.latest = words[:nl:nl]
 
 	home := func(l mem.Line) network.Endpoint {
 		return network.Endpoint(cfg.Cores + int(l)%cfg.Banks)
 	}
 	port := modelPort{m: m}
+	m.banks = make([]*Bank, 0, cfg.Banks)
 	for b := 0; b < cfg.Banks; b++ {
 		bank := NewBank(network.Endpoint(cfg.Cores+b), port, &m.params, m.memory, cfg.Mode)
 		if cfg.PreFixPutRace || cfg.CorruptWriteRace {
@@ -192,16 +207,18 @@ func NewModel(cfg ModelConfig) *Model {
 		}
 		m.banks = append(m.banks, bank)
 	}
-	for c := 0; c < cfg.Cores; c++ {
-		core := &modelCore{
-			m:        m,
-			id:       c,
-			locked:   make([]bool, cfg.Lines),
-			seen:     make([]bool, cfg.Lines),
-			observed: make([]uint64, cfg.Lines),
-		}
-		for i := 0; i < cfg.OpsPerCore; i++ {
-			core.prog = append(core.prog, modelOp{store: i%2 == 1, li: (c + i) % cfg.Lines})
+	cores := make([]modelCore, cfg.Cores)
+	m.cores = make([]*modelCore, 0, cfg.Cores)
+	m.pcus = make([]*PCU, 0, cfg.Cores)
+	for c := range cores {
+		core := &cores[c]
+		core.m, core.id = m, c
+		core.observed = words[(c+1)*nl : (c+2)*nl : (c+2)*nl]
+		core.locked = flags[2*c*nl : (2*c+1)*nl : (2*c+1)*nl]
+		core.seen = flags[(2*c+1)*nl : (2*c+2)*nl : (2*c+2)*nl]
+		core.prog = progs[c*nops : (c+1)*nops : (c+1)*nops]
+		for i := range core.prog {
+			core.prog[i] = modelOp{store: i%2 == 1, li: (c + i) % cfg.Lines}
 		}
 		m.cores = append(m.cores, core)
 		m.pcus = append(m.pcus, NewPCU(network.Endpoint(c), port, &m.params, home, core, cfg.Mode))

@@ -17,29 +17,36 @@ package coherence
 //
 // Two entry points share one implementation: Clone allocates a fresh
 // copy; CloneInto overwrites a retired model of the same configuration,
-// reusing its maps, slices, arenas, and event-argument objects, so the
-// checker's steady-state expansion allocates almost nothing. Pooling is
-// sound because a model owns all of its mutable state — every pointer
-// the clone surface touches is deep-copied, never shared across models
-// (the by-value Msg fields inside bankSend/bankRetry/pcuSend are copied
-// with their structs).
+// reusing its maps, slices, arenas, cache frames, event-argument objects
+// and clone context. Cloning a state into a destination warmed by one
+// clone of it allocates nothing at all (TestModelCloneIntoZeroAlloc, in
+// make alloc-gate); the checker's pooled destinations allocate only
+// where a state needs storage they do not hold yet.
+// Pooling is sound because a model owns all of its mutable state —
+// every pointer the clone surface touches is deep-copied, never shared
+// across models (the by-value Msg fields inside bankSend/bankRetry/
+// pcuSend are copied with their structs; a pending send's network
+// envelope is still zero, since send fills it only when it fires).
 
 import (
 	"fmt"
 
 	"wbsim/internal/cache"
 	"wbsim/internal/mem"
-	"wbsim/internal/network"
 )
 
-// cloneCtx memoizes pointer identity during one Clone so aliased
+// cloneCtx memoizes pointer identity during one clone so aliased
 // structures stay aliased in the copy. The memo tables are linear-scan
 // slices, not maps: a state holds a handful of in-flight messages and
-// directory lines, and Clone runs once per explored transition, so
+// directory lines, and a clone runs once per explored transition, so
 // avoiding per-clone map allocations is worth more than O(1) lookup.
-// In reuse mode the free* lists hold the destination's previous-
-// generation event arguments, harvested before its queues are
-// overwritten; takeArg hands them back out instead of allocating.
+// CloneInto keeps one context on its destination model (Model.cc), so
+// the memo tables' storage and the free lists survive from one
+// generation to the next. In reuse mode the free* lists hold the
+// destination's previous-generation event arguments, harvested before
+// its queues are overwritten; take hands them back out instead of
+// allocating. Leftovers stay listed for later generations: a harvested
+// argument is referenced by nothing but its free list.
 type cloneCtx struct {
 	dst   *Model
 	reuse bool
@@ -62,14 +69,16 @@ type dlPair struct{ old, new *dirLine }
 // to the copy never affects the original, and both serialize to the
 // same fingerprint until one of them transitions.
 func (m *Model) Clone() *Model {
-	return m.cloneInto(&Model{}, false)
+	return m.cloneInto(&Model{}, &cloneCtx{})
 }
 
 // CloneInto overwrites dst — a retired model of the same configuration,
 // previously produced by Clone or CloneInto — with a deep copy of m and
 // returns dst. Nothing else may still reference dst or any object
 // reachable from it. Steady-state cost is the copy alone: dst's maps,
-// slices, arenas, and event arguments are all reused in place.
+// slices, arenas, event arguments and clone context are all reused in
+// place, so a warmed destination clones without allocating
+// (TestModelCloneIntoZeroAlloc).
 func (m *Model) CloneInto(dst *Model) *Model {
 	if dst == m {
 		panic("model: CloneInto onto itself")
@@ -77,10 +86,14 @@ func (m *Model) CloneInto(dst *Model) *Model {
 	if len(dst.banks) != len(m.banks) || len(dst.cores) != len(m.cores) {
 		panic("model: CloneInto destination has a different geometry")
 	}
-	return m.cloneInto(dst, true)
+	if dst.cc == nil {
+		dst.cc = &cloneCtx{reuse: true}
+	}
+	return m.cloneInto(dst, dst.cc)
 }
 
-func (m *Model) cloneInto(dst *Model, reuse bool) *Model {
+func (m *Model) cloneInto(dst *Model, cc *cloneCtx) *Model {
+	cc.dst = dst
 	dst.cfg = m.cfg
 	dst.params = m.params
 	if dst.memory == nil {
@@ -97,9 +110,8 @@ func (m *Model) cloneInto(dst *Model, reuse bool) *Model {
 	dst.ptxnArena = dst.ptxnArena[:0]
 	dst.netArena = dst.netArena[:0]
 
-	cc := &cloneCtx{dst: dst, reuse: reuse}
 	port := modelPort{m: dst}
-	if !reuse {
+	if dst.banks == nil {
 		dst.banks = make([]*Bank, len(m.banks))
 		for i := range dst.banks {
 			dst.banks[i] = new(Bank)
@@ -129,83 +141,38 @@ func (m *Model) cloneInto(dst *Model, reuse bool) *Model {
 	}
 	dst.net = dst.net[:0]
 	for _, nm := range m.net {
-		slot := cc.newNetMsg()
+		slot := arenaSlot(cc.reuse, &dst.netArena)
 		nm.CloneInto(slot, cc.cloneMsg(nm.Payload.(*Msg)))
 		dst.net = append(dst.net, slot)
 	}
+	// Drop the memo's pointers into m, so a pooled dst keeps nothing of
+	// its source alive.
+	clear(cc.msgs)
+	clear(cc.dls)
+	cc.msgs, cc.dls = cc.msgs[:0], cc.dls[:0]
 	return dst
 }
 
-// Arena allocators. Extending into existing capacity hands back the
-// previous generation's slot — garbage, but its slice fields still own
-// reusable backing arrays, which the callers harvest before
-// overwriting. When an append reallocates mid-clone, pointers handed
-// out earlier keep the old backing array alive; only the enlarged array
-// is reused next generation.
-
-func (cc *cloneCtx) newMsg() *Msg {
-	if !cc.reuse {
-		return new(Msg)
+// arenaSlot hands out the next slot of one of the destination's arenas
+// (a fresh object outside reuse mode). Extending into existing capacity
+// hands back the previous generation's slot — garbage, but its slice
+// fields still own reusable backing arrays, which the callers harvest
+// before overwriting. When an append reallocates mid-clone, pointers
+// handed out earlier keep the old backing array alive; only the
+// enlarged array is reused next generation.
+func arenaSlot[T any](reuse bool, arena *[]T) *T {
+	if !reuse {
+		return new(T)
 	}
-	d := cc.dst
-	if n := len(d.msgArena); n < cap(d.msgArena) {
-		d.msgArena = d.msgArena[:n+1]
+	a := *arena
+	if n := len(a); n < cap(a) {
+		a = a[:n+1]
 	} else {
-		d.msgArena = append(d.msgArena, Msg{})
+		var zero T
+		a = append(a, zero)
 	}
-	return &d.msgArena[len(d.msgArena)-1]
-}
-
-func (cc *cloneCtx) newDirLine() *dirLine {
-	if !cc.reuse {
-		return new(dirLine)
-	}
-	d := cc.dst
-	if n := len(d.dlArena); n < cap(d.dlArena) {
-		d.dlArena = d.dlArena[:n+1]
-	} else {
-		d.dlArena = append(d.dlArena, dirLine{})
-	}
-	return &d.dlArena[len(d.dlArena)-1]
-}
-
-func (cc *cloneCtx) newDirTxn() *dirTxn {
-	if !cc.reuse {
-		return new(dirTxn)
-	}
-	d := cc.dst
-	if n := len(d.dtxnArena); n < cap(d.dtxnArena) {
-		d.dtxnArena = d.dtxnArena[:n+1]
-	} else {
-		d.dtxnArena = append(d.dtxnArena, dirTxn{})
-	}
-	return &d.dtxnArena[len(d.dtxnArena)-1]
-}
-
-func (cc *cloneCtx) newPCUTxn() *pcuTxn {
-	if !cc.reuse {
-		return new(pcuTxn)
-	}
-	d := cc.dst
-	if n := len(d.ptxnArena); n < cap(d.ptxnArena) {
-		d.ptxnArena = d.ptxnArena[:n+1]
-	} else {
-		d.ptxnArena = append(d.ptxnArena, pcuTxn{})
-	}
-	return &d.ptxnArena[len(d.ptxnArena)-1]
-}
-
-func (cc *cloneCtx) newNetMsg() *network.Message {
-	if !cc.reuse {
-		return new(network.Message)
-	}
-	d := cc.dst
-	if n := len(d.netArena); n < cap(d.netArena) {
-		d.netArena = d.netArena[:n+1]
-	} else {
-		d.netArena = append(d.netArena, network.Message{})
-	}
-	return &d.netArena[len(d.netArena)-1]
+	*arena = a
+	return &a[len(a)-1]
 }
 
 // harvestArg collects one previous-generation event argument for reuse.
@@ -228,67 +195,15 @@ func (cc *cloneCtx) harvestArg(arg any) {
 	}
 }
 
-func (cc *cloneCtx) takeBankSend() *bankSend {
-	if n := len(cc.freeBankSend); n > 0 {
-		s := cc.freeBankSend[n-1]
-		cc.freeBankSend = cc.freeBankSend[:n-1]
+// take pops a harvested event argument off a free list, or allocates
+// one when the list is empty.
+func take[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		s := (*free)[n-1]
+		*free = (*free)[:n-1]
 		return s
 	}
-	return new(bankSend)
-}
-
-func (cc *cloneCtx) takeBankRetry() *bankRetry {
-	if n := len(cc.freeBankRetry); n > 0 {
-		s := cc.freeBankRetry[n-1]
-		cc.freeBankRetry = cc.freeBankRetry[:n-1]
-		return s
-	}
-	return new(bankRetry)
-}
-
-func (cc *cloneCtx) takeFetchDone() *bankFetchDone {
-	if n := len(cc.freeFetchDone); n > 0 {
-		s := cc.freeFetchDone[n-1]
-		cc.freeFetchDone = cc.freeFetchDone[:n-1]
-		return s
-	}
-	return new(bankFetchDone)
-}
-
-func (cc *cloneCtx) takeRequeue() *bankRequeue {
-	if n := len(cc.freeRequeue); n > 0 {
-		s := cc.freeRequeue[n-1]
-		cc.freeRequeue = cc.freeRequeue[:n-1]
-		return s
-	}
-	return new(bankRequeue)
-}
-
-func (cc *cloneCtx) takePCUSend() *pcuSend {
-	if n := len(cc.freePCUSend); n > 0 {
-		s := cc.freePCUSend[n-1]
-		cc.freePCUSend = cc.freePCUSend[:n-1]
-		return s
-	}
-	return new(pcuSend)
-}
-
-func (cc *cloneCtx) takeBankLease() *bankLeaseExpire {
-	if n := len(cc.freeBankLease); n > 0 {
-		s := cc.freeBankLease[n-1]
-		cc.freeBankLease = cc.freeBankLease[:n-1]
-		return s
-	}
-	return new(bankLeaseExpire)
-}
-
-func (cc *cloneCtx) takePCULease() *pcuLeaseExpire {
-	if n := len(cc.freePCULease); n > 0 {
-		s := cc.freePCULease[n-1]
-		cc.freePCULease = cc.freePCULease[:n-1]
-		return s
-	}
-	return new(pcuLeaseExpire)
+	return new(T)
 }
 
 // cloneMsg deep-copies a protocol message once; later references to the
@@ -302,7 +217,7 @@ func (cc *cloneCtx) cloneMsg(pm *Msg) *Msg {
 			return p.new
 		}
 	}
-	n := cc.newMsg()
+	n := arenaSlot(cc.reuse, &cc.dst.msgArena)
 	*n = *pm
 	cc.msgs = append(cc.msgs, msgPair{pm, n})
 	return n
@@ -310,7 +225,7 @@ func (cc *cloneCtx) cloneMsg(pm *Msg) *Msg {
 
 // cloneDirLine deep-copies a directory entry once, rewriting its frame
 // pointer into the cloned bank's array.
-func (cc *cloneCtx) cloneDirLine(dl *dirLine, remap func(*cache.Entry) *cache.Entry) *dirLine {
+func (cc *cloneCtx) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
 	if dl == nil {
 		return nil
 	}
@@ -319,17 +234,17 @@ func (cc *cloneCtx) cloneDirLine(dl *dirLine, remap func(*cache.Entry) *cache.En
 			return p.new
 		}
 	}
-	n := cc.newDirLine()
+	n := arenaSlot(cc.reuse, &cc.dst.dlArena)
 	cc.dls = append(cc.dls, dlPair{dl, n})
 	// Harvest the slot's previous-generation slice capacity before the
 	// overwrite (nil for a fresh allocation).
 	sharers := n.sharers[:0]
 	pending := n.pending[:0]
 	*n = *dl
-	n.frame = remap(dl.frame)
+	n.frame = array.FrameOf(dl.frame)
 	n.sharers = append(sharers, dl.sharers...)
 	if dl.txn != nil {
-		t := cc.newDirTxn()
+		t := arenaSlot(cc.reuse, &cc.dst.dtxnArena)
 		ackFrom := t.ackFrom[:0]
 		delayedFrom := t.delayedFrom[:0]
 		*t = *dl.txn
@@ -347,12 +262,10 @@ func (cc *cloneCtx) cloneDirLine(dl *dirLine, remap func(*cache.Entry) *cache.En
 // cloneBankInto deep-copies one LLC bank into nb, rewriting its deferred
 // event arguments to point at the copy.
 func (cc *cloneCtx) cloneBankInto(nb *Bank, b *Bank, port modelPort) {
-	var remap func(*cache.Entry) *cache.Entry
 	if nb.array == nil {
-		nb.array, remap = b.array.Clone()
-	} else {
-		remap = b.array.CloneInto(nb.array)
+		nb.array = new(cache.Array)
 	}
+	b.array.CloneInto(nb.array)
 	nb.id = b.id
 	nb.port = port
 	nb.params = &cc.dst.params
@@ -375,13 +288,13 @@ func (cc *cloneCtx) cloneBankInto(nb *Bank, b *Bank, port modelPort) {
 	copied, evCopied := 0, 0
 	for _, l := range cc.dst.lines {
 		if dl := b.lines[l]; dl != nil {
-			nb.lines[l] = cc.cloneDirLine(dl, remap)
+			nb.lines[l] = cc.cloneDirLine(dl, nb.array)
 			copied++
 		} else {
 			delete(nb.lines, l)
 		}
 		if dl := b.evbuf[l]; dl != nil {
-			nb.evbuf[l] = cc.cloneDirLine(dl, remap)
+			nb.evbuf[l] = cc.cloneDirLine(dl, nb.array)
 			evCopied++
 		} else {
 			delete(nb.evbuf, l)
@@ -401,23 +314,23 @@ func (cc *cloneCtx) cloneBankInto(nb *Bank, b *Bank, port modelPort) {
 	b.events.CloneInto(&nb.events, func(arg any) any {
 		switch a := arg.(type) {
 		case *bankSend:
-			n := cc.takeBankSend()
+			n := take(&cc.freeBankSend)
 			*n = bankSend{b: nb, dst: a.dst, m: a.m}
 			return n
 		case *bankRetry:
-			n := cc.takeBankRetry()
+			n := take(&cc.freeBankRetry)
 			*n = bankRetry{b: nb, m: a.m}
 			return n
 		case *bankFetchDone:
-			n := cc.takeFetchDone()
-			*n = bankFetchDone{b: nb, dl: cc.cloneDirLine(a.dl, remap)}
+			n := take(&cc.freeFetchDone)
+			*n = bankFetchDone{b: nb, dl: cc.cloneDirLine(a.dl, nb.array)}
 			return n
 		case *bankRequeue:
-			n := cc.takeRequeue()
+			n := take(&cc.freeRequeue)
 			*n = bankRequeue{b: nb, m: cc.cloneMsg(a.m)}
 			return n
 		case *bankLeaseExpire:
-			n := cc.takeBankLease()
+			n := take(&cc.freeBankLease)
 			*n = bankLeaseExpire{b: nb, line: a.line}
 			return n
 		}
@@ -431,7 +344,7 @@ func (cc *cloneCtx) clonePCUTxn(pay any) any {
 		return nil
 	}
 	src := pay.(*pcuTxn)
-	t := cc.newPCUTxn()
+	t := arenaSlot(cc.reuse, &cc.dst.ptxnArena)
 	loads := t.loads[:0]
 	atomics := t.atomics[:0]
 	*t = *src
@@ -444,14 +357,12 @@ func (cc *cloneCtx) clonePCUTxn(pay any) any {
 // hooks to the cloned model core.
 func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHooks) {
 	if np.l1 == nil {
-		np.l1, _ = p.l1.Clone()
-		np.l2, _ = p.l2.Clone()
-	} else {
-		p.l1.CloneInto(np.l1)
-		p.l2.CloneInto(np.l2)
+		np.l1, np.l2 = new(cache.Array), new(cache.Array)
 	}
+	p.l1.CloneInto(np.l1)
+	p.l2.CloneInto(np.l2)
 	if np.mshrs == nil {
-		np.mshrs, _ = p.mshrs.Clone(cc.clonePCUTxn)
+		np.mshrs = p.mshrs.Clone(cc.clonePCUTxn)
 	} else {
 		p.mshrs.CloneInto(np.mshrs, cc.clonePCUTxn, cc.dst.lines)
 	}
@@ -515,11 +426,11 @@ func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHook
 	p.events.CloneInto(&np.events, func(arg any) any {
 		switch a := arg.(type) {
 		case *pcuSend:
-			n := cc.takePCUSend()
+			n := take(&cc.freePCUSend)
 			*n = pcuSend{p: np, dst: a.dst, m: a.m}
 			return n
 		case *pcuLeaseExpire:
-			n := cc.takePCULease()
+			n := take(&cc.freePCULease)
 			*n = pcuLeaseExpire{p: np, line: a.line, expiry: a.expiry}
 			return n
 		}

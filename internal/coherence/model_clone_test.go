@@ -154,3 +154,39 @@ func TestCloneIntoDirtyDestination(t *testing.T) {
 		}
 	}
 }
+
+// TestModelCloneIntoZeroAlloc pins the pooled clone's steady state: once
+// a destination has been warmed by one CloneInto from a source, cloning
+// that source into it again allocates nothing — arenas, memo tables,
+// event arguments, cache frames and the clone context are all reused.
+// The model checker runs one CloneInto per explored transition.
+func TestModelCloneIntoZeroAlloc(t *testing.T) {
+	for _, cfg := range cloneCfgs {
+		rnd := lcg(uint64(cfg.Cores)*17 + uint64(cfg.Lines))
+		src := NewModel(cfg)
+		for step := 0; step < 12; step++ {
+			n := src.NumChoices()
+			if n == 0 || src.Violation() != "" {
+				break
+			}
+			src.ApplyIndex(int(rnd.next() % uint64(n)))
+		}
+		dst := src.Clone()
+		src.CloneInto(dst)
+		if allocs := testing.AllocsPerRun(100, func() { src.CloneInto(dst) }); allocs != 0 {
+			t.Errorf("cfg %+v: CloneInto into a warmed destination allocates %v times per call; want 0", cfg, allocs)
+		}
+	}
+}
+
+// TestModelSetupAllocBudget pins the cost of building a checker's
+// input: the initial model and its canonical fingerprint, which
+// computes the symmetry group. Every closure and every replay starts
+// with NewModel, so a regression here shows up as set-up time.
+func TestModelSetupAllocBudget(t *testing.T) {
+	cfg := ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: ModeSquash}
+	allocs := testing.AllocsPerRun(50, func() { NewModel(cfg).CanonicalFingerprint() })
+	if allocs > 75 {
+		t.Errorf("NewModel(%+v).CanonicalFingerprint() allocates %v times; budget 75", cfg, allocs)
+	}
+}

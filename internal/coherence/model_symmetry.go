@@ -44,7 +44,8 @@ import (
 )
 
 // symPerm is one automorphism: old-index → new-index maps plus their
-// inverses (serialization iterates new indices).
+// inverses (serialization iterates new indices). All maps of a group
+// are slices of one shared array.
 type symPerm struct {
 	core, line, bank          []int32
 	invCore, invLine, invBank []int32
@@ -52,7 +53,7 @@ type symPerm struct {
 
 // symGroup is the model's automorphism group; perms[0] is the identity.
 type symGroup struct {
-	perms []*symPerm
+	perms []symPerm
 }
 
 // symmetry returns the cached automorphism group, computing it on first
@@ -68,75 +69,112 @@ func (m *Model) symmetry() *symGroup {
 // best-case state reduction factor).
 func (m *Model) SymmetrySize() int { return len(m.symmetry().perms) }
 
-// permutations enumerates all permutations of [0, n) in lexicographic
-// order (so the identity comes first).
-func permutations(n int) [][]int32 {
-	var out [][]int32
-	cur := make([]int32, 0, n)
-	used := make([]bool, n)
-	var rec func()
-	rec = func() {
-		if len(cur) == n {
-			out = append(out, append([]int32(nil), cur...))
-			return
-		}
-		for v := 0; v < n; v++ {
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			cur = append(cur, int32(v))
-			rec()
-			cur = cur[:len(cur)-1]
-			used[v] = false
-		}
+// permutations returns all n! permutations of [0, n) in lexicographic
+// order (so the identity comes first), packed n entries each into one
+// slice.
+func permutations(n int) []int32 {
+	fact := 1
+	for i := 2; i <= n; i++ {
+		fact *= i
 	}
-	rec()
+	out := make([]int32, n, n*fact)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	for len(out) < n*fact {
+		out = append(out, out[len(out)-n:]...)
+		nextPermutation(out[len(out)-n:])
+	}
 	return out
 }
 
-// invert returns the inverse permutation.
-func invert(p []int32) []int32 {
-	inv := make([]int32, len(p))
-	for i, v := range p {
-		inv[v] = int32(i)
+// nextPermutation rearranges p into its lexicographic successor; p must
+// not be the last permutation.
+func nextPermutation(p []int32) {
+	i := len(p) - 2
+	for p[i] >= p[i+1] {
+		i--
 	}
-	return inv
+	j := len(p) - 1
+	for p[j] <= p[i] {
+		j--
+	}
+	p[i], p[j] = p[j], p[i]
+	for a, b := i+1, len(p)-1; a < b; a, b = a+1, b-1 {
+		p[a], p[b] = p[b], p[a]
+	}
 }
 
 // computeSymmetry enumerates and validates every (core, line)
-// permutation pair against the config's program and home structure.
+// permutation pair against the config's program and home structure. A
+// first pass counts the automorphisms, so the second can carve every
+// map of the group from one exactly sized array.
 func computeSymmetry(cfg ModelConfig) *symGroup {
-	g := &symGroup{}
-	for _, cp := range permutations(cfg.Cores) {
-		for _, lp := range permutations(cfg.Lines) {
-			if p := buildPerm(cfg, cp, lp); p != nil {
-				g.perms = append(g.perms, p)
-			}
-		}
-	}
-	if len(g.perms) == 0 {
+	cps, lps := permutations(cfg.Cores), permutations(cfg.Lines)
+	n := 0
+	eachAutomorphism(cfg, cps, lps, func(_, _, _ []int32) { n++ })
+	if n == 0 {
 		panic("model: symmetry group lost its identity element")
 	}
+	g := &symGroup{perms: make([]symPerm, 0, n)}
+	maps := make([]int32, 0, 2*n*(cfg.Cores+cfg.Lines+cfg.Banks))
+	// carve appends src (or its inverse) to maps and returns the copy.
+	carve := func(src []int32, inverse bool) []int32 {
+		lo, hi := len(maps), len(maps)+len(src)
+		maps = maps[:hi]
+		out := maps[lo:hi:hi]
+		for i, v := range src {
+			if inverse {
+				out[v] = int32(i)
+			} else {
+				out[i] = v
+			}
+		}
+		return out
+	}
+	eachAutomorphism(cfg, cps, lps, func(cp, lp, bank []int32) {
+		g.perms = append(g.perms, symPerm{
+			core: carve(cp, false), line: carve(lp, false), bank: carve(bank, false),
+			invCore: carve(cp, true), invLine: carve(lp, true), invBank: carve(bank, true),
+		})
+	})
 	return g
 }
 
+// eachAutomorphism calls f for every pair of a core permutation from
+// cps and a line permutation from lps (both packed as permutations
+// returns them) that buildPerm validates, in lexicographic order, with
+// the induced bank permutation. The bank slice is reused from call to
+// call.
+func eachAutomorphism(cfg ModelConfig, cps, lps []int32, f func(cp, lp, bank []int32)) {
+	bank := make([]int32, cfg.Banks)
+	taken := make([]bool, cfg.Banks)
+	for ci := 0; ci < len(cps); ci += cfg.Cores {
+		for li := 0; li < len(lps); li += cfg.Lines {
+			cp, lp := cps[ci:ci+cfg.Cores], lps[li:li+cfg.Lines]
+			if buildPerm(cfg, cp, lp, bank, taken) {
+				f(cp, lp, bank)
+			}
+		}
+	}
+}
+
 // buildPerm validates one candidate pair and derives the induced bank
-// permutation; it returns nil if the pair is not an automorphism.
-func buildPerm(cfg ModelConfig, cp, lp []int32) *symPerm {
+// permutation into bank (taken is scratch of the same length); it
+// reports whether the pair is an automorphism.
+func buildPerm(cfg ModelConfig, cp, lp, bank []int32, taken []bool) bool {
 	// Program compatibility: core c's step i touches line (c+i) mod L,
 	// so σ((c+i) mod L) must be (π(c)+i) mod L. Store/load alternation
 	// is positional and identical across cores, so it needs no check.
 	for c := 0; c < cfg.Cores; c++ {
 		for i := 0; i < cfg.OpsPerCore; i++ {
 			if lp[(c+i)%cfg.Lines] != (cp[c]+int32(i))%int32(cfg.Lines) {
-				return nil
+				return false
 			}
 		}
 	}
 	// Home compatibility: line id li+1 is homed at bank (li+1) mod B;
 	// the induced bank map must be a well-defined bijection.
-	bank := make([]int32, cfg.Banks)
 	for i := range bank {
 		bank[i] = -1
 	}
@@ -144,18 +182,18 @@ func buildPerm(cfg ModelConfig, cp, lp []int32) *symPerm {
 		from := int32((li + 1) % cfg.Banks)
 		to := int32((int(lp[li]) + 1) % cfg.Banks)
 		if bank[from] >= 0 && bank[from] != to {
-			return nil
+			return false
 		}
 		bank[from] = to
 	}
 	// Banks no modeled line homes at (possible when Lines < Banks) are
 	// unconstrained; extend order-preservingly over the leftovers so the
 	// result is deterministic.
-	taken := make([]bool, cfg.Banks)
+	clear(taken)
 	for _, to := range bank {
 		if to >= 0 {
 			if taken[to] {
-				return nil
+				return false
 			}
 			taken[to] = true
 		}
@@ -171,10 +209,7 @@ func buildPerm(cfg ModelConfig, cp, lp []int32) *symPerm {
 		bank[i] = int32(next)
 		taken[next] = true
 	}
-	return &symPerm{
-		core: cp, line: lp, bank: bank,
-		invCore: invert(cp), invLine: invert(lp), invBank: invert(bank),
-	}
+	return true
 }
 
 // mapEP renames an endpoint (cores first, then banks).
@@ -207,13 +242,14 @@ func (m *Model) CanonicalFingerprint() string {
 func (m *Model) CanonicalFingerprintBytes() []byte {
 	grp := m.symmetry()
 	if len(grp.perms) == 1 {
-		b := m.fingerprintMapped(grp.perms[0], m.fpScratch[:0], nil)
+		b := m.fingerprintMapped(&grp.perms[0], m.fpScratch[:0], nil)
 		m.fpScratch = b
 		return b
 	}
 	bestBuf := m.fpScratch[:0]
 	candBuf := m.symScratch[:0]
-	for i, p := range grp.perms {
+	for i := range grp.perms {
+		p := &grp.perms[i]
 		var fb *fpBound
 		if i > 0 {
 			fb = &fpBound{bound: bestBuf}

@@ -73,7 +73,7 @@ func TestSymmetryCanonicalInvariance(t *testing.T) {
 		}
 		sawDifferentIdentity := false
 		for gi := 1; gi < len(grp.perms); gi++ {
-			p := grp.perms[gi]
+			p := &grp.perms[gi]
 			rnd := lcg(uint64(gi) * 1234567)
 			for walk := 0; walk < 8; walk++ {
 				m := NewModel(cfg)
@@ -144,8 +144,8 @@ func TestCanonicalInjectivity(t *testing.T) {
 			cf := m.CanonicalFingerprint()
 			grp := m.symmetry()
 			s := sample{canon: cf}
-			for _, p := range grp.perms {
-				s.maps = append(s.maps, string(m.fingerprintMapped(p, nil, nil)))
+			for i := range grp.perms {
+				s.maps = append(s.maps, string(m.fingerprintMapped(&grp.perms[i], nil, nil)))
 			}
 			// The canonical form is the lexicographic minimum over the
 			// whole group (the early-abort search must not miss it).
