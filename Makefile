@@ -175,16 +175,21 @@ bench-kernel:
 # Benchmark smoke: perfbench is a module of its own (perfbench/go.mod),
 # so `go build ./...` and `go test ./...` never compile it and an API
 # change under internal/ could break it unnoticed. Vet and test it, then
-# run the sim workload for two seconds. Every sim operation must
-# reproduce the cycle-accurate 16-core reference, so the run also checks
-# the kernel's idle skips; the target fails unless the result line
+# run the sim workload for two seconds and the check workload for one.
+# Every sim operation must reproduce the cycle-accurate 16-core
+# reference, so that run also checks the kernel's idle skips; every
+# check operation must close the 2c/1b/2l space at exactly 18111 states,
+# 85402 transitions and depth 51, so that run also checks the checker's
+# fingerprints and store. The target fails unless each result line
 # reports a correct run with no failed operation.
 perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-	@out=$$(python3 perfbench/run.py --workload sim --seed 1 --seconds 2 --trace 0) || exit 1; \
-	echo "$$out"; \
-	case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \
-	*) echo "perfbench-smoke: the run is not correct or has failed operations"; exit 1;; esac
+	@for run in sim:2 check:1; do \
+		out=$$(python3 perfbench/run.py --workload $${run%:*} --seed 1 --seconds $${run#*:} --trace 0) || exit 1; \
+		echo "$$out"; \
+		case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "perfbench-smoke: the $${run%:*} run is not correct or has failed operations"; exit 1;; esac; \
+	done
 
 # Paired timing comparison of the working tree against commit REV, run
 # in a detached worktree of REV that is removed on exit. Each tree builds

@@ -2,6 +2,8 @@ package check
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"wbsim/internal/coherence"
@@ -12,10 +14,12 @@ import (
 // interned into per-stripe arenas of fixed-size blocks instead of one
 // Go string per state: a full block is left in place and a new one
 // started, so interned bytes never move and are never copied on growth.
-// The map buckets key on a 64-bit FNV digest and chain the entries
-// that share it through entry.next, falling back to a byte compare, so
-// the per-state overhead is one entry struct and the fingerprint bytes
-// themselves.
+// The map buckets key on a 64-bit digest of the fingerprint (digest,
+// which reads it a word at a time) and chain the entries that share it
+// through entry.next. The digest only narrows the search: an entry
+// matches only if its bytes equal the fingerprint, so a collision costs
+// a compare, never a lost state. The per-state overhead is one entry
+// struct and the fingerprint bytes themselves.
 type stateStore struct {
 	stripes [numStripes]storeStripe
 }
@@ -66,13 +70,34 @@ func newStateStore() *stateStore {
 	return s
 }
 
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// digest hashes a fingerprint eight bytes at a time: each little-endian
+// word, the tail zero-padded to one more, is multiplied into the state
+// and rotated in, and a final avalanche spreads every input bit over the
+// low bits that pick the stripe. The constants are fixed, unlike
+// hash/maphash's per-process seed, so every run lays out its stripes
+// and chains alike.
+func digest(b []byte) uint64 {
+	const (
+		k0 = 0x9E3779B97F4A7C15
+		k1 = 0xBF58476D1CE4E5B9
+		k2 = 0x94D049BB133111EB
+	)
+	h := uint64(len(b)) * k0
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(b)*k1, 31) * k2
 	}
-	return h
+	if len(b) > 0 {
+		var w uint64
+		for i, c := range b {
+			w |= uint64(c) << (8 * i)
+		}
+		h = bits.RotateLeft64(h^w*k1, 31) * k2
+	}
+	h ^= h >> 33
+	h *= 0xFF51AFD7ED558CCD
+	h ^= h >> 33
+	h *= 0xC4CEB9FE1A85EC53
+	return h ^ h>>33
 }
 
 // insert records one discovery of the state with fingerprint fp via
@@ -80,7 +105,7 @@ func fnv64(b []byte) uint64 {
 // inserter donates its child model. Returns the entry and whether this
 // call created it.
 func (s *stateStore) insert(fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool) {
-	return s.insertDigest(fnv64(fp), fp, parent, pos, rec, model)
+	return s.insertDigest(digest(fp), fp, parent, pos, rec, model)
 }
 
 // insertDigest is insert with the digest of fp supplied by the caller,

@@ -66,3 +66,28 @@ func TestStoreArenaBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintFootprint pins the bytes the store interns per state,
+// the part of the checker's per-state memory that the fingerprint
+// encoding sets. Over the 2-core/1-bank/2-line squash closure, raw and
+// symmetry-reduced, the mean fingerprint must stay within 120 bytes
+// (the binary encoding averages 108.4 bytes; the decimal text it
+// replaced averaged 210).
+func TestFingerprintFootprint(t *testing.T) {
+	mcfg := coherence.ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: coherence.ModeSquash}
+	for _, sym := range []bool{false, true} {
+		res := Explore(Config{Model: mcfg, Symmetry: sym, CollectStates: true})
+		if !res.Exhaustive || len(res.StateSet) != res.States {
+			t.Fatalf("sym=%v: exhaustive=%v, %d fingerprints for %d states", sym, res.Exhaustive, len(res.StateSet), res.States)
+		}
+		total := 0
+		for _, fp := range res.StateSet {
+			total += len(fp)
+		}
+		mean := float64(total) / float64(len(res.StateSet))
+		t.Logf("sym=%v: %d states, mean fingerprint %.1f bytes", sym, res.States, mean)
+		if mean > 120 {
+			t.Errorf("sym=%v: mean fingerprint %.1f bytes per state; budget 120", sym, mean)
+		}
+	}
+}

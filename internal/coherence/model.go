@@ -35,8 +35,8 @@ package coherence
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"wbsim/internal/coherence/table"
@@ -784,25 +784,36 @@ func (m *Model) bankLine(line mem.Line) *dirLine {
 // Fingerprint
 // ---------------------------------------------------------------------
 
-// fpBool appends a bool as one byte.
-func fpBool(b []byte, v bool) []byte {
+// The fingerprint is a compact binary serialization that a reader who
+// knows the config could parse back field by field: every field has a
+// fixed shape, every variable-length section (sharer lists, pending
+// queues, event and network multisets) starts with its element count,
+// optional fields are gated by a flag bit of their record, and the
+// ASCII tags that remain appear only where nothing but a tag can (the
+// start of a component, an optional record or an event key). So no two
+// states can serialize alike, and the bytes can be hashed and compared
+// without separators.
+
+// fpBool returns v as bit i of a record's flag byte: each record packs
+// its bools into one byte, so a bool costs a bit instead of a byte.
+func fpBool(v bool, i uint) byte {
 	if v {
-		return append(b, '1')
+		return 1 << i
 	}
-	return append(b, '0')
+	return 0
 }
 
-// fpInt appends a decimal integer plus a separator. Fingerprint values
-// are almost always tiny non-negative ints (endpoints, types, versions),
-// so the two-digit fast path skips strconv's general machinery.
+// fpEscape introduces an integer that does not fit in one byte.
+const fpEscape = 0xFF
+
+// fpInt appends v in a self-delimiting binary form: one byte for 0–254,
+// which covers the lines, endpoints, versions and counts a model holds,
+// otherwise fpEscape followed by the 8 little-endian bytes of v.
 func fpInt(b []byte, v int64) []byte {
-	if v >= 0 && v < 100 {
-		if v >= 10 {
-			b = append(b, byte('0'+v/10))
-		}
-		return append(b, byte('0'+v%10), ',')
+	if uint64(v) < fpEscape {
+		return append(b, byte(v))
 	}
-	return append(strconv.AppendInt(b, v, 10), ',')
+	return binary.LittleEndian.AppendUint64(append(b, fpEscape), uint64(v))
 }
 
 // msgKey appends a protocol message's canonical serialization. It is the
@@ -813,14 +824,18 @@ func (m *Model) msgKey(b []byte, pm *Msg, dst network.Endpoint) []byte {
 	b = fpInt(b, int64(pm.Line))
 	b = fpInt(b, int64(pm.Src))
 	b = fpInt(b, int64(dst))
-	b = fpInt(b, int64(pm.Requester))
+	return msgKeyTail(b, pm, pm.Requester)
+}
+
+// msgKeyTail appends the fields after a message's endpoints, with its
+// requester given as already renamed (or not) by the caller. The data
+// word is present exactly when the HasData flag bit is set.
+func msgKeyTail(b []byte, pm *Msg, requester network.Endpoint) []byte {
+	b = fpInt(b, int64(requester))
 	b = fpInt(b, int64(pm.AckCount))
-	b = fpBool(b, pm.Excl)
-	b = fpBool(b, pm.Eviction)
-	b = fpBool(b, pm.Upgrade)
-	b = fpBool(b, pm.Stale)
+	b = append(b, fpBool(pm.Excl, 0)|fpBool(pm.Eviction, 1)|fpBool(pm.Upgrade, 2)|
+		fpBool(pm.Stale, 3)|fpBool(pm.HasData, 4))
 	if pm.HasData {
-		b = append(b, 'v')
 		b = fpInt(b, int64(pm.Data[0]))
 	}
 	return b
@@ -868,11 +883,10 @@ func (m *Model) FingerprintBytes() []byte {
 	for _, c := range m.cores {
 		b = append(b, 'c')
 		b = fpInt(b, int64(c.pc))
-		b = fpBool(b, c.waitLoad)
+		b = append(b, fpBool(c.waitLoad, 0))
 		b = fpInt(b, int64(c.locksUsed))
 		for li := range c.locked {
-			b = fpBool(b, c.locked[li])
-			b = fpBool(b, c.seen[li])
+			b = append(b, fpBool(c.locked[li], 0)|fpBool(c.seen[li], 1))
 			b = fpInt(b, int64(c.observed[li]))
 		}
 	}
@@ -884,47 +898,7 @@ func (m *Model) FingerprintBytes() []byte {
 	for _, p := range m.pcus {
 		b = append(b, 'p')
 		for _, line := range m.lines {
-			if e := p.l2.Lookup(line); e != nil && e.Valid() {
-				b = append(b, 'l')
-				b = fpInt(b, int64(line))
-				b = fpInt(b, int64(e.State))
-				b = fpBool(b, e.Dirty)
-				b = fpInt(b, int64(e.Data.Get(line.Base())))
-				b = fpInt(b, int64(p.l2.LRURank(e)))
-			}
-			for _, ms := range p.mshrs.LookupAll(line) {
-				txn := ms.Payload.(*pcuTxn)
-				b = append(b, 'm')
-				b = fpInt(b, int64(line))
-				b = fpBool(b, ms.Reserved)
-				b = fpBool(b, txn.write)
-				b = fpBool(b, txn.upgrade)
-				b = fpBool(b, txn.lostLine)
-				b = fpBool(b, txn.blocked)
-				b = fpBool(b, txn.atomicOnly)
-				b = fpBool(b, txn.gotGrant)
-				b = fpInt(b, int64(txn.acksNeeded))
-				b = fpInt(b, int64(txn.acksGot))
-				b = fpBool(b, txn.hasData)
-				b = fpInt(b, int64(txn.data.Get(line.Base())))
-				b = fpInt(b, int64(len(txn.loads)))
-				b = fpInt(b, int64(len(txn.atomics)))
-			}
-			if wb := p.wbBuf[line]; wb != nil {
-				b = append(b, 'w')
-				b = fpInt(b, int64(line))
-				b = fpBool(b, wb.dirty)
-				b = fpBool(b, wb.staleAck)
-				b = fpBool(b, wb.servedFwd)
-				b = fpInt(b, int64(wb.data.Get(line.Base())))
-			}
-			if _, leased := p.leases[line]; leased {
-				// Presence only: at now=0 every lease stamp is the same
-				// constant, so the stamp itself is non-semantic (the
-				// pending expiry timer is fingerprinted as an event).
-				b = append(b, 'L')
-				b = fpInt(b, int64(line))
-			}
+			b = pcuLineKey(b, p, line, int64(line))
 		}
 		b = m.eventMultiset(b, &p.events)
 	}
@@ -960,10 +934,53 @@ func (m *Model) FingerprintBytes() []byte {
 	return b
 }
 
+// pcuLineKey appends one PCU's records for line — its L2 entry, MSHRs,
+// write-back buffer entry and lease, each tagged and present only if the
+// PCU holds one — naming the line id. Renaming changes only that id, so
+// both the identity and the mapped fingerprint use it.
+func pcuLineKey(b []byte, p *PCU, line mem.Line, id int64) []byte {
+	if e := p.l2.Lookup(line); e != nil && e.Valid() {
+		b = append(b, 'l')
+		b = fpInt(b, id)
+		b = fpInt(b, int64(e.State))
+		b = append(b, fpBool(e.Dirty, 0))
+		b = fpInt(b, int64(e.Data.Get(line.Base())))
+		b = fpInt(b, int64(p.l2.LRURank(e)))
+	}
+	for _, ms := range p.mshrs.LookupAll(line) {
+		txn := ms.Payload.(*pcuTxn)
+		b = append(b, 'm')
+		b = fpInt(b, id)
+		b = append(b, fpBool(ms.Reserved, 0)|fpBool(txn.write, 1)|fpBool(txn.upgrade, 2)|
+			fpBool(txn.lostLine, 3)|fpBool(txn.blocked, 4)|fpBool(txn.atomicOnly, 5)|
+			fpBool(txn.gotGrant, 6)|fpBool(txn.hasData, 7))
+		b = fpInt(b, int64(txn.acksNeeded))
+		b = fpInt(b, int64(txn.acksGot))
+		b = fpInt(b, int64(txn.data.Get(line.Base())))
+		b = fpInt(b, int64(len(txn.loads)))
+		b = fpInt(b, int64(len(txn.atomics)))
+	}
+	if wb := p.wbBuf[line]; wb != nil {
+		b = append(b, 'w')
+		b = fpInt(b, id)
+		b = append(b, fpBool(wb.dirty, 0)|fpBool(wb.staleAck, 1)|fpBool(wb.servedFwd, 2))
+		b = fpInt(b, int64(wb.data.Get(line.Base())))
+	}
+	if _, leased := p.leases[line]; leased {
+		// Presence only: at now=0 every lease stamp is the same
+		// constant, so the stamp itself is non-semantic (the pending
+		// expiry timer is fingerprinted as an event).
+		b = append(b, 'L')
+		b = fpInt(b, id)
+	}
+	return b
+}
+
 // appendSortedKeys appends the keys serialized in kb (as start/end
-// offset pairs in offs) to b in sorted order, ';'-terminated. Sorting
-// offset spans in an arena instead of []string keeps the fingerprint
-// hot path (one call per multiset per serialized state) allocation-free.
+// offset pairs in offs) to b: their count, then each key in sorted
+// order behind its length. Sorting offset spans in an arena instead of
+// []string keeps the fingerprint hot path (one call per multiset per
+// serialized state) allocation-free.
 func appendSortedKeys(b, kb []byte, offs []int32) []byte {
 	for i := 2; i < len(offs); i += 2 {
 		for j := i; j > 0 && bytes.Compare(kb[offs[j]:offs[j+1]], kb[offs[j-2]:offs[j-1]]) < 0; j -= 2 {
@@ -971,49 +988,51 @@ func appendSortedKeys(b, kb []byte, offs []int32) []byte {
 			offs[j+1], offs[j-1] = offs[j-1], offs[j+1]
 		}
 	}
+	b = fpInt(b, int64(len(offs)/2))
 	for i := 0; i < len(offs); i += 2 {
+		b = fpInt(b, int64(offs[i+1]-offs[i]))
 		b = append(b, kb[offs[i]:offs[i+1]]...)
-		b = append(b, ';')
 	}
 	return b
 }
 
-// dirLineKey serializes one directory entry.
+// dirLineFlags packs a directory entry's bools, including whether it
+// has a transaction, into its flag byte.
+func dirLineFlags(dl *dirLine) byte {
+	return fpBool(dl.hasOwner, 0) | fpBool(dl.dataValid, 1) | fpBool(dl.dirty, 2) |
+		fpBool(dl.inEvBuf, 3) | fpBool(dl.txn != nil, 4)
+}
+
+// dirTxnFlags packs a directory transaction's bools into its flag byte.
+func dirTxnFlags(t *dirTxn) byte {
+	return fpBool(t.write, 0) | fpBool(t.eviction, 1) | fpBool(t.grantExcl, 2) | fpBool(t.fwd, 3) |
+		fpBool(t.gotOwnerData, 4) | fpBool(t.gotUnblock, 5) | fpBool(t.hinted, 6)
+}
+
+// dirLineKey serializes one directory entry. The owner and the
+// transaction are present exactly when their flag bits are set.
 func (m *Model) dirLineKey(b []byte, bank *Bank, dl *dirLine) []byte {
 	b = fpInt(b, int64(dl.line))
 	b = fpInt(b, int64(dl.kind))
+	b = fpInt(b, int64(len(dl.sharers)))
 	for _, s := range dl.sharers {
 		b = fpInt(b, int64(s))
 	}
-	b = append(b, 'o')
-	b = fpBool(b, dl.hasOwner)
+	b = append(b, dirLineFlags(dl))
 	if dl.hasOwner {
 		b = fpInt(b, int64(dl.owner))
 	}
-	b = fpBool(b, dl.dataValid)
-	b = fpBool(b, dl.dirty)
 	b = fpInt(b, int64(dl.data.Get(dl.line.Base())))
-	b = fpBool(b, dl.inEvBuf)
 	if t := dl.txn; t != nil {
-		b = append(b, 't')
-		b = fpBool(b, t.write)
-		b = fpBool(b, t.eviction)
+		b = append(b, dirTxnFlags(t))
 		b = fpInt(b, int64(t.requester))
-		b = fpBool(b, t.grantExcl)
-		b = fpBool(b, t.fwd)
-		b = fpBool(b, t.gotOwnerData)
-		b = fpBool(b, t.gotUnblock)
 		b = fpInt(b, int64(t.oldOwner))
 		b = fpInt(b, int64(t.acksPending))
 		b = fpInt(b, int64(t.delayedPending))
-		b = fpBool(b, t.hinted)
 	}
-	if len(dl.pending) > 0 {
-		b = append(b, 'q')
-		for _, pm := range dl.pending {
-			b = m.msgKey(b, pm, bank.id)
-			b = append(b, ';')
-		}
+	b = fpInt(b, int64(len(dl.pending)))
+	for _, pm := range dl.pending {
+		b = m.msgKey(b, pm, bank.id)
 	}
 	return b
 }
@@ -1022,12 +1041,8 @@ func (m *Model) dirLineKey(b []byte, bank *Bank, dl *dirLine) []byte {
 // multiset of serialized arguments.
 func (m *Model) eventMultiset(b []byte, q *sim.EventQueue) []byte {
 	b = append(b, 'E')
-	n := q.Len()
-	if n == 0 {
-		return b
-	}
 	kb, offs := m.kaBuf[:0], m.kaOffs[:0]
-	for i := 0; i < n; i++ {
+	for i := 0; i < q.Len(); i++ {
 		start := int32(len(kb))
 		kb = m.eventKey(kb, q.ArgAt(i))
 		offs = append(offs, start, int32(len(kb)))

@@ -37,6 +37,7 @@ package coherence
 
 import (
 	"bytes"
+	"fmt"
 
 	"wbsim/internal/mem"
 	"wbsim/internal/network"
@@ -321,12 +322,11 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 		c := m.cores[p.invCore[nj]]
 		b = append(b, 'c')
 		b = fpInt(b, int64(c.pc))
-		b = fpBool(b, c.waitLoad)
+		b = append(b, fpBool(c.waitLoad, 0))
 		b = fpInt(b, int64(c.locksUsed))
 		for nli := 0; nli < m.cfg.Lines; nli++ {
 			oli := p.invLine[nli]
-			b = fpBool(b, c.locked[oli])
-			b = fpBool(b, c.seen[oli])
+			b = append(b, fpBool(c.locked[oli], 0)|fpBool(c.seen[oli], 1))
 			b = fpInt(b, int64(c.observed[oli]))
 		}
 		if fb.step(b) {
@@ -346,48 +346,7 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 		pcu := m.pcus[p.invCore[nj]]
 		b = append(b, 'p')
 		for nli := 0; nli < m.cfg.Lines; nli++ {
-			line := m.lines[p.invLine[nli]]
-			newID := int64(nli + 1)
-			if e := pcu.l2.Lookup(line); e != nil && e.Valid() {
-				b = append(b, 'l')
-				b = fpInt(b, newID)
-				b = fpInt(b, int64(e.State))
-				b = fpBool(b, e.Dirty)
-				b = fpInt(b, int64(e.Data.Get(line.Base())))
-				b = fpInt(b, int64(pcu.l2.LRURank(e)))
-			}
-			for _, ms := range pcu.mshrs.LookupAll(line) {
-				txn := ms.Payload.(*pcuTxn)
-				b = append(b, 'm')
-				b = fpInt(b, newID)
-				b = fpBool(b, ms.Reserved)
-				b = fpBool(b, txn.write)
-				b = fpBool(b, txn.upgrade)
-				b = fpBool(b, txn.lostLine)
-				b = fpBool(b, txn.blocked)
-				b = fpBool(b, txn.atomicOnly)
-				b = fpBool(b, txn.gotGrant)
-				b = fpInt(b, int64(txn.acksNeeded))
-				b = fpInt(b, int64(txn.acksGot))
-				b = fpBool(b, txn.hasData)
-				b = fpInt(b, int64(txn.data.Get(line.Base())))
-				b = fpInt(b, int64(len(txn.loads)))
-				b = fpInt(b, int64(len(txn.atomics)))
-			}
-			if wb := pcu.wbBuf[line]; wb != nil {
-				b = append(b, 'w')
-				b = fpInt(b, newID)
-				b = fpBool(b, wb.dirty)
-				b = fpBool(b, wb.staleAck)
-				b = fpBool(b, wb.servedFwd)
-				b = fpInt(b, int64(wb.data.Get(line.Base())))
-			}
-			if _, leased := pcu.leases[line]; leased {
-				// Presence only, matching FingerprintBytes: at now=0 every
-				// lease stamp is the same constant.
-				b = append(b, 'L')
-				b = fpInt(b, newID)
-			}
+			b = pcuLineKey(b, pcu, m.lines[p.invLine[nli]], int64(nli+1))
 		}
 		b = m.eventMultisetMapped(b, &pcu.events, p)
 		if fb.step(b) {
@@ -434,7 +393,7 @@ func (m *Model) msgKeyMapped(b []byte, pm *Msg, dst network.Endpoint, p *symPerm
 	b = fpInt(b, int64(m.mapLine(p, pm.Line)))
 	b = fpInt(b, int64(m.mapEP(p, pm.Src)))
 	b = fpInt(b, int64(m.mapEP(p, dst)))
-	return m.msgKeyMappedTail(b, pm, p)
+	return msgKeyTail(b, pm, m.mapEP(p, pm.Requester))
 }
 
 // msgKeyMappedSched is msgKeyMapped for not-yet-fired scheduled sends:
@@ -444,21 +403,7 @@ func (m *Model) msgKeyMappedSched(b []byte, pm *Msg, dst network.Endpoint, p *sy
 	b = fpInt(b, int64(m.mapLine(p, pm.Line)))
 	b = fpInt(b, int64(pm.Src))
 	b = fpInt(b, int64(m.mapEP(p, dst)))
-	return m.msgKeyMappedTail(b, pm, p)
-}
-
-func (m *Model) msgKeyMappedTail(b []byte, pm *Msg, p *symPerm) []byte {
-	b = fpInt(b, int64(m.mapEP(p, pm.Requester)))
-	b = fpInt(b, int64(pm.AckCount))
-	b = fpBool(b, pm.Excl)
-	b = fpBool(b, pm.Eviction)
-	b = fpBool(b, pm.Upgrade)
-	b = fpBool(b, pm.Stale)
-	if pm.HasData {
-		b = append(b, 'v')
-		b = fpInt(b, int64(pm.Data[0]))
-	}
-	return b
+	return msgKeyTail(b, pm, m.mapEP(p, pm.Requester))
 }
 
 // eventKeyMapped is eventKey with renamed fields. Scheduled sends
@@ -486,7 +431,7 @@ func (m *Model) eventKeyMapped(b []byte, arg any, p *symPerm) []byte {
 		// now=0, so every stamp is the same constant.
 		return fpInt(append(b, 'x'), int64(m.mapLine(p, a.line)))
 	}
-	panic("model: unfingerprintable pending event")
+	panic(fmt.Sprintf("model: unfingerprintable pending event %T", arg))
 }
 
 // dirLineKeyMapped is dirLineKey with renamed fields and sorted sharers.
@@ -499,27 +444,18 @@ func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) 
 	}
 	sortInt64(sh)
 	m.shScratch = sh
+	b = fpInt(b, int64(len(sh)))
 	for _, s := range sh {
 		b = fpInt(b, s)
 	}
-	b = append(b, 'o')
-	b = fpBool(b, dl.hasOwner)
+	b = append(b, dirLineFlags(dl))
 	if dl.hasOwner {
 		b = fpInt(b, int64(m.mapEP(p, dl.owner)))
 	}
-	b = fpBool(b, dl.dataValid)
-	b = fpBool(b, dl.dirty)
 	b = fpInt(b, int64(dl.data.Get(dl.line.Base())))
-	b = fpBool(b, dl.inEvBuf)
 	if t := dl.txn; t != nil {
-		b = append(b, 't')
-		b = fpBool(b, t.write)
-		b = fpBool(b, t.eviction)
+		b = append(b, dirTxnFlags(t))
 		b = fpInt(b, int64(m.mapEP(p, t.requester)))
-		b = fpBool(b, t.grantExcl)
-		b = fpBool(b, t.fwd)
-		b = fpBool(b, t.gotOwnerData)
-		b = fpBool(b, t.gotUnblock)
 		// oldOwner is populated only for forwarding transactions; without
 		// fwd it is the zero placeholder, not an endpoint reference.
 		if t.fwd {
@@ -529,14 +465,10 @@ func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) 
 		}
 		b = fpInt(b, int64(t.acksPending))
 		b = fpInt(b, int64(t.delayedPending))
-		b = fpBool(b, t.hinted)
 	}
-	if len(dl.pending) > 0 {
-		b = append(b, 'q')
-		for _, pm := range dl.pending {
-			b = m.msgKeyMapped(b, pm, bank.id, p)
-			b = append(b, ';')
-		}
+	b = fpInt(b, int64(len(dl.pending)))
+	for _, pm := range dl.pending {
+		b = m.msgKeyMapped(b, pm, bank.id, p)
 	}
 	return b
 }
@@ -545,12 +477,8 @@ func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) 
 // multiset of renamed serialized arguments.
 func (m *Model) eventMultisetMapped(b []byte, q *sim.EventQueue, p *symPerm) []byte {
 	b = append(b, 'E')
-	n := q.Len()
-	if n == 0 {
-		return b
-	}
 	kb, offs := m.kaBuf[:0], m.kaOffs[:0]
-	for i := 0; i < n; i++ {
+	for i := 0; i < q.Len(); i++ {
 		start := int32(len(kb))
 		kb = m.eventKeyMapped(kb, q.ArgAt(i), p)
 		offs = append(offs, start, int32(len(kb)))
