@@ -117,30 +117,25 @@ check-liveness:
 # both raw (~18k states) and symmetry-reduced, and the raw/reduced pair
 # cross-checks the reduction on every nightly: both must pass with the
 # same verdict. Symmetry reduction closes the three-core/2-bank/
-# 2-line squash space exhaustively (2.7M canonical states, ~3 min) —
-# previously only reachable capped — but the closed graph peaks at
-# ~17GB RSS (the BFS frontier holds materialized models; edges are kept
-# for the liveness backward pass), so hosts with less memory must bound
-# it: CHECK3C_FLAGS='-max-states 2000000' keeps 73% of the space inside
-# ~13GB (CI's standard 16GB runner does this; run uncapped on a >=24GB
-# host for the full closure). Lockdown at that geometry does NOT close:
+# 2-line squash space exhaustively (2.7M canonical states; 43 s and a
+# 3.2GB RSS peak at two workers on a 2-vCPU host, DESIGN.md §10), so it
+# runs uncapped. Lockdown at that geometry does NOT close:
 # at depth 38 it already held 2.1M canonical states with the frontier
 # still growing ~26% per layer (projected >=50M states, beyond any
 # budget), so it runs at a 500k-state cap — 10x the tier-1 radius; any
 # safety violation or hard deadlock inside that radius fails the gate.
-CHECK3C_FLAGS ?=
 check-liveness-deep: check-liveness
 	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2
 	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2 -reduce sym
 	$(GO) run ./cmd/wbsimcheck -cores 2 -banks 1 -lines 2 -ops 2 -mode tardis -reduce sym
-	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -reduce sym -progress $(CHECK3C_FLAGS)
+	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -reduce sym -progress
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode lockdown -lockdowns 1 -reduce sym -max-states 500000
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode tardis -reduce sym -max-states 500000
 
 # Zero-allocation gates for the event-driven kernel: a warmed-up mesh
 # cycle, a drained System.Step and a busy core's System.Step may not
 # allocate (see DESIGN.md, "Simulation kernel & performance model"); nor
-# may the model checker's clone into a warmed destination model.
+# may the model checker's copy-on-write child once its pool is warm.
 alloc-gate:
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/network ./internal/core ./internal/coherence
 

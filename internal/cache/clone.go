@@ -92,15 +92,30 @@ func (f *MSHRFile) CloneInto(dst *MSHRFile, clonePayload func(any) any, universe
 		panic("cache: remapping MSHR foreign to the cloned file")
 	}
 	if universe != nil {
+		// Drop the lines f does not index first, keeping their slices
+		// for the lines dst does not index yet.
+		for _, l := range universe {
+			if _, keep := f.index[l]; keep {
+				continue
+			}
+			if es, ok := dst.index[l]; ok {
+				dst.spare = append(dst.spare, es[:0])
+				delete(dst.index, l)
+			}
+		}
 		indexed := 0
 		for _, l := range universe {
 			es, ok := f.index[l]
 			if !ok {
-				delete(dst.index, l)
 				continue
 			}
 			indexed++
-			nes := dst.index[l][:0]
+			nes, had := dst.index[l]
+			if n := len(dst.spare); !had && n > 0 {
+				nes = dst.spare[n-1]
+				dst.spare = dst.spare[:n-1]
+			}
+			nes = nes[:0]
 			for _, e := range es {
 				nes = append(nes, remap(e))
 			}

@@ -27,6 +27,10 @@ type MSHRFile struct {
 	reserved int
 	inUse    int
 	resInUse int
+
+	// spare holds index slices whose lines CloneInto dropped, so a later
+	// clone indexing a line again reuses one instead of allocating.
+	spare [][]*MSHR
 }
 
 // NewMSHRFile builds a file with capacity total entries of which reserved

@@ -16,8 +16,9 @@
 //     are always enabled), so a trap is a genuine protocol hole, not a
 //     starved scheduler.
 //
-// States are materialized by deep-cloning the frontier (one clone per
-// transition) rather than replaying choice paths, and expansion is split
+// States are materialized as copy-on-write children of the frontier
+// (one per transition, copying only the component the transition
+// touches) rather than by replaying choice paths, and expansion is split
 // across Workers with all cross-layer decisions resolved
 // deterministically at layer barriers. The one reduction is Symmetry,
 // which dedups states up to the model's automorphism group; every
@@ -134,8 +135,11 @@ func Explore(cfg Config) *Result {
 		workers: workers,
 		sym:     cfg.Symmetry,
 		store:   newStateStore(),
-		pools:   make([][]*coherence.Model, workers),
+		pools:   make([]*coherence.ModelPool, workers),
 		outs:    make([]workerOut, workers),
+	}
+	for i := range en.pools {
+		en.pools[i] = new(coherence.ModelPool)
 	}
 	res := &Result{Exhaustive: true, SymmetryGroup: 1}
 	en.res = res
@@ -146,11 +150,10 @@ func Explore(cfg Config) *Result {
 	}
 	root := en.store.seed(en.keyOf(init), init)
 	root.id, root.depth = 0, 0
-	root.term = init.Terminal()
 	root.model = nil
 	en.store.drain(nil) // the root is admitted here, not at a barrier
 	en.nodes = append(en.nodes, root)
-	en.succs = append(en.succs, nil)
+	en.succOff = append(en.succOff, 0)
 	en.models = append(en.models, init)
 	if cfg.CollectStates {
 		if !en.sym {
@@ -171,7 +174,7 @@ func Explore(cfg Config) *Result {
 		}
 		for i := layerLo; i < layerHi; i++ {
 			// Only two layers of models stay live; retired ones feed the
-			// CloneInto pools.
+			// worker pools.
 			en.recycleRR(en.models[i])
 			en.models[i] = nil
 		}

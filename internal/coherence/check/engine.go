@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,13 +22,15 @@ import (
 //     states by their chosen discoverer, which reproduces the exact
 //     discovery order of the old sequential explorer.
 //
-//   - Cheap state materialization. Nodes carry deep-cloned models for
-//     exactly two live layers (the one being expanded and the one being
-//     built), so expanding a node costs one clone per choice instead of
-//     a full replay of its path. Counterexample rendering still replays
-//     from the root: cached models are chain-concrete by construction
-//     (each equals the replay of its recorded choice path), so the
-//     replay reproduces them exactly.
+//   - Cheap state materialization. Nodes carry models for exactly two
+//     live layers (the one being expanded and the one being built).
+//     Expanding a node makes one copy-on-write child per choice, which
+//     shares every component snapshot with its parent except the one
+//     the choice touches. The store keeps, for every new state, the
+//     model of its chosen (minimal) discoverer, so cached models are
+//     chain-concrete by construction: each equals the replay of its
+//     recorded choice path. Counterexample rendering replays from the
+//     root and reproduces them exactly.
 //
 // Symmetry reduction needs no structure of its own: it only changes the
 // dedup key to the state's canonical orbit fingerprint.
@@ -38,23 +41,29 @@ type engine struct {
 
 	store  *stateStore
 	nodes  []*entry
-	succs  [][]int32
 	models []*coherence.Model // chain-concrete models; non-nil for live layers only
+
+	// The state graph's edges, deduplicated per source, in one packed
+	// array: node i's successors are succ[succOff[i]:succOff[i+1]].
+	// succOff grows by one layer at each barrier.
+	succ    []int32
+	succOff []int32
 
 	res        *Result
 	droppedAny bool
 
-	// pools holds retired models for CloneInto reuse, one free list per
+	// pools holds retired models and component snapshots, one pool per
 	// worker so expansion recycles without locking; the barrier (single-
 	// threaded) refills them round-robin with the layer's discarded and
 	// retired models.
-	pools [][]*coherence.Model
+	pools []*coherence.ModelPool
 	rr    int
 
-	// Layer scratch kept across layers: one output per worker, and the
-	// barrier's list of new entries.
+	// Layer scratch kept across layers: one output per worker, the
+	// barrier's list of new entries, and its per-source edge counts.
 	outs []workerOut
 	news []*entry
+	cnt  []int32
 }
 
 const (
@@ -86,34 +95,16 @@ type edgeRec struct {
 type workerOut struct {
 	wi          int // index into engine.pools
 	transitions int
+	chs         []coherence.Choice // the choices of the node being expanded
 	edges       []edgeRec
 	stops       []stopCand
 	panicked    any
 }
 
-// cloneOf clones m, reusing a pooled retired model when one is free.
-func (en *engine) cloneOf(wi int, m *coherence.Model) *coherence.Model {
-	p := en.pools[wi]
-	if n := len(p); n > 0 {
-		dst := p[n-1]
-		en.pools[wi] = p[:n-1]
-		return m.CloneInto(dst)
-	}
-	return m.Clone()
-}
-
-// recycle returns a dead model (nothing references it or its arenas) to
-// worker wi's pool.
-func (en *engine) recycle(wi int, m *coherence.Model) {
-	if m != nil {
-		en.pools[wi] = append(en.pools[wi], m)
-	}
-}
-
 // recycleRR spreads barrier-side retirements across the worker pools.
 func (en *engine) recycleRR(m *coherence.Model) {
 	if m != nil {
-		en.recycle(en.rr, m)
+		en.pools[en.rr].Release(m)
 		en.rr = (en.rr + 1) % len(en.pools)
 	}
 }
@@ -130,46 +121,51 @@ func (en *engine) keyOf(m *coherence.Model) []byte {
 // expandNode generates every successor of one node into the worker's
 // layer-local output.
 func (en *engine) expandNode(id int32, w *workerOut) {
+	pool := en.pools[w.wi]
 	m := en.models[id]
-	if m == nil {
-		m = en.replay(en.pathOf(id))
-	}
-	chs := m.Choices()
+	pool.Adopt(m)
+	// The children's enumerations reuse the pool's scratch, so keep a
+	// copy of the parent's.
+	w.chs = append(w.chs[:0], m.Choices()...)
+	chs := w.chs
 	if len(chs) == 0 {
 		if id == 0 && !en.nodes[0].term {
 			w.stops = append(w.stops, stopCand{kind: stopRootStuck, parent: -1, pos: -1})
 		}
 		return
 	}
+	last := len(chs) - 1
 	for pos, ch := range chs {
-		var c *coherence.Model
-		if pos == len(chs)-1 {
-			// Last choice: consume the parent model instead of cloning.
-			// The barrier's rebuild path tolerates a missing parent
-			// model by replaying from the root.
-			c = m
+		if m.Unchanged(ch) {
+			// A self-loop: the child would be its parent again.
+			w.transitions++
+			w.edges = append(w.edges, edgeRec{id, en.nodes[id]})
+			continue
+		}
+		c := pool.Child(m)
+		if pos == last {
+			// The parent's last child: retire the parent first, so the
+			// snapshot the choice touches is mutated in place when no
+			// sibling still holds it.
 			en.models[id] = nil
-		} else {
-			c = en.cloneOf(w.wi, m)
+			pool.Release(m)
 		}
 		c.Apply(ch)
 		w.transitions++
 		if c.Violation() != "" {
 			w.stops = append(w.stops, stopCand{kind: stopViolation, parent: id, pos: int32(pos), rec: ch})
-			en.recycle(w.wi, c)
+			pool.Release(c)
 			continue
 		}
-		e, isNew := en.store.insert(en.keyOf(c), id, int32(pos), ch, c)
-		if isNew {
-			e.term = c.Terminal()
-			if !e.term {
-				e.dead = c.NumChoices() == 0
-			}
-		} else {
-			// Duplicate child: nothing references c, reuse it.
-			en.recycle(w.wi, c)
+		e, _, spare := en.store.insert(en.keyOf(c), id, int32(pos), ch, c)
+		if spare != nil {
+			pool.Release(spare) // a duplicate child, or the model it displaced
 		}
 		w.edges = append(w.edges, edgeRec{id, e})
+	}
+	if en.models[id] != nil { // the last choice was a self-loop
+		en.models[id] = nil
+		pool.Release(m)
 	}
 }
 
@@ -250,22 +246,11 @@ func (en *engine) runLayer(lo, hi int32, depth int32) bool {
 		e.id = int32(len(en.nodes))
 		e.depth = depth + 1
 		en.nodes = append(en.nodes, e)
-		en.succs = append(en.succs, nil)
 	}
-	// Materialize chain-concrete models: adopt the first inserter's
-	// child only if it came from the chosen discoverer; otherwise
-	// rebuild from the (still live) parent model.
+	// The entries hold their chosen discoverers' models, which are
+	// chain-concrete.
 	for _, e := range admit {
 		mdl := e.model
-		if e.mparent != e.parent || e.mpos != e.pos {
-			en.recycleRR(mdl) // donated by a non-chosen discoverer
-			pm := en.models[e.parent]
-			if pm == nil {
-				pm = en.replay(en.pathOf(e.parent))
-			}
-			mdl = en.cloneOf(en.rr, pm)
-			mdl.Apply(e.rec)
-		}
 		e.model = nil
 		en.models = append(en.models, mdl)
 		if en.cfg.CollectStates {
@@ -310,15 +295,7 @@ func (en *engine) runLayer(lo, hi int32, depth int32) bool {
 		return true
 	}
 
-	// Merge edges (deduplicated per source, as before).
-	for i := range outs {
-		for _, ed := range outs[i].edges {
-			if ed.to.dropped {
-				continue
-			}
-			en.addSucc(ed.from, ed.to.id)
-		}
-	}
+	en.mergeEdges(lo, hi)
 
 	if en.cfg.Progress != nil {
 		en.cfg.Progress(ProgressInfo{
@@ -347,13 +324,58 @@ func (en *engine) finishStop(s *stopCand) {
 	}
 }
 
-func (en *engine) addSucc(from, to int32) {
-	for _, s := range en.succs[from] {
-		if s == to {
-			return
+// mergeEdges appends the layer's edges, from sources [lo, hi), to the
+// packed successor array: a counting sort by source, then a per-source
+// deduplication that keeps first occurrences. Each node is expanded by
+// one worker in choice order, so the result does not depend on
+// scheduling.
+func (en *engine) mergeEdges(lo, hi int32) {
+	cnt := en.cnt[:0]
+	for i := lo; i <= hi; i++ {
+		cnt = append(cnt, 0)
+	}
+	for i := range en.outs {
+		for _, ed := range en.outs[i].edges {
+			if !ed.to.dropped {
+				cnt[ed.from-lo+1]++
+			}
 		}
 	}
-	en.succs[from] = append(en.succs[from], to)
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	base := int32(len(en.succ))
+	if n := int(base + cnt[len(cnt)-1]); n > cap(en.succ) {
+		// Double, so the copies left behind total less than the array.
+		en.succ = append(make([]int32, 0, max(n, 2*cap(en.succ))), en.succ...)
+	}
+	en.succ = en.succ[:base+cnt[len(cnt)-1]]
+	for i := range en.outs {
+		for _, ed := range en.outs[i].edges {
+			if !ed.to.dropped {
+				k := &cnt[ed.from-lo]
+				en.succ[base+*k] = ed.to.id
+				*k++
+			}
+		}
+	}
+	// cnt[i] is now the end of source lo+i's run, which starts where the
+	// previous source's run ended.
+	w, start := base, base
+	for i := range hi - lo {
+		first := w
+		for k := start; k < base+cnt[i]; k++ {
+			to := en.succ[k]
+			if !slices.Contains(en.succ[first:w], to) {
+				en.succ[w] = to
+				w++
+			}
+		}
+		start = base + cnt[i]
+		en.succOff = append(en.succOff, w)
+	}
+	en.succ = en.succ[:w]
+	en.cnt = cnt
 }
 
 // pathOf reconstructs the chosen-discoverer choice chain leading to id.
@@ -366,16 +388,6 @@ func (en *engine) pathOf(id int32) []coherence.Choice {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// replay materializes the state at the end of a choice chain. Cached
-// models are chain-concrete, so replay agrees with them exactly.
-func (en *engine) replay(path []coherence.Choice) *coherence.Model {
-	m := coherence.NewModel(en.cfg.Model)
-	for _, c := range path {
-		m.Apply(c)
-	}
-	return m
 }
 
 func (en *engine) fill(res *Result) {
@@ -397,13 +409,24 @@ func (en *engine) liveness(res *Result) {
 	if res.Violation != nil {
 		return
 	}
-	preds := make([][]int32, len(en.nodes))
-	for from, ss := range en.succs {
-		for _, to := range ss {
-			preds[to] = append(preds[to], int32(from))
+	// Invert the packed successor array into a packed predecessor one.
+	n := len(en.nodes)
+	predOff := make([]int32, n+1)
+	for _, to := range en.succ {
+		predOff[to+1]++
+	}
+	for i := 1; i <= n; i++ {
+		predOff[i] += predOff[i-1]
+	}
+	preds := make([]int32, len(en.succ))
+	next := slices.Clone(predOff[:n])
+	for from := range n {
+		for _, to := range en.succ[en.succOff[from]:en.succOff[from+1]] {
+			preds[next[to]] = int32(from)
+			next[to]++
 		}
 	}
-	live := make([]bool, len(en.nodes))
+	live := make([]bool, n)
 	var queue []int32
 	for id, e := range en.nodes {
 		if e.term {
@@ -411,10 +434,9 @@ func (en *engine) liveness(res *Result) {
 			queue = append(queue, int32(id))
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, p := range preds[n] {
+	for head := 0; head < len(queue); head++ {
+		to := queue[head]
+		for _, p := range preds[predOff[to]:predOff[to+1]] {
 			if !live[p] {
 				live[p] = true
 				queue = append(queue, p)
@@ -429,7 +451,7 @@ func (en *engine) liveness(res *Result) {
 		if trap < 0 {
 			trap = int32(id)
 		}
-		if stuck < 0 && len(en.succs[id]) == 0 {
+		if stuck < 0 && en.succOff[id+1] == en.succOff[id] {
 			stuck = int32(id)
 		}
 	}

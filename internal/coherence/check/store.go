@@ -37,8 +37,9 @@ type storeStripe struct {
 }
 
 // entry is one deduplicated state. Discovery-candidate fields hold the
-// minimal (parent, pos) discoverer seen so far this layer; the barrier
-// freezes them when it assigns the id.
+// minimal (parent, pos) discoverer seen so far this layer, together with
+// the child model that discoverer produced; the barrier freezes them
+// when it assigns the id.
 type entry struct {
 	fp    []byte // interned fingerprint bytes (dedup key)
 	next  *entry // next entry in the same digest chain
@@ -52,14 +53,12 @@ type entry struct {
 	pos    int32
 	rec    coherence.Choice
 
-	// model is the concrete child state kept by the first inserter;
-	// mparent/mpos identify which transition produced it, so the
-	// barrier can tell whether it matches the chosen discoverer or
-	// must be rebuilt from the parent.
-	model         *coherence.Model
-	mparent, mpos int32
-	term, dead    bool
-	dropped       bool // discarded by the MaxStates admission cap
+	// model is the concrete child state produced by the chosen
+	// discoverer, so it equals the replay of the recorded choice path.
+	// term and dead are computed once, from the first inserter's model.
+	model      *coherence.Model
+	term, dead bool
+	dropped    bool // discarded by the MaxStates admission cap
 }
 
 func newStateStore() *stateStore {
@@ -101,16 +100,21 @@ func digest(b []byte) uint64 {
 }
 
 // insert records one discovery of the state with fingerprint fp via
-// (parent, pos, rec), keeping the minimal discoverer. The first
-// inserter donates its child model. Returns the entry and whether this
-// call created it.
-func (s *stateStore) insert(fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool) {
+// (parent, pos, rec) and its child model, keeping the minimal
+// discoverer and that discoverer's model. It returns the entry, whether
+// this call created it, and the model that lost — the caller's own, or
+// the one a smaller discoverer displaced — which nothing references any
+// more and the caller recycles.
+func (s *stateStore) insert(fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool, *coherence.Model) {
 	return s.insertDigest(digest(fp), fp, parent, pos, rec, model)
 }
 
 // insertDigest is insert with the digest of fp supplied by the caller,
-// so tests can force two fingerprints into one chain.
-func (s *stateStore) insertDigest(dig uint64, fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool) {
+// so tests can force two fingerprints into one chain. A new entry's term
+// and dead flags are computed here, under the stripe lock: once the
+// lock is released another worker may displace the model and recycle
+// it.
+func (s *stateStore) insertDigest(dig uint64, fp []byte, parent, pos int32, rec coherence.Choice, model *coherence.Model) (*entry, bool, *coherence.Model) {
 	st := &s.stripes[dig%numStripes]
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -119,23 +123,28 @@ func (s *stateStore) insertDigest(dig uint64, fp []byte, parent, pos int32, rec 
 		if !bytes.Equal(e.fp, fp) {
 			continue
 		}
-		if e.id < 0 { // discovered earlier this same layer: keep min (parent, pos)
-			if parent < e.parent || (parent == e.parent && pos < e.pos) {
-				e.parent, e.pos, e.rec = parent, pos, rec
-			}
+		if e.id < 0 && (parent < e.parent || (parent == e.parent && pos < e.pos)) {
+			// Discovered earlier this same layer by a larger (parent, pos):
+			// the new discoverer and its model win.
+			e.parent, e.pos, e.rec = parent, pos, rec
+			e.model, model = model, e.model
 		}
-		return e, false
+		return e, false, model
 	}
 	e := &entry{
 		fp:     st.intern(fp),
 		next:   head,
 		id:     -1,
 		parent: parent, pos: pos, rec: rec,
-		model: model, mparent: parent, mpos: pos,
+		model: model,
+	}
+	if model != nil {
+		e.term = model.Terminal()
+		e.dead = !e.term && model.NumChoices() == 0
 	}
 	st.buckets[dig] = e
 	st.news = append(st.news, e)
-	return e, true
+	return e, true, nil
 }
 
 // intern copies fp into the stripe's arena and returns the copy,
@@ -151,7 +160,7 @@ func (st *storeStripe) intern(fp []byte) []byte {
 
 // seed installs the root entry (id 0) outside the worker path.
 func (s *stateStore) seed(fp []byte, model *coherence.Model) *entry {
-	e, created := s.insert(fp, -1, -1, coherence.Choice{}, model)
+	e, created, _ := s.insert(fp, -1, -1, coherence.Choice{}, model)
 	if !created {
 		panic("check: store seeded twice")
 	}

@@ -15,18 +15,18 @@ func TestStoreDigestCollision(t *testing.T) {
 	s := newStateStore()
 	const dig = 42
 	a, b := []byte("state a"), []byte("state b")
-	ea, created := s.insertDigest(dig, a, 3, 0, coherence.Choice{}, nil)
+	ea, created, _ := s.insertDigest(dig, a, 3, 0, coherence.Choice{}, nil)
 	if !created {
 		t.Fatal("first fingerprint under the digest was not created")
 	}
-	eb, created := s.insertDigest(dig, b, 3, 1, coherence.Choice{}, nil)
+	eb, created, _ := s.insertDigest(dig, b, 3, 1, coherence.Choice{}, nil)
 	if !created || eb == ea {
 		t.Fatalf("colliding fingerprint: created=%v, same entry=%v; want a second entry", created, eb == ea)
 	}
-	if got, created := s.insertDigest(dig, a, 1, 5, coherence.Choice{}, nil); got != ea || created {
+	if got, created, _ := s.insertDigest(dig, a, 1, 5, coherence.Choice{}, nil); got != ea || created {
 		t.Fatalf("re-insert of %q: got its own entry=%v, created=%v", a, got == ea, created)
 	}
-	if got, created := s.insertDigest(dig, b, 4, 0, coherence.Choice{}, nil); got != eb || created {
+	if got, created, _ := s.insertDigest(dig, b, 4, 0, coherence.Choice{}, nil); got != eb || created {
 		t.Fatalf("re-insert of %q: got its own entry=%v, created=%v", b, got == eb, created)
 	}
 	if ea.parent != 1 || ea.pos != 5 || eb.parent != 3 || eb.pos != 1 {
@@ -42,6 +42,40 @@ func TestStoreDigestCollision(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsMinimalDiscovererModel: an entry keeps the model of its
+// minimal (parent, pos) discoverer, whatever order the discoverers
+// arrive in, and every insert hands back the one model that lost — the
+// caller's own when it is not smaller, the displaced one when it is —
+// so the caller can recycle it. Once the barrier has admitted the entry
+// (id set), later discoveries change nothing.
+func TestStoreKeepsMinimalDiscovererModel(t *testing.T) {
+	cfg := coherence.ModelConfig{Cores: 1, Banks: 1, Lines: 1, OpsPerCore: 2, Mode: coherence.ModeSquash}
+	first, smaller, larger, late := coherence.NewModel(cfg), coherence.NewModel(cfg), coherence.NewModel(cfg), coherence.NewModel(cfg)
+	s := newStateStore()
+	fp := []byte("state")
+	e, created, spare := s.insert(fp, 5, 2, coherence.Choice{}, first)
+	if !created || spare != nil || e.model != first {
+		t.Fatalf("first insert: created=%v spare=%v kept first=%v; want a new entry keeping its model", created, spare != nil, e.model == first)
+	}
+	if e.term || e.dead {
+		t.Errorf("the initial state computed as term=%v dead=%v; want neither", e.term, e.dead)
+	}
+	if _, created, spare := s.insert(fp, 5, 1, coherence.Choice{}, smaller); created || spare != first || e.model != smaller {
+		t.Fatalf("smaller discoverer: created=%v, got the displaced model back=%v, kept its own=%v", created, spare == first, e.model == smaller)
+	}
+	if _, created, spare := s.insert(fp, 6, 0, coherence.Choice{}, larger); created || spare != larger || e.model != smaller {
+		t.Fatalf("larger discoverer: created=%v, got its own model back=%v, entry kept the smaller one=%v", created, spare == larger, e.model == smaller)
+	}
+	if e.parent != 5 || e.pos != 1 {
+		t.Errorf("discoverer (%d,%d); want (5,1)", e.parent, e.pos)
+	}
+	e.id = 0 // admitted
+	if _, _, spare := s.insert(fp, 0, 0, coherence.Choice{}, late); spare != late || e.model != smaller || e.parent != 5 {
+		t.Errorf("a discovery after admission moved the entry: got its model back=%v, model kept=%v, parent %d",
+			spare == late, e.model == smaller, e.parent)
+	}
+}
+
 // TestStoreArenaBlocks interns more fingerprint bytes than one arena
 // block holds, including one larger than a block, and checks that every
 // interned fingerprint keeps its bytes when later blocks are started.
@@ -54,7 +88,7 @@ func TestStoreArenaBlocks(t *testing.T) {
 		if i == 7 {
 			fp = bytes.Repeat([]byte{'x'}, arenaBlock+1)
 		}
-		e, created := s.insert(fp, 0, int32(i), coherence.Choice{}, nil)
+		e, created, _ := s.insert(fp, 0, int32(i), coherence.Choice{}, nil)
 		if !created {
 			t.Fatalf("fingerprint %d was not created", i)
 		}

@@ -95,22 +95,24 @@ type modelCore struct {
 	observed []uint64 // per line index: highest version this core has read
 }
 
-// Model is one explorable system state. It is mutated in place by
-// Apply and ApplyIndex; explorers that need to branch deep-copy it
-// (Clone, CloneInto in model_clone.go) or replay the choice sequence
-// from a fresh NewModel.
+// Model is one explorable system state: a header over shared
+// component snapshots (model_clone.go). Apply and ApplyIndex mutate it
+// in place, privatizing the one snapshot a choice touches; explorers
+// branch with ModelPool.Child, which shares every snapshot with the
+// parent, or replay the choice sequence from a fresh NewModel.
 type Model struct {
 	cfg    ModelConfig
-	params Params
-	memory *mem.Memory
-	pcus   []*PCU
-	banks  []*Bank
-	cores  []*modelCore
-	lines  []mem.Line
+	params *Params    // immutable after NewModel; shared by every component
+	lines  []mem.Line // immutable after NewModel
+
+	// Component snapshots: core i's PCU and model core, bank b.
+	ps []*pcuSnap
+	bs []*bankSnap
 
 	// net is the in-flight message multiset, in injection order (which
-	// is replay-deterministic, so choice indices are stable).
-	net []*network.Message
+	// is replay-deterministic, so choice indices are stable). The
+	// flights are immutable and shared with other models.
+	net []*flight
 
 	latest    []uint64 // per line index: last version committed by any store
 	violation string   // first safety violation, sticky
@@ -119,36 +121,54 @@ type Model struct {
 	// immutable once built and shared across clones.
 	sym *symGroup
 
-	// Reused scratch buffers (enumeration, fingerprint assembly).
-	chScratch  []choice //wbsim:uncloned -- scratch, overwritten before every read
-	fpScratch  []byte   //wbsim:uncloned -- scratch, overwritten before every read
-	kaBuf      []byte   //wbsim:uncloned -- key arena, rebuilt per fingerprint
-	kaOffs     []int32  //wbsim:uncloned -- key arena spans, rebuilt per fingerprint
-	symScratch []byte   //wbsim:uncloned -- scratch, overwritten before every read
-	shScratch  []int64  //wbsim:uncloned -- scratch, overwritten before every read
+	// pool is the worker pool the model privatizes from and shares
+	// scratch with (ModelPool.Adopt); nil allocates.
+	pool *ModelPool
 
-	// Arenas backing this model's per-state heap objects (in-flight
-	// messages, directory lines, transactions, network envelopes).
-	// CloneInto resets and refills them, so a pooled model's
-	// steady-state clone performs no heap allocation for these. Safe
-	// because no model ever references another model's objects:
-	// Clone/CloneInto deep-copy every such pointer (model_clone.go).
-	msgArena  []Msg
-	dlArena   []dirLine
-	dtxnArena []dirTxn
-	ptxnArena []pcuTxn
-	netArena  []network.Message
+	// bufs is the transient scratch of a model without a pool; pooled
+	// models share their pool's (scratch).
+	bufs *scratchBufs //wbsim:uncloned -- scratch, overwritten before every read
+}
 
-	// cc is the clone context of the CloneInto calls that target this
-	// model, kept across generations; nil until the first one.
-	cc *cloneCtx
+// scratchBufs holds the buffers a choice enumeration and a fingerprint
+// are assembled in and the envelope a delivery hands over. Each is
+// overwritten before it is read and dead once the next call that fills
+// it starts, so the models of one pool, which one worker uses one at a
+// time, share a single set.
+type scratchBufs struct {
+	ch           []choice
+	fp, sec, sym []byte
+	ka           []byte  // key arena of a multiset being sorted
+	kaOffs       []int32 // key spans in ka
+	sh           []int64 // sharer list being sorted
+	env          network.Message
+}
+
+// scratch returns the buffers m's enumerations, fingerprints and
+// deliveries use.
+func (m *Model) scratch() *scratchBufs {
+	if m.pool != nil {
+		return &m.pool.bufs
+	}
+	if m.bufs == nil {
+		m.bufs = new(scratchBufs)
+	}
+	return m.bufs
 }
 
 // modelPort funnels every component's sends into the model's multiset.
 type modelPort struct{ m *Model }
 
+// Send copies the message into a flight of the model's own: the
+// envelope and body it is handed live in the sender's send record,
+// which the snapshot reuses once the send has fired.
 func (p modelPort) Send(_ sim.Cycle, msg *network.Message) {
-	p.m.net = append(p.m.net, msg)
+	f := p.m.pool.newFlight()
+	f.env = *msg
+	f.msg = *msg.Payload.(*Msg)
+	f.env.Payload = &f.msg
+	f.refs.Store(1)
+	p.m.net = append(p.m.net, f)
 }
 
 // NewModel builds the initial state for cfg. The same cfg always yields
@@ -161,8 +181,8 @@ func NewModel(cfg ModelConfig) *Model {
 	if cfg.OpsPerCore < 1 {
 		cfg.OpsPerCore = 2
 	}
-	m := &Model{cfg: cfg, memory: mem.NewMemory()}
-	m.params = DefaultParams()
+	m := &Model{cfg: cfg, params: new(Params)}
+	*m.params = DefaultParams()
 	// Uniform unit latencies: time is abstracted, but distinct delays
 	// would only spread the same event set across more (at, seq) keys.
 	m.params.L1Latency, m.params.L2Latency = 1, 1
@@ -197,21 +217,28 @@ func NewModel(cfg ModelConfig) *Model {
 		return network.Endpoint(cfg.Cores + int(l)%cfg.Banks)
 	}
 	port := modelPort{m: m}
-	m.banks = make([]*Bank, 0, cfg.Banks)
-	for b := 0; b < cfg.Banks; b++ {
-		bank := NewBank(network.Endpoint(cfg.Cores+b), port, &m.params, m.memory, cfg.Mode)
+	// Each bank backs only the lines homed at it — the only lines it
+	// ever reads or writes — so its memory belongs to its snapshot.
+	banks := make([]bankSnap, cfg.Banks)
+	m.bs = make([]*bankSnap, cfg.Banks)
+	for b := range banks {
+		s := &banks[b]
+		s.refs.Store(1)
+		s.memory = mem.NewMemory()
+		s.bank = NewBank(network.Endpoint(cfg.Cores+b), port, m.params, s.memory, cfg.Mode)
 		if cfg.PreFixPutRace || cfg.CorruptWriteRace {
 			machine := alteredMachine(cfg)
-			bank.machine = machine
-			bank.cov = machine.NewCoverage()
+			s.bank.machine = machine
+			s.bank.cov = machine.NewCoverage()
 		}
-		m.banks = append(m.banks, bank)
+		m.bs[b] = s
 	}
-	cores := make([]modelCore, cfg.Cores)
-	m.cores = make([]*modelCore, 0, cfg.Cores)
-	m.pcus = make([]*PCU, 0, cfg.Cores)
-	for c := range cores {
-		core := &cores[c]
+	pcus := make([]pcuSnap, cfg.Cores)
+	m.ps = make([]*pcuSnap, cfg.Cores)
+	for c := range pcus {
+		s := &pcus[c]
+		s.refs.Store(1)
+		core := &s.core
 		core.m, core.id = m, c
 		core.observed = words[(c+1)*nl : (c+2)*nl : (c+2)*nl]
 		core.locked = flags[2*c*nl : (2*c+1)*nl : (2*c+1)*nl]
@@ -220,8 +247,8 @@ func NewModel(cfg ModelConfig) *Model {
 		for i := range core.prog {
 			core.prog[i] = modelOp{store: i%2 == 1, li: (c + i) % cfg.Lines}
 		}
-		m.cores = append(m.cores, core)
-		m.pcus = append(m.pcus, NewPCU(network.Endpoint(c), port, &m.params, home, core, cfg.Mode))
+		s.pcu = NewPCU(network.Endpoint(c), port, m.params, home, core, cfg.Mode)
+		m.ps[c] = s
 	}
 	return m
 }
@@ -390,21 +417,23 @@ func (m *Model) msgDesc(pm *Msg, dst network.Endpoint) string {
 // multiset of successor states, so fingerprint-based deduplication
 // remains sound. The scratch slice is reused across calls.
 func (m *Model) choices() []choice {
-	out := m.chScratch[:0]
+	sc := m.scratch()
+	out := sc.ch[:0]
 	for i := range m.net {
 		out = append(out, choice{kind: chDeliver, idx: int32(i)})
 	}
-	for c, p := range m.pcus {
-		for k := 0; k < p.events.Len(); k++ {
+	for c, s := range m.ps {
+		for k := 0; k < s.pcu.events.Len(); k++ {
 			out = append(out, choice{kind: chFireCore, comp: int32(c), idx: int32(k)})
 		}
 	}
-	for b, bank := range m.banks {
-		for k := 0; k < bank.events.Len(); k++ {
+	for b, s := range m.bs {
+		for k := 0; k < s.bank.events.Len(); k++ {
 			out = append(out, choice{kind: chFireBank, comp: int32(b), idx: int32(k)})
 		}
 	}
-	for c, core := range m.cores {
+	for c, s := range m.ps {
+		core := &s.core
 		if core.pc < len(core.prog) {
 			op := core.prog[core.pc]
 			switch {
@@ -423,14 +452,30 @@ func (m *Model) choices() []choice {
 			for li := 0; li < m.cfg.Lines; li++ {
 				if core.locked[li] {
 					out = append(out, choice{kind: chLift, comp: int32(c), idx: int32(li)})
-				} else if core.locksUsed < m.cfg.Lockdowns && m.pcus[c].HasLineShared(m.lines[li]) {
+				} else if core.locksUsed < m.cfg.Lockdowns && s.pcu.HasLineShared(m.lines[li]) {
 					out = append(out, choice{kind: chLock, comp: int32(c), idx: int32(li)})
 				}
 			}
 		}
 	}
-	m.chScratch = out
+	sc.ch = out
 	return out
+}
+
+// Unchanged reports whether applying ch provably leaves the state as it
+// is: a store retry by a core that holds no write permission for the
+// line and can issue no request for it, because a miss for the line is
+// already in flight or the MSHRs are full (PCU.StoreWrite then only
+// re-stamps the PCU's cycle, which the model keeps at 0). Such a retry
+// is a self-loop; an explorer may count it without materializing the
+// child.
+func (m *Model) Unchanged(ch Choice) bool {
+	if ch.kind != chStore {
+		return false
+	}
+	s := m.ps[ch.comp]
+	p, line := s.pcu, m.lines[s.core.prog[s.core.pc].li]
+	return !p.HasWritePermission(line) && (p.mshrs.Lookup(line) != nil || p.mshrs.FullForNormal())
 }
 
 // NumChoices counts the enabled transitions.
@@ -451,15 +496,17 @@ func (c choice) Key() uint64 {
 	return uint64(c.kind)<<48 | uint64(uint32(c.comp))<<24 | uint64(uint32(c.idx))
 }
 
-// Choices enumerates the enabled transitions. The returned slice is the
-// model's reused scratch buffer: it is valid until the next enumeration
-// on this model, and callers that keep records must copy the elements
-// (they are small values).
+// Choices enumerates the enabled transitions. The returned slice is
+// reused scratch: it is valid until the next enumeration on this model,
+// or on any model of its pool, and callers that keep records must copy
+// the elements (they are small values).
 func (m *Model) Choices() []Choice { return m.choices() }
 
 // Apply executes one recorded choice with the same panic containment as
 // ApplyIndex. The record must come from this state's enumeration (or a
-// deterministic replay of it).
+// deterministic replay of it). Only the snapshot the choice names is
+// privatized and mutated; snapshots shared with other models are left
+// alone.
 func (m *Model) Apply(ch Choice) {
 	func() {
 		defer func() {
@@ -467,6 +514,7 @@ func (m *Model) Apply(ch Choice) {
 				m.fail(fmt.Sprintf("panic: %v", r))
 			}
 		}()
+		m.privatize(ch)
 		m.applyChoice(ch)
 	}()
 	if m.violation == "" {
@@ -489,19 +537,19 @@ func (m *Model) ChoiceDesc(i int) string {
 func (m *Model) DescribeChoice(ch Choice) string {
 	switch ch.kind {
 	case chDeliver:
-		nm := m.net[ch.idx]
-		return "deliver " + m.msgDesc(nm.Payload.(*Msg), nm.Dst)
+		f := m.net[ch.idx]
+		return "deliver " + m.msgDesc(&f.msg, f.env.Dst)
 	case chFireCore:
-		pe := m.pcus[ch.comp].events.Pending()[ch.idx]
+		pe := m.ps[ch.comp].pcu.events.Pending()[ch.idx]
 		return fmt.Sprintf("fire core%d %s", ch.comp, m.describeEvent(pe.Arg))
 	case chFireBank:
-		pe := m.banks[ch.comp].events.Pending()[ch.idx]
+		pe := m.bs[ch.comp].bank.events.Pending()[ch.idx]
 		return fmt.Sprintf("fire bank%d %s", ch.comp, m.describeEvent(pe.Arg))
 	case chLoad:
-		core := m.cores[ch.comp]
+		core := &m.ps[ch.comp].core
 		return fmt.Sprintf("core%d load %v", ch.comp, m.lines[core.prog[core.pc].li])
 	case chStore:
-		core := m.cores[ch.comp]
+		core := &m.ps[ch.comp].core
 		op := core.prog[core.pc]
 		return fmt.Sprintf("core%d store %v := v%d", ch.comp, m.lines[op.li], m.latest[op.li]+1)
 	case chLock:
@@ -518,31 +566,35 @@ func (m *Model) applyChoice(ch choice) {
 	case chDeliver:
 		m.deliver(int(ch.idx))
 	case chFireCore:
-		m.pcus[ch.comp].events.FireNth(int(ch.idx))
+		s := m.ps[ch.comp]
+		s.reuseFired(s.pcu.events.FireNth(int(ch.idx)))
 	case chFireBank:
-		m.banks[ch.comp].events.FireNth(int(ch.idx))
+		s := m.bs[ch.comp]
+		s.reuseFired(s.bank.events.FireNth(int(ch.idx)))
 	case chLoad:
-		core := m.cores[ch.comp]
+		core := &m.ps[ch.comp].core
 		m.stimLoad(core, core.prog[core.pc])
 	case chStore:
-		core := m.cores[ch.comp]
+		core := &m.ps[ch.comp].core
 		m.stimStore(core, core.prog[core.pc])
 	case chLock:
-		m.stimLock(m.cores[ch.comp], int(ch.idx))
+		m.stimLock(&m.ps[ch.comp].core, int(ch.idx))
 	case chLift:
-		m.stimLift(m.cores[ch.comp], int(ch.idx))
+		m.stimLift(&m.ps[ch.comp].core, int(ch.idx))
 	}
 }
 
-// deliver hands net[i] to its destination endpoint.
+// deliver hands net[i] to its destination endpoint. A PCU neither keeps
+// nor edits the message, so it reads the shared flight.
 func (m *Model) deliver(i int) {
-	nm := m.net[i]
+	f := m.net[i]
 	m.net = append(m.net[:i], m.net[i+1:]...)
-	if int(nm.Dst) < m.cfg.Cores {
-		m.pcus[nm.Dst].Receive(0, nm)
-		return
+	if dst := int(f.env.Dst); dst < m.cfg.Cores {
+		m.ps[dst].pcu.Receive(0, &f.env)
+	} else {
+		m.deliverToBank(dst-m.cfg.Cores, f)
 	}
-	m.banks[int(nm.Dst)-m.cfg.Cores].Receive(0, nm)
+	m.pool.dropFlight(f)
 }
 
 // stimLoad issues the core's next load as the SoS load. A structural
@@ -550,7 +602,7 @@ func (m *Model) deliver(i int) {
 func (m *Model) stimLoad(c *modelCore, op modelOp) {
 	line := m.lines[op.li]
 	token := uint64(c.pc*100 + op.li)
-	res := m.pcus[c.id].Load(0, token, line.Base(), true)
+	res := m.ps[c.id].pcu.Load(0, token, line.Base(), true)
 	switch res.Status {
 	case LoadHit:
 		v := uint64(res.Value)
@@ -576,7 +628,7 @@ func (m *Model) stimLoad(c *modelCore, op modelOp) {
 func (m *Model) stimStore(c *modelCore, op modelOp) {
 	line := m.lines[op.li]
 	v := m.latest[op.li] + 1
-	if m.pcus[c.id].StoreWrite(0, line.Base(), mem.Word(v)) {
+	if m.ps[c.id].pcu.StoreWrite(0, line.Base(), mem.Word(v)) {
 		m.latest[op.li] = v
 		c.observed[op.li] = v
 		c.pc++
@@ -596,7 +648,7 @@ func (m *Model) stimLift(c *modelCore, li int) {
 	c.locked[li] = false
 	if c.seen[li] {
 		c.seen[li] = false
-		m.pcus[c.id].LockdownLifted(0, m.lines[li])
+		m.ps[c.id].pcu.LockdownLifted(0, m.lines[li])
 	}
 }
 
@@ -633,18 +685,7 @@ func (m *Model) ApplyIndex(i int) {
 	if i < 0 || i >= len(cs) {
 		panic(fmt.Sprintf("model: choice %d of %d", i, len(cs)))
 	}
-	ch := cs[i]
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				m.fail(fmt.Sprintf("panic: %v", r))
-			}
-		}()
-		m.applyChoice(ch)
-	}()
-	if m.violation == "" {
-		m.checkSWMR()
-	}
+	m.Apply(cs[i])
 }
 
 // fail records the first safety violation; later ones are ignored (the
@@ -665,8 +706,8 @@ func (m *Model) Violation() string { return m.violation }
 func (m *Model) checkSWMR() {
 	for li, line := range m.lines {
 		owner := -1
-		for c, p := range m.pcus {
-			e := p.l2.Lookup(line)
+		for c, s := range m.ps {
+			e := s.pcu.l2.Lookup(line)
 			if e != nil && (e.State == stateE || e.State == stateM) {
 				if owner >= 0 {
 					m.fail(fmt.Sprintf("SWMR: core%d and core%d both own %v", owner, c, m.lines[li]))
@@ -690,7 +731,8 @@ func (m *Model) Terminal() bool {
 	if len(m.net) > 0 {
 		return false
 	}
-	for _, c := range m.cores {
+	for _, s := range m.ps {
+		c := &s.core
 		if c.pc < len(c.prog) || c.waitLoad {
 			return false
 		}
@@ -700,13 +742,13 @@ func (m *Model) Terminal() bool {
 			}
 		}
 	}
-	for _, p := range m.pcus {
-		if !p.Quiescent() {
+	for _, s := range m.ps {
+		if !s.pcu.Quiescent() {
 			return false
 		}
 	}
-	for _, b := range m.banks {
-		if !b.Quiescent() {
+	for _, s := range m.bs {
+		if !s.bank.Quiescent() {
 			return false
 		}
 	}
@@ -723,15 +765,15 @@ func (m *Model) CheckTerminal() (violation string) {
 			violation = fmt.Sprintf("terminal invariant panic: %v", r)
 		}
 	}()
-	for _, b := range m.banks {
-		b.CheckInvariants()
+	for _, s := range m.bs {
+		s.bank.CheckInvariants()
 	}
 	for li, line := range m.lines {
 		want := m.latest[li]
 		ownerVersion := uint64(0)
 		hasOwner := false
-		for c, p := range m.pcus {
-			e := p.l2.Lookup(line)
+		for c, s := range m.ps {
+			e := s.pcu.l2.Lookup(line)
 			if e == nil || e.State == stateInvalid {
 				continue
 			}
@@ -764,16 +806,16 @@ func (m *Model) CheckTerminal() (violation string) {
 	return ""
 }
 
-// memWord reads line's word 0 from backing memory.
+// memWord reads line's word 0 from backing memory, which its home bank
+// holds.
 func (m *Model) memWord(line mem.Line) uint64 {
-	d := m.memory.ReadLine(line)
-	return uint64(d.Get(line.Base()))
+	return uint64(m.bs[int(line)%m.cfg.Banks].memory.ReadWord(line.Base()))
 }
 
 // bankLine finds the live directory entry for line, if any.
 func (m *Model) bankLine(line mem.Line) *dirLine {
-	for _, b := range m.banks {
-		if dl := b.lines[line]; dl != nil {
+	for _, s := range m.bs {
+		if dl := s.bank.lines[line]; dl != nil {
 			return dl
 		}
 	}
@@ -876,62 +918,119 @@ func (m *Model) eventKey(b []byte, arg any) []byte {
 func (m *Model) Fingerprint() string { return string(m.FingerprintBytes()) }
 
 // FingerprintBytes is Fingerprint without the string allocation; the
-// returned slice aliases the model's scratch buffer and is valid only
-// until the next fingerprint call on the same model.
+// returned slice aliases scratch and is valid only until the next
+// fingerprint call on the same model, or on any model of its pool. It concatenates the
+// snapshots' cached sections (pcuSections, bankSection), so only the
+// snapshots this model privatized since they were last encoded, the
+// shadow and the network are serialized afresh.
 func (m *Model) FingerprintBytes() []byte {
-	b := m.fpScratch[:0]
-	for _, c := range m.cores {
-		b = append(b, 'c')
-		b = fpInt(b, int64(c.pc))
-		b = append(b, fpBool(c.waitLoad, 0))
-		b = fpInt(b, int64(c.locksUsed))
-		for li := range c.locked {
-			b = append(b, fpBool(c.locked[li], 0)|fpBool(c.seen[li], 1))
-			b = fpInt(b, int64(c.observed[li]))
-		}
+	sc := m.scratch()
+	b := sc.fp[:0]
+	for _, s := range m.ps {
+		sec, mid := m.pcuSections(s)
+		b = append(b, sec[:mid]...)
 	}
 	b = append(b, 'v')
 	for li := range m.lines {
 		b = fpInt(b, int64(m.latest[li]))
 		b = fpInt(b, int64(m.memWord(m.lines[li])))
 	}
-	for _, p := range m.pcus {
-		b = append(b, 'p')
-		for _, line := range m.lines {
-			b = pcuLineKey(b, p, line, int64(line))
-		}
-		b = m.eventMultiset(b, &p.events)
+	for _, s := range m.ps {
+		sec, mid := m.pcuSections(s)
+		b = append(b, sec[mid:]...)
 	}
-	for _, bank := range m.banks {
-		b = append(b, 'b')
-		for _, line := range m.lines {
-			if dl := bank.lines[line]; dl != nil {
-				b = m.dirLineKey(append(b, 'l'), bank, dl)
-			}
-			if dl := bank.evbuf[line]; dl != nil {
-				b = m.dirLineKey(append(b, 'e'), bank, dl)
-			}
-			if n := bank.earlyDelayed[line]; n != 0 {
-				b = append(b, 'd')
-				b = fpInt(b, int64(line))
-				b = fpInt(b, int64(n))
-			}
-		}
-		b = m.eventMultiset(b, &bank.events)
+	for _, s := range m.bs {
+		b = append(b, m.bankSection(s)...)
 	}
 	// Network multiset: serialize each message, then sort the per-message
 	// keys so delivery-order-equivalent states coincide.
 	b = append(b, 'n')
-	kb, offs := m.kaBuf[:0], m.kaOffs[:0]
-	for _, nm := range m.net {
+	kb, offs := sc.ka[:0], sc.kaOffs[:0]
+	for _, f := range m.net {
 		start := int32(len(kb))
-		kb = m.msgKey(kb, nm.Payload.(*Msg), nm.Dst)
+		kb = m.msgKey(kb, &f.msg, f.env.Dst)
 		offs = append(offs, start, int32(len(kb)))
 	}
 	b = appendSortedKeys(b, kb, offs)
-	m.kaBuf, m.kaOffs = kb, offs
-	m.fpScratch = b
+	sc.ka, sc.kaOffs = kb, offs
+	sc.fp = b
 	return b
+}
+
+// pcuSections returns core snapshot s's two fingerprint sections — its
+// core record, ending at mid, then its PCU record. They are encoded
+// once and cached while this model is the snapshot's only holder; a
+// snapshot already shared when first encoded (tests that fingerprint a
+// state they never branched from the encoder) is encoded into scratch.
+func (m *Model) pcuSections(s *pcuSnap) (sec []byte, mid int) {
+	if s.fpOK {
+		return s.fp, s.fpCore
+	}
+	sc := m.scratch()
+	b, mid := m.pcuKey(sc.sec[:0], s)
+	sc.sec = b
+	if s.refs.Load() > 1 {
+		return b, mid
+	}
+	s.fp = append(s.fp[:0], b...)
+	s.fpCore, s.fpOK = mid, true
+	return s.fp, mid
+}
+
+// bankSection is pcuSections for a bank snapshot's one section.
+func (m *Model) bankSection(s *bankSnap) []byte {
+	if s.fpOK {
+		return s.fp
+	}
+	sc := m.scratch()
+	b := m.bankKey(sc.sec[:0], s.bank)
+	sc.sec = b
+	if s.refs.Load() > 1 {
+		return b
+	}
+	s.fp = append(s.fp[:0], b...)
+	s.fpOK = true
+	return s.fp
+}
+
+// pcuKey appends core snapshot s's core record and then its PCU record,
+// reporting where the PCU record starts.
+func (m *Model) pcuKey(b []byte, s *pcuSnap) ([]byte, int) {
+	c := &s.core
+	b = append(b, 'c')
+	b = fpInt(b, int64(c.pc))
+	b = append(b, fpBool(c.waitLoad, 0))
+	b = fpInt(b, int64(c.locksUsed))
+	for li := range c.locked {
+		b = append(b, fpBool(c.locked[li], 0)|fpBool(c.seen[li], 1))
+		b = fpInt(b, int64(c.observed[li]))
+	}
+	mid := len(b)
+	b = append(b, 'p')
+	for _, line := range m.lines {
+		b = pcuLineKey(b, s.pcu, line, int64(line))
+	}
+	return m.eventMultiset(b, &s.pcu.events), mid
+}
+
+// bankKey appends one bank's record: its directory entries, eviction
+// buffer and early DelayedAcks line by line, then its events.
+func (m *Model) bankKey(b []byte, bank *Bank) []byte {
+	b = append(b, 'b')
+	for _, line := range m.lines {
+		if dl := bank.lines[line]; dl != nil {
+			b = m.dirLineKey(append(b, 'l'), bank, dl)
+		}
+		if dl := bank.evbuf[line]; dl != nil {
+			b = m.dirLineKey(append(b, 'e'), bank, dl)
+		}
+		if n := bank.earlyDelayed[line]; n != 0 {
+			b = append(b, 'd')
+			b = fpInt(b, int64(line))
+			b = fpInt(b, int64(n))
+		}
+	}
+	return m.eventMultiset(b, &bank.events)
 }
 
 // pcuLineKey appends one PCU's records for line — its L2 entry, MSHRs,
@@ -1041,14 +1140,15 @@ func (m *Model) dirLineKey(b []byte, bank *Bank, dl *dirLine) []byte {
 // multiset of serialized arguments.
 func (m *Model) eventMultiset(b []byte, q *sim.EventQueue) []byte {
 	b = append(b, 'E')
-	kb, offs := m.kaBuf[:0], m.kaOffs[:0]
+	sc := m.scratch()
+	kb, offs := sc.ka[:0], sc.kaOffs[:0]
 	for i := 0; i < q.Len(); i++ {
 		start := int32(len(kb))
 		kb = m.eventKey(kb, q.ArgAt(i))
 		offs = append(offs, start, int32(len(kb)))
 	}
 	b = appendSortedKeys(b, kb, offs)
-	m.kaBuf, m.kaOffs = kb, offs
+	sc.ka, sc.kaOffs = kb, offs
 	return b
 }
 
@@ -1060,8 +1160,8 @@ func (m *Model) eventMultiset(b []byte, q *sim.EventQueue) []byte {
 // firing is reported as "<component> (State, Event)" — the same
 // dispatch-stream format the trace hooks emit in choreography tests.
 func (m *Model) SetTrace(hook func(string)) {
-	for i, b := range m.banks {
-		i, b := i, b
+	for i, s := range m.bs {
+		b := s.bank
 		if hook == nil {
 			b.trace = nil
 			continue
@@ -1070,8 +1170,8 @@ func (m *Model) SetTrace(hook func(string)) {
 			hook(fmt.Sprintf("bank%d (%v, %v)", i, st, ev))
 		}
 	}
-	for i, p := range m.pcus {
-		i, p := i, p
+	for i, s := range m.ps {
+		p := s.pcu
 		if hook == nil {
 			p.trace = nil
 			continue
@@ -1086,16 +1186,17 @@ func (m *Model) SetTrace(hook func(string)) {
 // the components' own dump format.
 func (m *Model) DumpState() string {
 	var sb strings.Builder
-	for i, p := range m.pcus {
-		fmt.Fprintf(&sb, "core%d %s", i, p.DumpState())
+	for i, s := range m.ps {
+		fmt.Fprintf(&sb, "core%d %s", i, s.pcu.DumpState())
 	}
-	for i, b := range m.banks {
-		fmt.Fprintf(&sb, "bank%d %s", i, b.DumpState())
+	for i, s := range m.bs {
+		fmt.Fprintf(&sb, "bank%d %s", i, s.bank.DumpState())
 	}
-	for _, nm := range m.net {
-		fmt.Fprintf(&sb, "in flight: %s\n", m.msgDesc(nm.Payload.(*Msg), nm.Dst))
+	for _, f := range m.net {
+		fmt.Fprintf(&sb, "in flight: %s\n", m.msgDesc(&f.msg, f.env.Dst))
 	}
-	for _, c := range m.cores {
+	for _, s := range m.ps {
+		c := &s.core
 		fmt.Fprintf(&sb, "core%d pc=%d/%d waitLoad=%v locks=%v\n",
 			c.id, c.pc, len(c.prog), c.waitLoad, c.locked)
 	}

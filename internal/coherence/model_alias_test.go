@@ -45,7 +45,7 @@ func aliasAllowed(path string) bool {
 	// The modeled line universe and the per-core op programs are frozen
 	// at NewModel; the suffix forms also cover the re-walk through a
 	// component's model back-pointer. (Bank.lines, the mutable map,
-	// renders as .banks[i].lines and stays checked.)
+	// renders as .bs[i].bank.lines and stays checked.)
 	if path == "Model.lines" || strings.HasSuffix(path, ".m.lines") ||
 		strings.HasSuffix(path, ".prog") {
 		return true

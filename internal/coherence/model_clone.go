@@ -1,169 +1,327 @@
 package coherence
 
-// Deep cloning of Model states. Exploration used to be replay-only:
-// branching k ways from a depth-d state cost k full replays (k·d
-// transition applies plus k model constructions). Clone copies the
-// entire mutable state in one pass, so branching costs k clones plus k
-// applies — the enabling move for the checker's throughput rewrite.
+// Copy-on-write model states. A Model is a small header over component
+// snapshots: one pcuSnap per core (the private cache unit together with
+// the model core driving it) and one bankSnap per LLC bank (the bank
+// with its directory lines, eviction buffer, early DelayedAcks, event
+// queue, and the backing memory of the lines homed there). The header
+// itself holds the in-flight network multiset and the shadow state
+// (latest versions, the violation).
 //
-// The clone surface is every pointer-bearing structure a transition can
-// mutate: the component maps and arrays, the directory lines (aliased
-// from both the line/evbuf maps and pending bankFetchDone events), the
-// in-flight protocol messages (aliased from the network multiset,
-// directory pending queues, and bankRequeue events), MSHR payloads, and
-// the scheduled event arguments that carry owner back-pointers. Shared
-// immutables — the composed table machines, the per-core programs, the
-// line-id slice, the home function — are shared, not copied.
+// A child (ModelPool.Child) copies the header and shares every snapshot
+// with its parent, taking a reference on each. A choice names the one
+// component it can touch (a delivery its destination, every other
+// choice its core or bank), and Apply privatizes exactly that snapshot
+// before running it: a snapshot other models still hold is deep-copied
+// into a free one (cloneFrom), a snapshot only this model holds is
+// mutated in place. So a shared snapshot is never written, and a child
+// copies one component instead of the whole system. Each snapshot
+// caches its fingerprint sections (model.go), so a child re-encodes
+// only what it privatized, the network and the shadow.
 //
-// Two entry points share one implementation: Clone allocates a fresh
-// copy; CloneInto overwrites a retired model of the same configuration,
-// reusing its maps, slices, arenas, cache frames, event-argument objects
-// and clone context. Cloning a state into a destination warmed by one
-// clone of it allocates nothing at all (TestModelCloneIntoZeroAlloc, in
-// make alloc-gate); the checker's pooled destinations allocate only
-// where a state needs storage they do not hold yet.
-// Pooling is sound because a model owns all of its mutable state —
-// every pointer the clone surface touches is deep-copied, never shared
-// across models (the by-value Msg fields inside bankSend/bankRetry/
-// pcuSend are copied with their structs; a pending send's network
-// envelope is still zero, since send fills it only when it fires).
+// In-flight messages are shared too: a child copies the net slice of
+// flight pointers, not the messages. A flight is the model's copy of a
+// sent message (modelPort.Send), so the send record it came from goes
+// back onto its snapshot's free list once it has fired (reuseFired). A
+// flight is immutable, and a receiving PCU neither keeps nor edits it. A
+// bank does keep the requests it queues, so deliver copies a bank-bound
+// message into the bank's snapshot first.
+//
+// Snapshots and flights carry reference counts. When a model is
+// released its references are dropped; an object whose count reaches
+// zero goes onto the releasing pool's free list, and cloneFrom later
+// reuses a snapshot's maps, slices, arenas, cache frames and
+// event-argument objects. A snapshot's free lists are drawn from only
+// while cloneFrom overwrites it as a whole, and its arenas grow only
+// past the slots its current contents use, so nothing live is handed out
+// twice. Creating a child and privatizing one snapshot therefore
+// allocates nothing in steady state (TestModelChildZeroAlloc, in make
+// alloc-gate).
+//
+// Clone, the whole-model deep copy, is the test oracle the
+// copy-on-write path is checked against (model_clone_test.go).
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"wbsim/internal/cache"
 	"wbsim/internal/mem"
+	"wbsim/internal/network"
 )
 
-// cloneCtx memoizes pointer identity during one clone so aliased
-// structures stay aliased in the copy. The memo tables are linear-scan
-// slices, not maps: a state holds a handful of in-flight messages and
-// directory lines, and a clone runs once per explored transition, so
-// avoiding per-clone map allocations is worth more than O(1) lookup.
-// CloneInto keeps one context on its destination model (Model.cc), so
-// the memo tables' storage and the free lists survive from one
-// generation to the next. In reuse mode the free* lists hold the
-// destination's previous-generation event arguments, harvested before
-// its queues are overwritten; take hands them back out instead of
-// allocating. Leftovers stay listed for later generations: a harvested
-// argument is referenced by nothing but its free list.
-type cloneCtx struct {
-	dst   *Model
-	reuse bool
-	msgs  []msgPair
-	dls   []dlPair
+// pcuSnap is one core's snapshot: its private cache unit and model
+// core, their cached fingerprint sections, and the storage cloneFrom
+// reuses when the snapshot is recycled.
+type pcuSnap struct {
+	refs atomic.Int32 // models holding this snapshot
+	pcu  *PCU
+	core modelCore
 
-	freeBankSend  []*bankSend
-	freeBankRetry []*bankRetry
+	// fp caches the core record then the PCU record, split at fpCore;
+	// valid while fpOK.
+	fp     []byte
+	fpCore int
+	fpOK   bool
+
+	ptxnArena []pcuTxn          // MSHR payloads
+	freeWB    []*wbEntry        // write-back entries dropped by earlier copies
+	freeSend  []*pcuSend        // harvested event arguments
+	freeLease []*pcuLeaseExpire // harvested event arguments
+}
+
+// bankSnap is one bank's snapshot: the bank, the memory its lines are
+// backed by, its cached fingerprint section, and the storage cloneFrom
+// reuses when the snapshot is recycled.
+type bankSnap struct {
+	refs   atomic.Int32 // models holding this snapshot
+	bank   *Bank
+	memory *mem.Memory // the modeled lines homed at this bank
+
+	fp   []byte // cached fingerprint section; valid while fpOK
+	fpOK bool
+
+	// Arenas backing queued and delivered messages, directory lines and
+	// directory transactions.
+	msgArena  []Msg
+	dlArena   []dirLine
+	dtxnArena []dirTxn
+
+	// Clone memo: pointer identity during one cloneFrom, so aliased
+	// structures (a directory line in the line map and in a fetch event,
+	// a message in a pending queue and in a requeue event) stay aliased
+	// in the copy. Linear-scan slices: a state holds a handful of each.
+	msgs []msgPair
+	dls  []dlPair
+
+	freeSend      []*bankSend
+	freeRetry     []*bankRetry
 	freeFetchDone []*bankFetchDone
 	freeRequeue   []*bankRequeue
-	freePCUSend   []*pcuSend
-	freeBankLease []*bankLeaseExpire
-	freePCULease  []*pcuLeaseExpire
+	freeLease     []*bankLeaseExpire
+}
+
+// flight is one in-flight message, held by every model that has it in
+// its network multiset.
+type flight struct {
+	refs atomic.Int32 // models holding this flight
+	env  network.Message
+	msg  Msg // env's payload
 }
 
 type msgPair struct{ old, new *Msg }
 type dlPair struct{ old, new *dirLine }
 
-// Clone returns an independent deep copy of the model: applying choices
-// to the copy never affects the original, and both serialize to the
-// same fingerprint until one of them transitions.
+// ModelPool is one worker's free lists of retired models and component
+// snapshots. It is not safe for concurrent use; the snapshots' reference
+// counts are, so models drawn from different pools may share snapshots.
+// A nil pool allocates fresh objects and recycles nothing.
+type ModelPool struct {
+	models  []*Model
+	pcus    []*pcuSnap
+	banks   []*bankSnap
+	flights []*flight
+	bufs    scratchBufs // shared by the pool's models (Model.scratch)
+}
+
+// Child returns a copy of m that shares every component snapshot with
+// it. Either may then transition without moving the other; the child
+// privatizes from p's free lists.
+func (p *ModelPool) Child(m *Model) *Model {
+	var c *Model
+	if p != nil {
+		c = take(&p.models)
+	} else {
+		c = new(Model)
+	}
+	cloneHeader(c, m)
+	c.pool = p
+	return c
+}
+
+// cloneHeader overwrites c's header with m's: every snapshot is shared
+// (and gains a reference), the network slice and the shadow are copied.
+func cloneHeader(c, m *Model) {
+	c.cfg = m.cfg
+	c.params = m.params // immutable after NewModel
+	c.lines = m.lines   // immutable after NewModel
+	c.sym = m.sym       // immutable once computed
+	for _, s := range m.ps {
+		s.refs.Add(1)
+	}
+	for _, s := range m.bs {
+		s.refs.Add(1)
+	}
+	for _, f := range m.net {
+		f.refs.Add(1)
+	}
+	c.ps = append(c.ps[:0], m.ps...)
+	c.bs = append(c.bs[:0], m.bs...)
+	c.net = append(c.net[:0], m.net...)
+	c.latest = append(c.latest[:0], m.latest...)
+	c.violation = m.violation
+}
+
+// Adopt makes p the pool m privatizes from and shares scratch with. A
+// model is used by one worker at a time, and a worker adopts a model
+// made by another before using it.
+func (p *ModelPool) Adopt(m *Model) { m.pool = p }
+
+// Release retires m: it drops m's snapshot references, puts every
+// snapshot that loses its last one on p's free lists, and keeps m itself
+// for a later Child. Nothing may use m afterwards.
+func (p *ModelPool) Release(m *Model) {
+	for _, s := range m.ps {
+		p.dropPCU(s)
+	}
+	for _, s := range m.bs {
+		p.dropBank(s)
+	}
+	for _, f := range m.net {
+		p.dropFlight(f)
+	}
+	clear(m.ps)
+	clear(m.bs)
+	clear(m.net)
+	m.net = m.net[:0]
+	m.pool = nil
+	if p != nil {
+		p.models = append(p.models, m)
+	}
+}
+
+func (p *ModelPool) dropPCU(s *pcuSnap) {
+	if s.refs.Add(-1) == 0 && p != nil {
+		p.pcus = append(p.pcus, s)
+	}
+}
+
+func (p *ModelPool) dropBank(s *bankSnap) {
+	if s.refs.Add(-1) == 0 && p != nil {
+		p.banks = append(p.banks, s)
+	}
+}
+
+func (p *ModelPool) dropFlight(f *flight) {
+	if f.refs.Add(-1) == 0 && p != nil {
+		p.flights = append(p.flights, f)
+	}
+}
+
+// newPCU, newBank and newFlight hand out a retired object off p's free
+// list, or a new one.
+func (p *ModelPool) newPCU() *pcuSnap {
+	if p == nil {
+		return new(pcuSnap)
+	}
+	return take(&p.pcus)
+}
+
+func (p *ModelPool) newBank() *bankSnap {
+	if p == nil {
+		return new(bankSnap)
+	}
+	return take(&p.banks)
+}
+
+func (p *ModelPool) newFlight() *flight {
+	if p == nil {
+		return new(flight)
+	}
+	return take(&p.flights)
+}
+
+// bindPCU installs s as core i's snapshot and points its send port and
+// model core at m.
+func (m *Model) bindPCU(i int, s *pcuSnap) {
+	s.pcu.port = modelPort{m: m}
+	s.core.m = m
+	m.ps[i] = s
+}
+
+// bindBank installs s as bank b's snapshot and points its send port at m.
+func (m *Model) bindBank(b int, s *bankSnap) {
+	s.bank.port = modelPort{m: m}
+	m.bs[b] = s
+}
+
+// privatizePCU makes core i's snapshot m's own, ready to be mutated:
+// copied if other models hold it, otherwise reused in place. Either way
+// its cached fingerprint sections are stale from here on.
+func (m *Model) privatizePCU(i int) {
+	s := m.ps[i]
+	if s.refs.Load() != 1 {
+		n := m.pool.newPCU()
+		n.cloneFrom(s, m.lines)
+		n.refs.Store(1)
+		m.pool.dropPCU(s)
+		s = n
+	}
+	s.fpOK = false
+	m.bindPCU(i, s)
+}
+
+// privatizeBank is privatizePCU for bank b.
+func (m *Model) privatizeBank(b int) {
+	s := m.bs[b]
+	if s.refs.Load() != 1 {
+		n := m.pool.newBank()
+		n.cloneFrom(s, m.lines)
+		n.refs.Store(1)
+		m.pool.dropBank(s)
+		s = n
+	}
+	s.fpOK = false
+	m.bindBank(b, s)
+}
+
+// privatize privatizes the one snapshot choice ch can touch.
+func (m *Model) privatize(ch choice) {
+	switch ch.kind {
+	case chDeliver:
+		if dst := int(m.net[ch.idx].env.Dst); dst < m.cfg.Cores {
+			m.privatizePCU(dst)
+		} else {
+			m.privatizeBank(dst - m.cfg.Cores)
+		}
+	case chFireBank:
+		m.privatizeBank(int(ch.comp))
+	case chFireCore, chLoad, chStore, chLock, chLift:
+		m.privatizePCU(int(ch.comp))
+	}
+}
+
+// Clone returns an independent deep copy of the model: every snapshot
+// and every in-flight message is copied, so nothing is shared with m.
+// Exploration never needs it — it is the oracle the copy-on-write
+// children are checked against.
 func (m *Model) Clone() *Model {
-	return m.cloneInto(&Model{}, &cloneCtx{})
+	c := &Model{}
+	cloneHeader(c, m)
+	c.pool = nil // privatizes onto the heap
+	for i := range c.ps {
+		c.privatizePCU(i)
+	}
+	for b := range c.bs {
+		c.privatizeBank(b)
+	}
+	for i, f := range c.net {
+		n := &flight{env: f.env, msg: f.msg}
+		n.env.Payload = &n.msg
+		n.refs.Store(1)
+		f.refs.Add(-1)
+		c.net[i] = n
+	}
+	return c
 }
 
-// CloneInto overwrites dst — a retired model of the same configuration,
-// previously produced by Clone or CloneInto — with a deep copy of m and
-// returns dst. Nothing else may still reference dst or any object
-// reachable from it. Steady-state cost is the copy alone: dst's maps,
-// slices, arenas, event arguments and clone context are all reused in
-// place, so a warmed destination clones without allocating
-// (TestModelCloneIntoZeroAlloc).
-func (m *Model) CloneInto(dst *Model) *Model {
-	if dst == m {
-		panic("model: CloneInto onto itself")
-	}
-	if len(dst.banks) != len(m.banks) || len(dst.cores) != len(m.cores) {
-		panic("model: CloneInto destination has a different geometry")
-	}
-	if dst.cc == nil {
-		dst.cc = &cloneCtx{reuse: true}
-	}
-	return m.cloneInto(dst, dst.cc)
-}
-
-func (m *Model) cloneInto(dst *Model, cc *cloneCtx) *Model {
-	cc.dst = dst
-	dst.cfg = m.cfg
-	dst.params = m.params
-	if dst.memory == nil {
-		dst.memory = mem.NewMemory()
-	}
-	m.memory.CloneInto(dst.memory)
-	dst.lines = m.lines // immutable after NewModel
-	dst.latest = append(dst.latest[:0], m.latest...)
-	dst.violation = m.violation
-	dst.sym = m.sym // immutable once computed
-	dst.msgArena = dst.msgArena[:0]
-	dst.dlArena = dst.dlArena[:0]
-	dst.dtxnArena = dst.dtxnArena[:0]
-	dst.ptxnArena = dst.ptxnArena[:0]
-	dst.netArena = dst.netArena[:0]
-
-	port := modelPort{m: dst}
-	if dst.banks == nil {
-		dst.banks = make([]*Bank, len(m.banks))
-		for i := range dst.banks {
-			dst.banks[i] = new(Bank)
-		}
-		dst.cores = make([]*modelCore, len(m.cores))
-		dst.pcus = make([]*PCU, len(m.pcus))
-		for i := range dst.cores {
-			dst.cores[i] = new(modelCore)
-			dst.pcus[i] = new(PCU)
-		}
-	}
-	for i, b := range m.banks {
-		cc.cloneBankInto(dst.banks[i], b, port)
-	}
-	for i, c := range m.cores {
-		nc := dst.cores[i]
-		nc.m = dst
-		nc.id = c.id
-		nc.prog = c.prog // immutable after NewModel
-		nc.pc = c.pc
-		nc.waitLoad = c.waitLoad
-		nc.locked = append(nc.locked[:0], c.locked...)
-		nc.seen = append(nc.seen[:0], c.seen...)
-		nc.locksUsed = c.locksUsed
-		nc.observed = append(nc.observed[:0], c.observed...)
-		cc.clonePCUInto(dst.pcus[i], m.pcus[i], port, nc)
-	}
-	dst.net = dst.net[:0]
-	for _, nm := range m.net {
-		slot := arenaSlot(cc.reuse, &dst.netArena)
-		nm.CloneInto(slot, cc.cloneMsg(nm.Payload.(*Msg)))
-		dst.net = append(dst.net, slot)
-	}
-	// Drop the memo's pointers into m, so a pooled dst keeps nothing of
-	// its source alive.
-	clear(cc.msgs)
-	clear(cc.dls)
-	cc.msgs, cc.dls = cc.msgs[:0], cc.dls[:0]
-	return dst
-}
-
-// arenaSlot hands out the next slot of one of the destination's arenas
-// (a fresh object outside reuse mode). Extending into existing capacity
-// hands back the previous generation's slot — garbage, but its slice
-// fields still own reusable backing arrays, which the callers harvest
-// before overwriting. When an append reallocates mid-clone, pointers
-// handed out earlier keep the old backing array alive; only the
-// enlarged array is reused next generation.
-func arenaSlot[T any](reuse bool, arena *[]T) *T {
-	if !reuse {
-		return new(T)
-	}
+// arenaSlot hands out the next slot of one of a snapshot's arenas.
+// Extending into existing capacity hands back an earlier generation's
+// slot — garbage, but its slice fields still own reusable backing
+// arrays, which the callers harvest before overwriting. When an append
+// reallocates, pointers handed out earlier keep the old backing array
+// alive; only the enlarged array is reused next generation.
+func arenaSlot[T any](arena *[]T) *T {
 	a := *arena
 	if n := len(a); n < cap(a) {
 		a = a[:n+1]
@@ -173,26 +331,6 @@ func arenaSlot[T any](reuse bool, arena *[]T) *T {
 	}
 	*arena = a
 	return &a[len(a)-1]
-}
-
-// harvestArg collects one previous-generation event argument for reuse.
-func (cc *cloneCtx) harvestArg(arg any) {
-	switch a := arg.(type) {
-	case *bankSend:
-		cc.freeBankSend = append(cc.freeBankSend, a)
-	case *bankRetry:
-		cc.freeBankRetry = append(cc.freeBankRetry, a)
-	case *bankFetchDone:
-		cc.freeFetchDone = append(cc.freeFetchDone, a)
-	case *bankRequeue:
-		cc.freeRequeue = append(cc.freeRequeue, a)
-	case *pcuSend:
-		cc.freePCUSend = append(cc.freePCUSend, a)
-	case *bankLeaseExpire:
-		cc.freeBankLease = append(cc.freeBankLease, a)
-	case *pcuLeaseExpire:
-		cc.freePCULease = append(cc.freePCULease, a)
-	}
 }
 
 // take pops a harvested event argument off a free list, or allocates
@@ -206,145 +344,34 @@ func take[T any](free *[]*T) *T {
 	return new(T)
 }
 
-// cloneMsg deep-copies a protocol message once; later references to the
-// same message resolve to the same copy.
-func (cc *cloneCtx) cloneMsg(pm *Msg) *Msg {
-	if pm == nil {
-		return nil
+// cloneFrom overwrites s — a free snapshot nothing references — with a
+// deep copy of o. The copy is bound to no model yet (bindPCU).
+func (s *pcuSnap) cloneFrom(o *pcuSnap, lines []mem.Line) {
+	c, oc := &s.core, &o.core
+	c.m = nil
+	c.id = oc.id
+	c.prog = oc.prog // immutable after NewModel
+	c.pc = oc.pc
+	c.waitLoad = oc.waitLoad
+	c.locked = append(c.locked[:0], oc.locked...)
+	c.seen = append(c.seen[:0], oc.seen...)
+	c.locksUsed = oc.locksUsed
+	c.observed = append(c.observed[:0], oc.observed...)
+	s.fpOK = false
+	s.ptxnArena = s.ptxnArena[:0]
+	if s.pcu == nil {
+		s.pcu = &PCU{l1: new(cache.Array), l2: new(cache.Array)}
 	}
-	for _, p := range cc.msgs {
-		if p.old == pm {
-			return p.new
-		}
-	}
-	n := arenaSlot(cc.reuse, &cc.dst.msgArena)
-	*n = *pm
-	cc.msgs = append(cc.msgs, msgPair{pm, n})
-	return n
+	s.clonePCUInto(s.pcu, o.pcu, lines)
 }
 
-// cloneDirLine deep-copies a directory entry once, rewriting its frame
-// pointer into the cloned bank's array.
-func (cc *cloneCtx) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
-	if dl == nil {
-		return nil
-	}
-	for _, p := range cc.dls {
-		if p.old == dl {
-			return p.new
-		}
-	}
-	n := arenaSlot(cc.reuse, &cc.dst.dlArena)
-	cc.dls = append(cc.dls, dlPair{dl, n})
-	// Harvest the slot's previous-generation slice capacity before the
-	// overwrite (nil for a fresh allocation).
-	sharers := n.sharers[:0]
-	pending := n.pending[:0]
-	*n = *dl
-	n.frame = array.FrameOf(dl.frame)
-	n.sharers = append(sharers, dl.sharers...)
-	if dl.txn != nil {
-		t := arenaSlot(cc.reuse, &cc.dst.dtxnArena)
-		ackFrom := t.ackFrom[:0]
-		delayedFrom := t.delayedFrom[:0]
-		*t = *dl.txn
-		t.ackFrom = append(ackFrom, dl.txn.ackFrom...)
-		t.delayedFrom = append(delayedFrom, dl.txn.delayedFrom...)
-		n.txn = t
-	}
-	n.pending = pending
-	for _, pm := range dl.pending {
-		n.pending = append(n.pending, cc.cloneMsg(pm))
-	}
-	return n
-}
-
-// cloneBankInto deep-copies one LLC bank into nb, rewriting its deferred
-// event arguments to point at the copy.
-func (cc *cloneCtx) cloneBankInto(nb *Bank, b *Bank, port modelPort) {
-	if nb.array == nil {
-		nb.array = new(cache.Array)
-	}
-	b.array.CloneInto(nb.array)
-	nb.id = b.id
-	nb.port = port
-	nb.params = &cc.dst.params
-	nb.memory = cc.dst.memory
-	if nb.lines == nil {
-		nb.lines = make(map[mem.Line]*dirLine, len(b.lines))
-		nb.evbuf = make(map[mem.Line]*dirLine, len(b.evbuf))
-		nb.earlyDelayed = make(map[mem.Line]int, len(b.earlyDelayed))
-	}
-	nb.flavor = b.flavor
-	nb.machine = b.machine // immutable composed table
-	nb.cov = nil           // Fire skips counting on nil; clone coverage is never read
-	nb.trace = b.trace
-	nb.conf = nil // conformance recorders watch one component; never cloned
-	nb.Stats = b.Stats
-	nb.now = b.now
-	// Walk the model's line universe instead of iterating the maps:
-	// lookups over the handful of modeled lines are cheaper than map
-	// iteration, and the stale-key deletes replace a clear().
-	copied, evCopied := 0, 0
-	for _, l := range cc.dst.lines {
-		if dl := b.lines[l]; dl != nil {
-			nb.lines[l] = cc.cloneDirLine(dl, nb.array)
-			copied++
-		} else {
-			delete(nb.lines, l)
-		}
-		if dl := b.evbuf[l]; dl != nil {
-			nb.evbuf[l] = cc.cloneDirLine(dl, nb.array)
-			evCopied++
-		} else {
-			delete(nb.evbuf, l)
-		}
-		if n := b.earlyDelayed[l]; n != 0 {
-			nb.earlyDelayed[l] = n
-		} else {
-			delete(nb.earlyDelayed, l)
-		}
-	}
-	if copied != len(b.lines) || evCopied != len(b.evbuf) {
-		panic("model: bank directory tracks a line outside the model universe")
-	}
-	if cc.reuse {
-		nb.events.ForEachArg(cc.harvestArg)
-	}
-	b.events.CloneInto(&nb.events, func(arg any) any {
-		switch a := arg.(type) {
-		case *bankSend:
-			n := take(&cc.freeBankSend)
-			*n = bankSend{b: nb, dst: a.dst, m: a.m}
-			return n
-		case *bankRetry:
-			n := take(&cc.freeBankRetry)
-			*n = bankRetry{b: nb, m: a.m}
-			return n
-		case *bankFetchDone:
-			n := take(&cc.freeFetchDone)
-			*n = bankFetchDone{b: nb, dl: cc.cloneDirLine(a.dl, nb.array)}
-			return n
-		case *bankRequeue:
-			n := take(&cc.freeRequeue)
-			*n = bankRequeue{b: nb, m: cc.cloneMsg(a.m)}
-			return n
-		case *bankLeaseExpire:
-			n := take(&cc.freeBankLease)
-			*n = bankLeaseExpire{b: nb, line: a.line}
-			return n
-		}
-		panic(fmt.Sprintf("model: unclonable pending bank event %T", arg))
-	})
-}
-
-// clonePCUTxn deep-copies an MSHR transaction payload.
-func (cc *cloneCtx) clonePCUTxn(pay any) any {
+// clonePCUTxn deep-copies an MSHR transaction payload into the arena.
+func (s *pcuSnap) clonePCUTxn(pay any) any {
 	if pay == nil {
 		return nil
 	}
 	src := pay.(*pcuTxn)
-	t := arenaSlot(cc.reuse, &cc.dst.ptxnArena)
+	t := arenaSlot(&s.ptxnArena)
 	loads := t.loads[:0]
 	atomics := t.atomics[:0]
 	*t = *src
@@ -353,25 +380,22 @@ func (cc *cloneCtx) clonePCUTxn(pay any) any {
 	return t
 }
 
-// clonePCUInto deep-copies one private cache unit into np, rebinding its
-// hooks to the cloned model core.
-func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHooks) {
-	if np.l1 == nil {
-		np.l1, np.l2 = new(cache.Array), new(cache.Array)
-	}
+// clonePCUInto deep-copies one private cache unit into np, hooking it
+// to the snapshot's model core. Its port is left for bindPCU.
+func (s *pcuSnap) clonePCUInto(np *PCU, p *PCU, lines []mem.Line) {
 	p.l1.CloneInto(np.l1)
 	p.l2.CloneInto(np.l2)
 	if np.mshrs == nil {
-		np.mshrs = p.mshrs.Clone(cc.clonePCUTxn)
+		np.mshrs = p.mshrs.Clone(s.clonePCUTxn)
 	} else {
-		p.mshrs.CloneInto(np.mshrs, cc.clonePCUTxn, cc.dst.lines)
+		p.mshrs.CloneInto(np.mshrs, s.clonePCUTxn, lines)
 	}
 	np.id = p.id
-	np.port = port
-	np.params = &cc.dst.params
-	np.home = p.home // pure function of the (copied) config
-	np.data = hooks
-	np.order = hooks
+	np.port = nil
+	np.params = p.params // immutable after NewModel
+	np.home = p.home     // pure function of the config
+	np.data = &s.core
+	np.order = &s.core
 	np.mode = p.mode
 	np.machine = p.machine // immutable composed table
 	np.cov = nil           // Fire skips counting on nil; clone coverage is never read
@@ -380,20 +404,25 @@ func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHook
 	if np.wbBuf == nil {
 		np.wbBuf = make(map[mem.Line]*wbEntry, len(p.wbBuf))
 	}
-	// Universe walk instead of map iteration, as in cloneBankInto.
+	// Walk the model's line universe instead of iterating the maps:
+	// lookups over the handful of modeled lines are cheaper than map
+	// iteration, and the stale-key deletes replace a clear().
 	wbCopied := 0
-	for _, l := range cc.dst.lines {
-		wb := p.wbBuf[l]
-		if wb == nil {
+	for _, l := range lines {
+		wb, old := p.wbBuf[l], np.wbBuf[l]
+		switch {
+		case wb == nil && old != nil:
+			s.freeWB = append(s.freeWB, old)
 			delete(np.wbBuf, l)
-			continue
-		}
-		wbCopied++
-		if old := np.wbBuf[l]; old != nil {
+		case wb != nil && old != nil:
 			*old = *wb
-		} else {
-			cp := *wb
-			np.wbBuf[l] = &cp
+		case wb != nil:
+			n := take(&s.freeWB)
+			*n = *wb
+			np.wbBuf[l] = n
+		}
+		if wb != nil {
+			wbCopied++
 		}
 	}
 	if wbCopied != len(p.wbBuf) {
@@ -404,7 +433,7 @@ func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHook
 			np.leases = make(map[mem.Line]simCycle, len(p.leases))
 		}
 		lsCopied := 0
-		for _, l := range cc.dst.lines {
+		for _, l := range lines {
 			if exp, ok := p.leases[l]; ok {
 				np.leases[l] = exp
 				lsCopied++
@@ -420,20 +449,231 @@ func (cc *cloneCtx) clonePCUInto(np *PCU, p *PCU, port modelPort, hooks CoreHook
 	np.blockedWrites = p.blockedWrites
 	np.now = p.now
 	np.activeAt = p.activeAt
-	if cc.reuse {
-		np.events.ForEachArg(cc.harvestArg)
-	}
+	// Harvest the previous generation's event arguments before the
+	// queue is overwritten.
+	np.events.ForEachArg(func(arg any) {
+		switch a := arg.(type) {
+		case *pcuSend:
+			s.freeSend = append(s.freeSend, a)
+		case *pcuLeaseExpire:
+			s.freeLease = append(s.freeLease, a)
+		}
+	})
 	p.events.CloneInto(&np.events, func(arg any) any {
 		switch a := arg.(type) {
 		case *pcuSend:
-			n := take(&cc.freePCUSend)
+			n := take(&s.freeSend)
 			*n = pcuSend{p: np, dst: a.dst, m: a.m}
 			return n
 		case *pcuLeaseExpire:
-			n := take(&cc.freePCULease)
+			n := take(&s.freeLease)
 			*n = pcuLeaseExpire{p: np, line: a.line, expiry: a.expiry}
 			return n
 		}
 		panic(fmt.Sprintf("model: unclonable pending PCU event %T", arg))
 	})
+}
+
+// cloneFrom overwrites s — a free snapshot nothing references — with a
+// deep copy of o. The copy is bound to no model yet (bindBank).
+func (s *bankSnap) cloneFrom(o *bankSnap, lines []mem.Line) {
+	if s.memory == nil {
+		s.memory = mem.NewMemory()
+	}
+	o.memory.CloneInto(s.memory)
+	s.fpOK = false
+	s.msgArena = s.msgArena[:0]
+	s.dlArena = s.dlArena[:0]
+	s.dtxnArena = s.dtxnArena[:0]
+	if s.bank == nil {
+		s.bank = &Bank{array: new(cache.Array)}
+	}
+	s.cloneBankInto(s.bank, o.bank, lines)
+	// Drop the memo's pointers into o, so a pooled snapshot keeps
+	// nothing of its source alive.
+	clear(s.msgs)
+	clear(s.dls)
+	s.msgs, s.dls = s.msgs[:0], s.dls[:0]
+}
+
+// cloneMsg deep-copies a protocol message once; later references to the
+// same message resolve to the same copy.
+func (s *bankSnap) cloneMsg(pm *Msg) *Msg {
+	if pm == nil {
+		return nil
+	}
+	for _, p := range s.msgs {
+		if p.old == pm {
+			return p.new
+		}
+	}
+	n := arenaSlot(&s.msgArena)
+	*n = *pm
+	s.msgs = append(s.msgs, msgPair{pm, n})
+	return n
+}
+
+// cloneDirLine deep-copies a directory entry once, rewriting its frame
+// pointer into the cloned bank's array.
+func (s *bankSnap) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
+	if dl == nil {
+		return nil
+	}
+	for _, p := range s.dls {
+		if p.old == dl {
+			return p.new
+		}
+	}
+	n := arenaSlot(&s.dlArena)
+	s.dls = append(s.dls, dlPair{dl, n})
+	// Harvest the slot's previous-generation slice capacity before the
+	// overwrite (nil for a fresh slot).
+	sharers := n.sharers[:0]
+	pending := n.pending[:0]
+	*n = *dl
+	n.frame = array.FrameOf(dl.frame)
+	n.sharers = append(sharers, dl.sharers...)
+	if dl.txn != nil {
+		t := arenaSlot(&s.dtxnArena)
+		ackFrom := t.ackFrom[:0]
+		delayedFrom := t.delayedFrom[:0]
+		*t = *dl.txn
+		t.ackFrom = append(ackFrom, dl.txn.ackFrom...)
+		t.delayedFrom = append(delayedFrom, dl.txn.delayedFrom...)
+		n.txn = t
+	}
+	n.pending = pending
+	for _, pm := range dl.pending {
+		n.pending = append(n.pending, s.cloneMsg(pm))
+	}
+	return n
+}
+
+// cloneBankInto deep-copies one LLC bank into nb, rewriting its deferred
+// event arguments to point at the copy. Its port is left for bindBank.
+func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
+	b.array.CloneInto(nb.array)
+	nb.id = b.id
+	nb.port = nil
+	nb.params = b.params // immutable after NewModel
+	nb.memory = s.memory
+	if nb.lines == nil {
+		nb.lines = make(map[mem.Line]*dirLine, len(b.lines))
+		nb.evbuf = make(map[mem.Line]*dirLine, len(b.evbuf))
+		nb.earlyDelayed = make(map[mem.Line]int, len(b.earlyDelayed))
+	}
+	nb.flavor = b.flavor
+	nb.machine = b.machine // immutable composed table
+	nb.cov = nil           // Fire skips counting on nil; clone coverage is never read
+	nb.trace = b.trace
+	nb.conf = nil // conformance recorders watch one component; never cloned
+	nb.Stats = b.Stats
+	nb.now = b.now
+	// Universe walk instead of map iteration, as in clonePCUInto.
+	copied, evCopied := 0, 0
+	for _, l := range lines {
+		if dl := b.lines[l]; dl != nil {
+			nb.lines[l] = s.cloneDirLine(dl, nb.array)
+			copied++
+		} else {
+			delete(nb.lines, l)
+		}
+		if dl := b.evbuf[l]; dl != nil {
+			nb.evbuf[l] = s.cloneDirLine(dl, nb.array)
+			evCopied++
+		} else {
+			delete(nb.evbuf, l)
+		}
+		if n := b.earlyDelayed[l]; n != 0 {
+			nb.earlyDelayed[l] = n
+		} else {
+			delete(nb.earlyDelayed, l)
+		}
+	}
+	if copied != len(b.lines) || evCopied != len(b.evbuf) {
+		panic("model: bank directory tracks a line outside the model universe")
+	}
+	// Harvest the previous generation's event arguments before the
+	// queue is overwritten.
+	nb.events.ForEachArg(func(arg any) {
+		switch a := arg.(type) {
+		case *bankSend:
+			s.freeSend = append(s.freeSend, a)
+		case *bankRetry:
+			s.freeRetry = append(s.freeRetry, a)
+		case *bankFetchDone:
+			s.freeFetchDone = append(s.freeFetchDone, a)
+		case *bankRequeue:
+			s.freeRequeue = append(s.freeRequeue, a)
+		case *bankLeaseExpire:
+			s.freeLease = append(s.freeLease, a)
+		}
+	})
+	b.events.CloneInto(&nb.events, func(arg any) any {
+		switch a := arg.(type) {
+		case *bankSend:
+			n := take(&s.freeSend)
+			*n = bankSend{b: nb, dst: a.dst, m: a.m}
+			return n
+		case *bankRetry:
+			n := take(&s.freeRetry)
+			*n = bankRetry{b: nb, m: a.m}
+			return n
+		case *bankFetchDone:
+			n := take(&s.freeFetchDone)
+			*n = bankFetchDone{b: nb, dl: s.cloneDirLine(a.dl, nb.array)}
+			return n
+		case *bankRequeue:
+			n := take(&s.freeRequeue)
+			*n = bankRequeue{b: nb, m: s.cloneMsg(a.m)}
+			return n
+		case *bankLeaseExpire:
+			n := take(&s.freeLease)
+			*n = bankLeaseExpire{b: nb, line: a.line}
+			return n
+		}
+		panic(fmt.Sprintf("model: unclonable pending bank event %T", arg))
+	})
+}
+
+// deliverToBank hands flight f to bank b (already privatized). The bank
+// may keep the message in a pending queue or a requeue event, so it
+// receives a copy in its own snapshot, never the flight other models
+// still hold.
+func (m *Model) deliverToBank(b int, f *flight) {
+	s := m.bs[b]
+	pm := arenaSlot(&s.msgArena)
+	*pm = f.msg
+	env := &m.scratch().env
+	*env = f.env
+	env.Payload = pm
+	s.bank.Receive(0, env)
+}
+
+// reuseFired puts an event argument that has just fired back on the
+// snapshot's free list: a send's message now lives in a flight, and no
+// other fired PCU argument is referenced once its call returns.
+func (s *pcuSnap) reuseFired(arg any) {
+	switch a := arg.(type) {
+	case *pcuSend:
+		s.freeSend = append(s.freeSend, a)
+	case *pcuLeaseExpire:
+		s.freeLease = append(s.freeLease, a)
+	}
+}
+
+// reuseFired is pcuSnap.reuseFired for a bank. A fired bankRetry stays
+// out: it redispatches its by-value message by address, and the bank may
+// queue that address.
+func (s *bankSnap) reuseFired(arg any) {
+	switch a := arg.(type) {
+	case *bankSend:
+		s.freeSend = append(s.freeSend, a)
+	case *bankFetchDone:
+		s.freeFetchDone = append(s.freeFetchDone, a)
+	case *bankRequeue:
+		s.freeRequeue = append(s.freeRequeue, a)
+	case *bankLeaseExpire:
+		s.freeLease = append(s.freeLease, a)
+	}
 }

@@ -1,6 +1,9 @@
 package coherence
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // lcg is a tiny deterministic generator for pseudo-random walks (the
 // repo's determinism discipline rules out the global math/rand).
@@ -26,8 +29,8 @@ var cloneCfgs = []ModelConfig{
 func checkClonedPCUs(t *testing.T, clone, src *Model) int {
 	t.Helper()
 	most := 0
-	for i, p := range src.pcus {
-		np := clone.pcus[i]
+	for i, s := range src.ps {
+		p, np := s.pcu, clone.ps[i].pcu
 		if np.blockedWrites != p.blockedWrites || np.activeAt != p.activeAt {
 			t.Fatalf("pcu %d: clone has blockedWrites=%d activeAt=%d, source %d/%d",
 				i, np.blockedWrites, np.activeAt, p.blockedWrites, p.activeAt)
@@ -109,58 +112,193 @@ func TestCloneTerminalAgreement(t *testing.T) {
 	}
 }
 
-// TestCloneIntoDirtyDestination drives the pooled-clone contract: a
-// retired model of the same geometry — left in an arbitrary dirty state
-// by its own walk — overwritten via CloneInto must be indistinguishable
-// from a fresh Clone, and must be fully detached from both its source
-// and its own former state.
-func TestCloneIntoDirtyDestination(t *testing.T) {
+// TestChildMatchesFullClone guards the copy-on-write path against the
+// whole-model oracle. At every transition of pseudo-random walks over
+// every cloneCfgs geometry it applies one choice both to a pooled
+// child and to a full Clone of the same parent, and asserts that the
+// two children fingerprint alike, violate alike and enumerate the same
+// choices; that the parent's fingerprint has not moved (a snapshot
+// mutated while shared would move it); and that no earlier model of
+// the walk still held has moved either. Every choice the parent reports
+// Unchanged must leave a full clone's fingerprint as it was. Every
+// other step retires the parent before its child applies, as the
+// checker does for a node's last choice, so snapshots are also mutated
+// in place; retired models and snapshots are recycled through the pool.
+func TestChildMatchesFullClone(t *testing.T) {
+	type frozen struct {
+		m  *Model
+		fp string
+	}
+	selfLoops := 0
+	for _, cfg := range cloneCfgs {
+		rnd := lcg(uint64(cfg.Cores)*71 + uint64(cfg.Banks)*5 + uint64(cfg.Mode))
+		for walk := 0; walk < 24; walk++ {
+			pool := new(ModelPool)
+			m := pool.Child(NewModel(cfg))
+			var kept []frozen
+			for step := 0; step < 80; step++ {
+				n := m.NumChoices()
+				if n == 0 || m.Violation() != "" {
+					break
+				}
+				parentFP := m.Fingerprint()
+				for _, ch := range slices.Clone(m.Choices()) {
+					if !m.Unchanged(ch) {
+						continue
+					}
+					selfLoops++
+					c := m.Clone()
+					c.Apply(ch)
+					if c.Fingerprint() != parentFP || c.Violation() != "" {
+						t.Fatalf("cfg %+v walk %d step %d: a choice reported unchanged moves the state", cfg, walk, step)
+					}
+				}
+				ch := m.Choices()[rnd.next()%uint64(n)]
+				full := m.Clone()
+				full.Apply(ch)
+				cow := pool.Child(m)
+				inPlace := step%2 == 1
+				if inPlace {
+					pool.Release(m)
+				}
+				cow.Apply(ch)
+				if got, want := cow.Fingerprint(), full.Fingerprint(); got != want {
+					t.Fatalf("cfg %+v walk %d step %d (in place %v): child fingerprint diverges from the full clone's\n got %x\nwant %x",
+						cfg, walk, step, inPlace, got, want)
+				}
+				if cow.Violation() != full.Violation() {
+					t.Fatalf("cfg %+v walk %d step %d: violation %q, full clone %q", cfg, walk, step, cow.Violation(), full.Violation())
+				}
+				if got, want := slices.Clone(cow.Choices()), full.Choices(); !slices.Equal(got, want) {
+					t.Fatalf("cfg %+v walk %d step %d: child choices %v, full clone %v", cfg, walk, step, got, want)
+				}
+				if !inPlace {
+					if m.Fingerprint() != parentFP {
+						t.Fatalf("cfg %+v walk %d step %d: applying the child moved its parent", cfg, walk, step)
+					}
+					kept = append(kept, frozen{m, parentFP})
+				}
+				for i, k := range kept {
+					if k.m.Fingerprint() != k.fp {
+						t.Fatalf("cfg %+v walk %d step %d: kept model %d of the walk moved", cfg, walk, step, i)
+					}
+				}
+				if len(kept) > 4 {
+					pool.Release(kept[0].m)
+					kept = kept[1:]
+				}
+				m = cow
+			}
+		}
+	}
+	if selfLoops == 0 {
+		t.Error("no walk met a choice reported unchanged; that check is vacuous")
+	}
+}
+
+// TestUnchangedStoreRetry pins Model.Unchanged on hand-driven store
+// retries, including the ones random walks rarely meet: a retry is a
+// self-loop exactly when the core holds no write permission and a miss
+// for the line is in flight or the MSHRs are full. Each verdict is
+// checked against applying the retry to a full clone.
+func TestUnchangedStoreRetry(t *testing.T) {
+	m := NewModel(ModelConfig{Cores: 1, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: ModeSquash})
+	core, p := &m.ps[0].core, m.ps[0].pcu
+	core.pc = 1 // the program is a load of line 0, then a store to line 1
+	store := choice{kind: chStore}
+	line, other := m.lines[core.prog[1].li], m.lines[core.prog[0].li]
+	check := func(want bool, state string) {
+		t.Helper()
+		if got := m.Unchanged(store); got != want {
+			t.Fatalf("%s: Unchanged = %v, want %v", state, got, want)
+		}
+		c := m.Clone()
+		c.Apply(store)
+		if moved := c.Fingerprint() != m.Fingerprint(); moved == want {
+			t.Fatalf("%s: applying the retry moved the state = %v", state, moved)
+		}
+	}
+	check(false, "no permission, nothing in flight")
+	m.Apply(store)
+	check(true, "no permission, the GetX in flight")
+	for !p.HasWritePermission(line) {
+		for _, ch := range m.Choices() {
+			if ch.kind != chStore {
+				m.Apply(ch)
+				break
+			}
+		}
+	}
+	p.mshrs.Allocate(other).Payload = &pcuTxn{}
+	if !p.mshrs.FullForNormal() {
+		t.Fatal("allocating a miss for the other line left a normal MSHR free")
+	}
+	check(false, "write permission, MSHRs full")
+}
+
+// TestChildIntoDirtyPool drives the recycling contract: models and
+// snapshots retired into a pool in arbitrary dirty states — left there
+// by their own walk — and reused for a new child must leave it
+// indistinguishable from a fresh Clone, and detached from both its
+// source and its own former state.
+func TestChildIntoDirtyPool(t *testing.T) {
 	for _, cfg := range cloneCfgs {
 		rnd := lcg(uint64(cfg.Cores)*101 + uint64(cfg.Lines)*13 + uint64(cfg.Mode))
 		for walk := 0; walk < 8; walk++ {
+			pool := new(ModelPool)
 			src := NewModel(cfg)
-			pool := NewModel(cfg) // walks independently, then gets recycled
+			dirty := pool.Child(NewModel(cfg)) // walks independently, then gets recycled
 			for step := 0; step < 40; step++ {
-				if n := pool.NumChoices(); n > 0 && pool.Violation() == "" {
-					pool.ApplyIndex(int(rnd.next() % uint64(n)))
+				if n := dirty.NumChoices(); n > 0 && dirty.Violation() == "" {
+					dirty.ApplyIndex(int(rnd.next() % uint64(n)))
 				}
 				n := src.NumChoices()
 				if n == 0 || src.Violation() != "" {
 					break
 				}
 				src.ApplyIndex(int(rnd.next() % uint64(n)))
-				got := src.CloneInto(pool)
-				if got != pool {
-					t.Fatalf("cfg %+v walk %d step %d: CloneInto did not return its destination", cfg, walk, step)
+				pool.Release(dirty)
+				got := pool.Child(src)
+				if got != dirty {
+					t.Fatalf("cfg %+v walk %d step %d: the child did not reuse the retired model", cfg, walk, step)
+				}
+				// Privatize every snapshot, so each one is copied into a
+				// retired dirty snapshot.
+				for i := range got.ps {
+					got.privatizePCU(i)
+				}
+				for b := range got.bs {
+					got.privatizeBank(b)
 				}
 				if got.Fingerprint() != src.Fingerprint() {
-					t.Fatalf("cfg %+v walk %d step %d: pooled clone fingerprint diverges\n got %q\nwant %q",
+					t.Fatalf("cfg %+v walk %d step %d: pooled child fingerprint diverges\n got %q\nwant %q",
 						cfg, walk, step, got.Fingerprint(), src.Fingerprint())
 				}
 				checkClonedPCUs(t, got, src)
 				if got.CanonicalFingerprint() != src.CanonicalFingerprint() {
-					t.Fatalf("cfg %+v walk %d step %d: pooled clone canonical fingerprint diverges", cfg, walk, step)
+					t.Fatalf("cfg %+v walk %d step %d: pooled child canonical fingerprint diverges", cfg, walk, step)
 				}
-				// Mutating the pooled clone must never move the source.
+				// Mutating the pooled child must never move the source.
 				frozen := src.Fingerprint()
 				if n := got.NumChoices(); n > 0 && got.Violation() == "" {
 					got.ApplyIndex(int(rnd.next() % uint64(n)))
 				}
 				if src.Fingerprint() != frozen {
-					t.Fatalf("cfg %+v walk %d step %d: mutating the pooled clone moved the source", cfg, walk, step)
+					t.Fatalf("cfg %+v walk %d step %d: mutating the pooled child moved the source", cfg, walk, step)
 				}
-				// Next iteration recycles the same destination again.
+				dirty = got // recycled again next iteration
 			}
 		}
 	}
 }
 
-// TestModelCloneIntoZeroAlloc pins the pooled clone's steady state: once
-// a destination has been warmed by one CloneInto from a source, cloning
-// that source into it again allocates nothing — arenas, memo tables,
-// event arguments, cache frames and the clone context are all reused.
-// The model checker runs one CloneInto per explored transition.
-func TestModelCloneIntoZeroAlloc(t *testing.T) {
+// TestModelChildZeroAlloc pins the copy-on-write steady state: once a
+// pool is warm, making a child, privatizing any one of its snapshots,
+// fingerprinting it and retiring it allocates nothing — the model
+// header, the snapshot and all of its maps, arenas, event arguments
+// and cache frames come back out of the pool. The model checker does
+// this once per explored transition.
+func TestModelChildZeroAlloc(t *testing.T) {
 	for _, cfg := range cloneCfgs {
 		rnd := lcg(uint64(cfg.Cores)*17 + uint64(cfg.Lines))
 		src := NewModel(cfg)
@@ -171,10 +309,25 @@ func TestModelCloneIntoZeroAlloc(t *testing.T) {
 			}
 			src.ApplyIndex(int(rnd.next() % uint64(n)))
 		}
-		dst := src.Clone()
-		src.CloneInto(dst)
-		if allocs := testing.AllocsPerRun(100, func() { src.CloneInto(dst) }); allocs != 0 {
-			t.Errorf("cfg %+v: CloneInto into a warmed destination allocates %v times per call; want 0", cfg, allocs)
+		src.FingerprintBytes()
+		pool := new(ModelPool)
+		child := func() {
+			for i := range src.ps {
+				c := pool.Child(src)
+				c.privatizePCU(i)
+				c.FingerprintBytes()
+				pool.Release(c)
+			}
+			for b := range src.bs {
+				c := pool.Child(src)
+				c.privatizeBank(b)
+				c.FingerprintBytes()
+				pool.Release(c)
+			}
+		}
+		child()
+		if allocs := testing.AllocsPerRun(100, child); allocs != 0 {
+			t.Errorf("cfg %+v: a warm pool's children allocate %v times per round; want 0", cfg, allocs)
 		}
 	}
 }

@@ -21,13 +21,21 @@ func craftDirLine(m *Model) *dirLine {
 	line := m.lines[1]
 	dl := &dirLine{line: line, kind: dirShared}
 	dl.data.Set(line.Base(), 7)
-	m.banks[0].lines[line] = dl
+	m.bs[0].bank.lines[line] = dl
 	return dl
 }
 
 // craftMsg returns a GetS for the model's second line from core src.
 func craftMsg(m *Model, src int) *Msg {
 	return &Msg{Type: MsgGetS, Line: m.lines[1], Src: network.Endpoint(src), Requester: network.Endpoint(src)}
+}
+
+// inFlight wraps a message bound for dst as an in-flight network entry.
+func inFlight(dst network.Endpoint, pm *Msg) *flight {
+	f := &flight{env: network.Message{Dst: dst}, msg: *pm}
+	f.env.Payload = &f.msg
+	f.refs.Store(1)
+	return f
 }
 
 // TestFingerprintSelfDelimiting builds states that differ only where a
@@ -42,7 +50,7 @@ func craftMsg(m *Model, src int) *Msg {
 // fingerprints.
 func TestFingerprintSelfDelimiting(t *testing.T) {
 	fetch := func(m *Model, li int) any {
-		return &bankFetchDone{b: m.banks[0], dl: &dirLine{line: m.lines[li]}}
+		return &bankFetchDone{b: m.bs[0].bank, dl: &dirLine{line: m.lines[li]}}
 	}
 	schedule := func(q *sim.EventQueue, args ...any) {
 		for _, a := range args {
@@ -68,10 +76,10 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 		edit func(*Model)
 	}{
 		{"initial", func(*Model) {}},
-		{"pc is 'o'", func(m *Model) { m.cores[0].pc = 'o' }},
-		{"observed is 'v'", func(m *Model) { m.cores[1].observed[0] = 'v' }},
+		{"pc is 'o'", func(m *Model) { m.ps[0].core.pc = 'o' }},
+		{"observed is 'v'", func(m *Model) { m.ps[1].core.observed[0] = 'v' }},
 		{"latest is ';'", latest(';')},
-		{"early DelayedAcks are 'l'", func(m *Model) { m.banks[0].earlyDelayed[m.lines[0]] = 'l' }},
+		{"early DelayedAcks are 'l'", func(m *Model) { m.bs[0].bank.earlyDelayed[m.lines[0]] = 'l' }},
 		{"latest is 254", latest(254)},
 		{"latest is 255", latest(255)},
 		{"latest is 256", latest(256)},
@@ -95,17 +103,17 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 		{"pending [core 1]", pending(1)},
 		{"pending [core 1, core 1]", pending(1, 1)},
 		{"pending [core 1, core 2]", pending(1, 2)},
-		{"bank events [fetch l1]", func(m *Model) { schedule(&m.banks[0].events, fetch(m, 0)) }},
-		{"bank events [fetch l1, fetch l2]", func(m *Model) { schedule(&m.banks[0].events, fetch(m, 0), fetch(m, 1)) }},
-		{"bank events [fetch l1, fetch l1]", func(m *Model) { schedule(&m.banks[0].events, fetch(m, 0), fetch(m, 0)) }},
-		{"pcu 0 events [fetch l1]", func(m *Model) { schedule(&m.pcus[0].events, fetch(m, 0)) }},
-		{"pcu 1 events [fetch l1]", func(m *Model) { schedule(&m.pcus[1].events, fetch(m, 0)) }},
+		{"bank events [fetch l1]", func(m *Model) { schedule(&m.bs[0].bank.events, fetch(m, 0)) }},
+		{"bank events [fetch l1, fetch l2]", func(m *Model) { schedule(&m.bs[0].bank.events, fetch(m, 0), fetch(m, 1)) }},
+		{"bank events [fetch l1, fetch l1]", func(m *Model) { schedule(&m.bs[0].bank.events, fetch(m, 0), fetch(m, 0)) }},
+		{"pcu 0 events [fetch l1]", func(m *Model) { schedule(&m.ps[0].pcu.events, fetch(m, 0)) }},
+		{"pcu 1 events [fetch l1]", func(m *Model) { schedule(&m.ps[1].pcu.events, fetch(m, 0)) }},
 		{"network [GetS]", func(m *Model) {
-			m.net = append(m.net, &network.Message{Dst: 3, Payload: craftMsg(m, 1)})
+			m.net = append(m.net, inFlight(3, craftMsg(m, 1)))
 		}},
 		{"network [GetS, GetS]", func(m *Model) {
-			m.net = append(m.net, &network.Message{Dst: 3, Payload: craftMsg(m, 1)},
-				&network.Message{Dst: 3, Payload: craftMsg(m, 1)})
+			m.net = append(m.net, inFlight(3, craftMsg(m, 1)),
+				inFlight(3, craftMsg(m, 1)))
 		}},
 	}
 	build := func(edit func(*Model)) (string, string) {
@@ -131,14 +139,14 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 	// Multisets are sorted: the order events were scheduled and messages
 	// injected in is not part of the state.
 	a, _ := build(func(m *Model) {
-		schedule(&m.banks[0].events, fetch(m, 0), fetch(m, 1))
-		m.net = append(m.net, &network.Message{Dst: 3, Payload: craftMsg(m, 1)},
-			&network.Message{Dst: 3, Payload: craftMsg(m, 2)})
+		schedule(&m.bs[0].bank.events, fetch(m, 0), fetch(m, 1))
+		m.net = append(m.net, inFlight(3, craftMsg(m, 1)),
+			inFlight(3, craftMsg(m, 2)))
 	})
 	b, _ := build(func(m *Model) {
-		schedule(&m.banks[0].events, fetch(m, 1), fetch(m, 0))
-		m.net = append(m.net, &network.Message{Dst: 3, Payload: craftMsg(m, 2)},
-			&network.Message{Dst: 3, Payload: craftMsg(m, 1)})
+		schedule(&m.bs[0].bank.events, fetch(m, 1), fetch(m, 0))
+		m.net = append(m.net, inFlight(3, craftMsg(m, 2)),
+			inFlight(3, craftMsg(m, 1)))
 	})
 	if a != b {
 		t.Errorf("reordered multisets changed the fingerprint\n got %x\nwant %x", b, a)
@@ -152,8 +160,8 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 // nothing to sort.
 func TestFingerprintMatchesIdentityMapping(t *testing.T) {
 	sorted := func(m *Model) bool {
-		for _, b := range m.banks {
-			for _, dls := range []map[mem.Line]*dirLine{b.lines, b.evbuf} {
+		for _, s := range m.bs {
+			for _, dls := range []map[mem.Line]*dirLine{s.bank.lines, s.bank.evbuf} {
 				for _, dl := range dls {
 					if !slices.IsSorted(dl.sharers) {
 						return false
@@ -177,8 +185,8 @@ func TestFingerprintMatchesIdentityMapping(t *testing.T) {
 							cfg, walk, step, mapped, fp)
 					}
 					compared++
-					for _, b := range m.banks {
-						for _, dl := range b.lines {
+					for _, s := range m.bs {
+						for _, dl := range s.bank.lines {
 							if len(dl.sharers) > 0 {
 								withSharers++
 							}
@@ -203,7 +211,7 @@ func TestFingerprintMatchesIdentityMapping(t *testing.T) {
 // and the mapped encoder panic, naming its type.
 func TestUnfingerprintableEventNamesType(t *testing.T) {
 	m := NewModel(fpCfg)
-	m.banks[0].events.AtCall(0, func(any) {}, struct{ n int }{7})
+	m.bs[0].bank.events.AtCall(0, func(any) {}, struct{ n int }{7})
 	for _, c := range []struct {
 		name string
 		fp   func() string

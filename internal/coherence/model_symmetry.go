@@ -238,17 +238,19 @@ func (m *Model) CanonicalFingerprint() string {
 }
 
 // CanonicalFingerprintBytes is CanonicalFingerprint without the string
-// allocation; the returned slice aliases the model's scratch buffer and
-// is valid only until the next fingerprint call on the same model.
+// allocation; the returned slice aliases scratch and is valid only until
+// the next fingerprint call on the same model, or on any model of its
+// pool.
 func (m *Model) CanonicalFingerprintBytes() []byte {
 	grp := m.symmetry()
+	sc := m.scratch()
 	if len(grp.perms) == 1 {
-		b := m.fingerprintMapped(&grp.perms[0], m.fpScratch[:0], nil)
-		m.fpScratch = b
+		b := m.fingerprintMapped(&grp.perms[0], sc.fp[:0], nil)
+		sc.fp = b
 		return b
 	}
-	bestBuf := m.fpScratch[:0]
-	candBuf := m.symScratch[:0]
+	bestBuf := sc.fp[:0]
+	candBuf := sc.sym[:0]
 	for i := range grp.perms {
 		p := &grp.perms[i]
 		var fb *fpBound
@@ -263,7 +265,7 @@ func (m *Model) CanonicalFingerprintBytes() []byte {
 			bestBuf, candBuf = candBuf, bestBuf
 		}
 	}
-	m.fpScratch, m.symScratch = bestBuf, candBuf
+	sc.fp, sc.sym = bestBuf, candBuf
 	return bestBuf
 }
 
@@ -319,7 +321,7 @@ func (fb *fpBound) step(b []byte) bool {
 // greater than fb.bound.
 func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 	for nj := 0; nj < m.cfg.Cores; nj++ {
-		c := m.cores[p.invCore[nj]]
+		c := &m.ps[p.invCore[nj]].core
 		b = append(b, 'c')
 		b = fpInt(b, int64(c.pc))
 		b = append(b, fpBool(c.waitLoad, 0))
@@ -343,7 +345,7 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 		return b
 	}
 	for nj := 0; nj < m.cfg.Cores; nj++ {
-		pcu := m.pcus[p.invCore[nj]]
+		pcu := m.ps[p.invCore[nj]].pcu
 		b = append(b, 'p')
 		for nli := 0; nli < m.cfg.Lines; nli++ {
 			b = pcuLineKey(b, pcu, m.lines[p.invLine[nli]], int64(nli+1))
@@ -354,7 +356,7 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 		}
 	}
 	for nbj := 0; nbj < m.cfg.Banks; nbj++ {
-		bank := m.banks[p.invBank[nbj]]
+		bank := m.bs[p.invBank[nbj]].bank
 		b = append(b, 'b')
 		for nli := 0; nli < m.cfg.Lines; nli++ {
 			line := m.lines[p.invLine[nli]]
@@ -376,14 +378,15 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 		}
 	}
 	b = append(b, 'n')
-	kb, offs := m.kaBuf[:0], m.kaOffs[:0]
-	for _, nm := range m.net {
+	sc := m.scratch()
+	kb, offs := sc.ka[:0], sc.kaOffs[:0]
+	for _, f := range m.net {
 		start := int32(len(kb))
-		kb = m.msgKeyMapped(kb, nm.Payload.(*Msg), nm.Dst, p)
+		kb = m.msgKeyMapped(kb, &f.msg, f.env.Dst, p)
 		offs = append(offs, start, int32(len(kb)))
 	}
 	b = appendSortedKeys(b, kb, offs)
-	m.kaBuf, m.kaOffs = kb, offs
+	sc.ka, sc.kaOffs = kb, offs
 	return b
 }
 
@@ -438,12 +441,13 @@ func (m *Model) eventKeyMapped(b []byte, arg any, p *symPerm) []byte {
 func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) []byte {
 	b = fpInt(b, int64(m.mapLine(p, dl.line)))
 	b = fpInt(b, int64(dl.kind))
-	sh := m.shScratch[:0]
+	sc := m.scratch()
+	sh := sc.sh[:0]
 	for _, s := range dl.sharers {
 		sh = append(sh, int64(m.mapEP(p, s)))
 	}
 	sortInt64(sh)
-	m.shScratch = sh
+	sc.sh = sh
 	b = fpInt(b, int64(len(sh)))
 	for _, s := range sh {
 		b = fpInt(b, s)
@@ -477,14 +481,15 @@ func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) 
 // multiset of renamed serialized arguments.
 func (m *Model) eventMultisetMapped(b []byte, q *sim.EventQueue, p *symPerm) []byte {
 	b = append(b, 'E')
-	kb, offs := m.kaBuf[:0], m.kaOffs[:0]
+	sc := m.scratch()
+	kb, offs := sc.ka[:0], sc.kaOffs[:0]
 	for i := 0; i < q.Len(); i++ {
 		start := int32(len(kb))
 		kb = m.eventKeyMapped(kb, q.ArgAt(i), p)
 		offs = append(offs, start, int32(len(kb)))
 	}
 	b = appendSortedKeys(b, kb, offs)
-	m.kaBuf, m.kaOffs = kb, offs
+	sc.ka, sc.kaOffs = kb, offs
 	return b
 }
 

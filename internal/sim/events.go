@@ -160,19 +160,32 @@ func (q *EventQueue) Pending() []PendingEvent {
 }
 
 // FireNth removes and fires the n-th pending event in (at, seq) order,
-// ignoring simulated time. This is the model checker's transition
-// primitive: exhaustively firing each pending event in turn explores
-// every latency assignment the timed simulator could produce, without
-// committing to one. It panics if n is out of range.
-func (q *EventQueue) FireNth(n int) {
-	order := q.sortedIndices()
-	if n < 0 || n >= len(order) {
+// ignoring simulated time, and returns its argument. This is the model
+// checker's transition primitive: exhaustively firing each pending event
+// in turn explores every latency assignment the timed simulator could
+// produce, without committing to one. It panics if n is out of range.
+func (q *EventQueue) FireNth(n int) any {
+	if n < 0 || n >= len(q.h) {
 		panic("sim: FireNth index out of range")
 	}
-	j := order[n]
+	// The n-th event is the one exactly n others precede; queues the
+	// checker fires are tiny, so counting beats sorting an index slice.
+	j := 0
+	for ; j < len(q.h); j++ {
+		rank := 0
+		for k := range q.h {
+			if q.less(k, j) {
+				rank++
+			}
+		}
+		if rank == n {
+			break
+		}
+	}
 	call, arg := q.h[j].call, q.h[j].arg
 	q.remove(j)
 	call(arg)
+	return arg
 }
 
 // sortedIndices returns heap-slice indices ordered by (at, seq).
