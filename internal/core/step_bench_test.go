@@ -79,9 +79,10 @@ func TestSystemStepZeroAllocWhenDrained(t *testing.T) {
 // invariant: once warmed up, a core running a loop that stays in its own
 // cache — with data-dependent branch mispredicts and store-to-load
 // forwarding — executes without allocating, because its instruction
-// window is recycled. It counts mallocs directly: AllocsPerRun truncates
-// to a whole number per run, so one allocation every few dozen cycles
-// would read as zero.
+// window, event wheel and commit blockers are recycled. It runs under
+// out-of-order commit and under the in-order commit of Figure 9. It
+// counts mallocs directly: AllocsPerRun truncates to a whole number per
+// run, so one allocation every few dozen cycles would read as zero.
 func TestSystemStepZeroAllocBusyCore(t *testing.T) {
 	b := isa.NewBuilder("busy-core")
 	b.MovImm(1, 0x1000)
@@ -105,24 +106,29 @@ func TestSystemStepZeroAllocBusyCore(t *testing.T) {
 	b.ALUI(isa.FnSub, 15, 15, 1)
 	b.BranchI(isa.FnNE, 15, 0, loop)
 	b.Halt()
+	prog := b.Program()
 
-	sys := NewSystem(SmallConfig(1, OoOWB), []*isa.Program{b.Program()})
-	for i := 0; i < 20000; i++ {
-		sys.Step()
-	}
-	c := sys.Cores[0]
-	pre := c.Stats
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 10000; i++ {
-		sys.Step()
-	}
-	runtime.ReadMemStats(&after)
-	st := c.Stats
-	if st.SquashBranch == pre.SquashBranch || st.Forwards == pre.Forwards || st.Committed == pre.Committed {
-		t.Fatalf("measured steps lack mispredicts, forwards or commits — test is vacuous: %+v", st)
-	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("busy core allocated %d objects in 10000 System.Steps, want 0", n)
+	for _, v := range []Variant{OoOWB, InOrderWB} {
+		t.Run(string(v), func(t *testing.T) {
+			sys := NewSystem(SmallConfig(1, v), []*isa.Program{prog})
+			for i := 0; i < 20000; i++ {
+				sys.Step()
+			}
+			c := sys.Cores[0]
+			pre := c.Stats
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 10000; i++ {
+				sys.Step()
+			}
+			runtime.ReadMemStats(&after)
+			st := c.Stats
+			if st.SquashBranch == pre.SquashBranch || st.Forwards == pre.Forwards || st.Committed == pre.Committed {
+				t.Fatalf("measured steps lack mispredicts, forwards or commits — test is vacuous: %+v", st)
+			}
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("busy core allocated %d objects in 10000 System.Steps, want 0", n)
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package cpu implements the out-of-order core model: fetch along a
-// predicted path, register-dependency scheduling, a collapsible reorder
-// buffer and load queue, FIFO store queue and store buffer, TSO
+// predicted path, register-dependency scheduling, a reorder-buffer ring
+// and a collapsible load queue, FIFO store queue and store buffer, TSO
 // enforcement (squash-and-re-execute or lockdowns), the Lockdown Table
 // (LDT) for out-of-order-committed loads, and the four commit policies
 // the paper evaluates.
@@ -82,6 +82,11 @@ func (c *Config) Validate() {
 	}
 	if c.ROBSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0 || c.SBSize <= 0 || c.IQSize <= 0 {
 		panic("cpu: structure sizes must be positive")
+	}
+	// Core events fire at least one cycle after they are scheduled (see
+	// coreEvents): a 0-cycle ALU op would complete a cycle late.
+	if c.ALULatency < 1 || c.ForwardLatency < 0 || c.MispredictPenalty < 0 {
+		panic("cpu: ALU latency must be at least 1, forward latency and mispredict penalty non-negative")
 	}
 	if c.CommitMode == CommitOoOWB && c.LDTSize <= 0 {
 		panic("cpu: ooo-wb commit requires an LDT")

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wbsim/internal/coherence"
 	"wbsim/internal/isa"
@@ -33,11 +34,40 @@ type Core struct {
 	archSeq   [isa.NumRegs]uint64
 	archValid [isa.NumRegs]bool // written at least once (seq 0 ambiguity guard)
 
-	nextSeq   uint64
-	rob       []*DynInstr
-	robHead   int // consumed prefix of rob (ring-style, backing array reused)
+	nextSeq uint64
+
+	// The ROB is a ring indexed by absolute dispatch position: the
+	// instruction dispatched at position p sits in rob[p&robMask] and
+	// records p. The ring has a power-of-two size of at least 4×ROBSize
+	// slots. An instruction that commits from behind the head leaves a
+	// nil tombstone; robHead is the position of the oldest in-flight
+	// instruction (robTail when there is none), so it steps over
+	// tombstones, and robTail is the next dispatch position. Dispatch
+	// compacts the tombstones out when robTail-robHead reaches the ring
+	// size. robLive counts the in-flight instructions.
+	rob              []*DynInstr
+	robMask          uint64
+	robHead, robTail uint64
+	robLive          int
+	// done has one bit per ROB slot, set while the slot's instruction
+	// has completed and is not a store behind an older store (see
+	// setDone), so commit visits only instructions that may commit.
+	done []uint64
+
+	// Commit blockers (out-of-order commit modes only). branches holds
+	// the in-flight branches and jumps in dispatch order from the oldest
+	// unresolved one on; brHead and brTail are absolute positions in the
+	// power-of-two ring. sqAddrOK is the length of an SQ prefix
+	// whose store addresses have all resolved: a committed or squashed
+	// store shortens it, and commit extends it.
+	branches       []instrRef
+	brHead, brTail uint64
+	sqAddrOK       int
+
 	lq        []*lqEntry
+	lqSoS     int // no LQ entry before it is unperformed (see sosIndex)
 	sq        []*sqEntry
+	sqHead    int // consumed prefix of sq (ring-style, backing array reused)
 	sb        []sbEntry
 	sbHead    int // consumed prefix of sb (ring-style, backing array reused)
 	ldt       []ldtEntry
@@ -53,20 +83,26 @@ type Core struct {
 	// caps at ROBSize, so the list runs empty only if a slot leaks.
 	free []*DynInstr
 
-	// Commit-scan skip. Every write the commit scan reads — completion
-	// (which branch resolution goes through), jump execution, store
-	// address resolution, a load performing, an LDT release, an SB
-	// drain, a squash — sets commitDirty, and so does a scan that
-	// committed. While it is clear the next scan would repeat the last
+	// Commit skip. Every write commit reads — completion (which branch
+	// resolution goes through), jump execution, store address
+	// resolution, a load performing, an LDT release, an SB drain, a
+	// squash — sets commitDirty, and so does a commit call that
+	// committed. While it is clear the next call would repeat the last
 	// one exactly: commit nothing and charge commitStalls LDT-full
 	// stalls. Dispatch needs no flag: a new instruction at the ROB tail
 	// has not completed and has nothing younger to gate.
 	commitDirty  bool
 	commitStalls uint64
-	// checkSkip, set only by tests, makes every skip run the full scan
-	// anyway and count in skipChecks/skipMismatches whether it agreed.
+	// checkSkip, set only by tests, makes every skip run commit anyway
+	// and count in skipChecks/skipMismatches whether it agreed.
 	checkSkip                  bool
 	skipChecks, skipMismatches int
+	// checkScan, set only by tests, walks the window from the head at
+	// every commit call as the scanning commit did, and counts in
+	// scanChecks/scanMismatches the completed instructions visited and
+	// the decisions (prefix flags, stop point) that disagreed.
+	checkScan                  bool
+	scanChecks, scanMismatches int
 
 	// seenLines records cache lines for which an invalidation hit a
 	// lockdown (the union of the per-entry S bits of the paper); the
@@ -100,6 +136,7 @@ type Core struct {
 // NewCore builds a core running program under the given configuration.
 func NewCore(id int, cfg Config, program *isa.Program) *Core {
 	cfg.Validate()
+	ring := max(64, pow2AtLeast(4*cfg.ROBSize)) // at least one done word
 	c := &Core{
 		ID:          id,
 		cfg:         cfg,
@@ -108,14 +145,24 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 		ldt:         make([]ldtEntry, cfg.LDTSize),
 		nextSeq:     1, // seq 0 reserved (fwdSeq sentinel, free slots)
 		free:        make([]*DynInstr, cfg.ROBSize),
+		rob:         make([]*DynInstr, ring),
+		robMask:     uint64(ring - 1),
+		done:        make([]uint64, ring/64),
 		commitDirty: true,
 	}
+	if cfg.CommitMode != CommitInOrder {
+		c.branches = make([]instrRef, pow2AtLeast(cfg.ROBSize))
+	}
+	c.events.init(cfg.ROBSize)
 	slots := make([]DynInstr, cfg.ROBSize)
 	for i := range slots {
 		c.free[i] = &slots[i]
 	}
 	return c
 }
+
+// pow2AtLeast returns the smallest power of two that is at least n (n > 0).
+func pow2AtLeast(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // AttachPCU wires the private cache unit (built after the core because
 // the PCU needs the core as its hooks receiver).
@@ -156,10 +203,10 @@ func (c *Core) Tick(now sim.Cycle) {
 
 	// Quiet-done fast path: a halted core with every structure drained.
 	// Walking the full pipeline on such a core is provably equivalent to
-	// bumping the cycle counter (commit scans an empty ROB, the memory
+	// bumping the cycle counter (commit finds an empty ROB, the memory
 	// loops iterate empty queues, fetch returns immediately on halted),
 	// so do just that.
-	if c.halted && c.robLen() == 0 && len(c.lq) == 0 && len(c.sq) == 0 &&
+	if c.halted && c.robLen() == 0 && len(c.lq) == 0 && c.sqLen() == 0 &&
 		c.sbLen() == 0 && c.readyLen() == 0 && len(c.seenLines) == 0 &&
 		c.events.empty() {
 		c.Stats.Cycles++
@@ -229,7 +276,21 @@ func (c *Core) accountStall(committed int) {
 func (c *Core) readyLen() int { return len(c.readyQ) - c.readyHead }
 
 // robLen is the number of in-flight ROB entries.
-func (c *Core) robLen() int { return len(c.rob) - c.robHead }
+func (c *Core) robLen() int { return c.robLive }
+
+// robOldest returns the oldest in-flight instruction, or nil.
+func (c *Core) robOldest() *DynInstr {
+	if c.robLive == 0 {
+		return nil
+	}
+	return c.rob[c.robHead&c.robMask]
+}
+
+// sqLen is the number of uncommitted stores.
+func (c *Core) sqLen() int { return len(c.sq) - c.sqHead }
+
+// sqLive returns the uncommitted stores, oldest first.
+func (c *Core) sqLive() []*sqEntry { return c.sq[c.sqHead:] }
 
 // sbLen is the number of undrained store-buffer entries.
 func (c *Core) sbLen() int { return len(c.sb) - c.sbHead }
@@ -316,7 +377,7 @@ func (c *Core) fetch() {
 			}
 		}
 		if si.Op == isa.OpStore {
-			if len(c.sq) >= c.cfg.SQSize {
+			if c.sqLen() >= c.cfg.SQSize {
 				c.blockReason = "sq"
 				return
 			}
@@ -346,7 +407,8 @@ func (c *Core) fetch() {
 	}
 }
 
-// pushRing appends x to a ring whose first *head elements are consumed.
+// pushRing appends x to a ring whose first *head elements are consumed
+// (the ready queue, the SQ and the store buffer).
 // When the backing array is full and at least half consumed it slides the
 // live elements down to index 0 instead of growing, so a ring that never
 // fully drains still stops growing at twice its peak occupancy.
@@ -375,8 +437,17 @@ func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
 	d.seq, d.pc, d.si, d.op, d.waiters = c.nextSeq, pc, si, si.Op, waiters
 	d.lq.d, d.sq.d = d, d
 	c.nextSeq++
-	c.rob = pushRing(c.rob, &c.robHead, d)
+	if c.robTail-c.robHead == uint64(len(c.rob)) {
+		c.compactROB()
+	}
+	d.pos = c.robTail
+	c.rob[d.pos&c.robMask] = d
+	c.robTail++
+	c.robLive++
 	c.iqCount++
+	if c.branches != nil && d.isBranchy() {
+		c.pushBranch(d)
+	}
 
 	// Source 1 gates issue for every op that reads it.
 	needSrc1 := si.Op == isa.OpALU || si.Op == isa.OpLoad || si.Op == isa.OpStore ||
@@ -407,7 +478,7 @@ func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
 		d.lq.isAtomic = si.Op == isa.OpAtomic
 		c.lq = append(c.lq, &d.lq)
 	case isa.OpStore:
-		c.sq = append(c.sq, &d.sq)
+		c.sq = pushRing(c.sq, &c.sqHead, &d.sq)
 		if d.dataPending {
 			// value captured later via produceDone
 		} else {
@@ -524,6 +595,7 @@ func (c *Core) execute(d *DynInstr) {
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpJump:
 		d.resolved = true
+		c.branchResolved(d)
 		c.commitDirty = true
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpALU:
@@ -578,7 +650,7 @@ func (c *Core) complete(d *DynInstr, result mem.Word) {
 	if d.state == stCompleted {
 		return
 	}
-	d.state = stCompleted
+	c.setDone(d, true)
 	d.result = result
 	c.commitDirty = true
 	for _, w := range d.waiters {
@@ -598,6 +670,7 @@ func (c *Core) resolveBranch(d *DynInstr) {
 	}
 	taken := isa.EvalCond(d.si.Fn, d.src1Val, b)
 	d.resolved = true
+	c.branchResolved(d)
 	c.pred.Train(d.pc, d.histAt, taken)
 	c.complete(d, 0)
 	if taken != d.predTaken {
@@ -618,15 +691,20 @@ func (c *Core) resolveBranch(d *DynInstr) {
 // squashFrom removes every instruction with seq >= cut from the pipeline,
 // redirects fetch to pc, and stalls the front end for penalty cycles.
 func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
-	// Find the ROB boundary.
-	idx := len(c.rob)
-	for i := c.robHead; i < len(c.rob); i++ {
-		if c.rob[i].seq >= cut {
-			idx = i
-			break
+	// Find the ROB boundary: end is the position after the youngest
+	// surviving instruction, and victims counts the squashed ones.
+	end, victims := c.robTail, 0
+	for end > c.robHead {
+		d := c.rob[(end-1)&c.robMask]
+		if d != nil {
+			if d.seq < cut {
+				break
+			}
+			victims++
 		}
+		end--
 	}
-	if idx == len(c.rob) {
+	if victims == 0 {
 		// Nothing younger in flight; just redirect.
 		c.fetchPC = pc
 		c.fetchStallUntil = c.now + sim.Cycle(penalty)
@@ -638,15 +716,26 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 	// Trim LQ and SQ (before the squashed slots are freed, which clears
 	// the seqs the trim compares).
 	c.lq = trimLQ(c.lq, cut)
-	c.sq = trimSQ(c.sq, cut)
+	c.lqSoS = min(c.lqSoS, len(c.lq))
+	c.sq = c.sq[:c.sqHead+len(trimSQ(c.sqLive(), cut))]
+	c.sqAddrOK = min(c.sqAddrOK, c.sqLen())
+	for c.brTail > c.brHead && c.branches[(c.brTail-1)&uint64(len(c.branches)-1)].seq >= cut {
+		c.brTail--
+	}
 
 	// Collect LDT responsibilities held by squashed loads; they must
 	// survive on an older non-performed load (or be released if every
 	// older load has performed) — Section 4.2. Slots are freed youngest
 	// first, so dispatch next takes the oldest squashed one.
 	var orphanMask uint64
-	for i := len(c.rob) - 1; i >= idx; i-- {
+	for p := c.robTail; p > end; p-- {
+		i := (p - 1) & c.robMask
 		d := c.rob[i]
+		if d == nil {
+			continue
+		}
+		c.rob[i] = nil
+		c.robLive--
 		c.Stats.Squashed++
 		if d.state == stDispatched || d.state == stReady {
 			c.iqCount--
@@ -654,11 +743,7 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		orphanMask |= d.lq.ldtMask // zero for non-loads
 		c.release(d)
 	}
-	c.rob = c.rob[:idx]
-	if len(c.rob) == c.robHead {
-		c.rob = c.rob[:0]
-		c.robHead = 0
-	}
+	c.robTail = end
 
 	// Reassign orphaned LDT responsibilities.
 	if orphanMask != 0 {
@@ -671,8 +756,8 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 
 	// Rebuild the register producer table from surviving instructions.
 	c.regProd = [isa.NumRegs]*DynInstr{}
-	for _, d := range c.rob[c.robHead:] {
-		if d.writesReg() && c.newerThanArch(d.si.Dst, d.seq) {
+	for p := c.robHead; p < c.robTail; p++ {
+		if d := c.rob[p&c.robMask]; d != nil && d.writesReg() && c.newerThanArch(d.si.Dst, d.seq) {
 			c.regProd[d.si.Dst] = d
 		}
 	}
@@ -683,9 +768,62 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 	c.onOrderingChange()
 }
 
+// compactROB slides the in-flight instructions down over the tombstones
+// between them, keeping their order, and rebuilds the done bitmap for
+// their new positions. Dispatch calls it when the span from robHead to
+// robTail fills the ring.
+func (c *Core) compactROB() {
+	w := c.robHead
+	for p := c.robHead; p < c.robTail; p++ {
+		d := c.rob[p&c.robMask]
+		if d == nil {
+			continue
+		}
+		c.rob[p&c.robMask] = nil
+		c.rob[w&c.robMask] = d
+		d.pos = w
+		w++
+	}
+	c.robTail = w
+	clear(c.done)
+	for p := c.robHead; p < c.robTail; p++ {
+		if d := c.rob[p&c.robMask]; d.state == stCompleted {
+			c.markDone(d)
+		}
+	}
+}
+
+// setDone moves d into stCompleted (on) or out of it (off, into the
+// dispatched state a fresh slot starts in) and keeps d's bit in the done
+// bitmap in step. Every change into or out of stCompleted goes through
+// here; commit and squash take an instruction out when they release it.
+func (c *Core) setDone(d *DynInstr, on bool) {
+	if on {
+		d.state = stCompleted
+		c.markDone(d)
+	} else {
+		d.state = stDispatched
+		i := d.pos & c.robMask
+		c.done[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// markDone sets the done bit of completed instruction d, unless d is a
+// store behind an older one: stores commit in SQ order, so commit's
+// visit to it could only fail, and removeStore marks it once it heads
+// the SQ.
+func (c *Core) markDone(d *DynInstr) {
+	if d.op == isa.OpStore && c.sq[c.sqHead] != &d.sq {
+		return
+	}
+	i := d.pos & c.robMask
+	c.done[i>>6] |= 1 << (i & 63)
+}
+
 // release returns the slot of a committed or squashed instruction to the
 // free list. Zeroing its seq kills every instrRef still naming it.
 func (c *Core) release(d *DynInstr) {
+	c.setDone(d, false)
 	d.seq = 0
 	c.free = append(c.free, d)
 }

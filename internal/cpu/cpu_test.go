@@ -98,6 +98,9 @@ func validConfig() Config {
 func TestConfigValidate(t *testing.T) {
 	good := validConfig()
 	good.Validate() // must not panic
+	edge := validConfig()
+	edge.ForwardLatency, edge.MispredictPenalty = 0, 0 // performLoad clamps the wake-up to 1
+	edge.Validate()
 
 	bad := []func(*Config){
 		func(c *Config) { c.FetchWidth = 0 },
@@ -107,6 +110,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CommitMode = CommitOoOWB; c.Lockdown = false },
 		func(c *Config) { c.CommitMode = CommitOoOSafe; c.Lockdown = true },
 		func(c *Config) { c.CommitMode = CommitOoOUnsafe; c.Lockdown = true },
+		func(c *Config) { c.ALULatency = 0 }, // would complete a cycle late
+		func(c *Config) { c.ALULatency = -1 },
+		func(c *Config) { c.ForwardLatency = -1 },
+		func(c *Config) { c.MispredictPenalty = -1 },
 	}
 	for i, mutate := range bad {
 		c := validConfig()

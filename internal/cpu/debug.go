@@ -9,13 +9,19 @@ import (
 func (c *Core) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "core %d: halted=%v fetchPC=%d rob=%d lq=%d sq=%d sb=%d iq=%d ready=%d seen=%v\n",
-		c.ID, c.halted, c.fetchPC, c.robLen(), len(c.lq), len(c.sq), c.sbLen(), c.iqCount, c.readyLen(), c.seenLines)
-	for i, d := range c.rob[c.robHead:] {
+		c.ID, c.halted, c.fetchPC, c.robLen(), len(c.lq), c.sqLen(), c.sbLen(), c.iqCount, c.readyLen(), c.seenLines)
+	i := 0
+	for p := c.robHead; p < c.robTail; p++ {
+		d := c.rob[p&c.robMask]
+		if d == nil {
+			continue // committed out of order
+		}
 		if i >= 8 {
 			fmt.Fprintf(&b, "  ... %d more\n", c.robLen()-i)
 			break
 		}
 		fmt.Fprintf(&b, "  rob[%d] %v state=%d pend=%d\n", i, d, d.state, d.pendingIssue)
+		i++
 	}
 	for i, e := range c.lq {
 		fmt.Fprintf(&b, "  lq[%d] %v addrV=%v perf=%v issued=%v retry=%v atomic=%v(go=%v) mask=%x\n",
@@ -47,7 +53,7 @@ type Snapshot struct {
 	SB        int
 	IQ        int
 	Lockdowns int    // valid LDT entries (live lockdown windows)
-	OldestROB string // rendering of rob[0], "" when the ROB is empty
+	OldestROB string // rendering of the oldest ROB entry, "" when the ROB is empty
 	OldestLQ  string // rendering of lq[0], "" when the LQ is empty
 }
 
@@ -74,7 +80,7 @@ func (c *Core) Snapshot() Snapshot {
 		FetchPC:   c.fetchPC,
 		ROB:       c.robLen(),
 		LQ:        len(c.lq),
-		SQ:        len(c.sq),
+		SQ:        c.sqLen(),
 		SB:        c.sbLen(),
 		IQ:        c.iqCount,
 	}
@@ -83,8 +89,7 @@ func (c *Core) Snapshot() Snapshot {
 			s.Lockdowns++
 		}
 	}
-	if c.robLen() > 0 {
-		d := c.rob[c.robHead]
+	if d := c.robOldest(); d != nil {
 		s.OldestROB = fmt.Sprintf("%v state=%d pend=%d", d, d.state, d.pendingIssue)
 	}
 	if len(c.lq) > 0 {

@@ -24,11 +24,12 @@ const (
 // dispatch reuses it for a younger instruction.
 type DynInstr struct {
 	seq uint64 // per-core program-order age; also the memory token (0 while the slot is free)
+	pos uint64 // ROB position: the instruction sits in Core.rob[pos&Core.robMask]
 	pc  int
 	si  *isa.Instr
-	op  isa.Op // si.Op, copied at dispatch: the commit scan reads the
-	// opcode of every in-flight instruction each cycle, and the copy
-	// spares it the si pointer chase
+	op  isa.Op // si.Op, copied at dispatch: commit reads the opcode of
+	// every completed instruction it visits, and the copy spares it the
+	// si pointer chase
 
 	state istate
 

@@ -1,21 +1,39 @@
 package cpu
 
 import (
+	"fmt"
+	"math/bits"
+
 	"wbsim/internal/mem"
 	"wbsim/internal/sim"
 )
 
 // The core's deferred actions are few in kind — an instruction completes
 // with a result, or a branch resolves — so instead of the generic
-// closure-based sim.EventQueue the core uses a typed queue: each event is
-// a small struct in a reusable slice-backed heap. This removes one
-// closure allocation per executed instruction (the simulator's single
-// hottest allocation site) and keeps System.Step allocation-free in
-// steady state. Firing order is identical to the generic queue: (cycle,
-// insertion seq), and the key is unique per event, so behaviour does not
-// depend on heap layout. An event names its instruction by instrRef: an
-// instruction squashed before its event fires may have handed its window
-// slot to a younger one, and the event must then do nothing.
+// closure-based sim.EventQueue the core uses a typed queue of small
+// structs, which keeps System.Step allocation-free in steady state.
+//
+// The queue is a timing wheel: bucket t%wheelSize lists the events due
+// at cycle t, in insertion order. Two invariants make one bucket hold one
+// cycle only: every delay is at least 1, and the core ticks (and runs the
+// queue) at every cycle an event falls due, which WakeDue and the
+// system's fast-forward guarantee. after asserts the first and due the
+// second (a due cycle left unrun is found at the next run). The rare
+// delay of wheelSize or more goes to an overflow heap ordered by (cycle,
+// seq); an overflow event due at t was scheduled at t-wheelSize or
+// earlier, before every bucket event due at t, so take fires it first.
+// Firing order is therefore (cycle, insertion seq), as in the generic
+// queue. The earliest due cycle is cached, so nextAt — read by WakeDue
+// and the fast-forward every idle cycle — is O(1).
+//
+// Bucket events live in one pool whose free slots are reused last-in
+// first-out, and the buckets chain them by index: the few events in
+// flight stay in a handful of cache lines, where a slice per bucket would
+// spread them over the whole wheel.
+//
+// An event names its instruction by instrRef: an instruction squashed
+// before its event fires may have handed its window slot to a younger
+// one, and the event must then do nothing.
 
 type coreEventKind uint8
 
@@ -25,40 +43,90 @@ const (
 )
 
 type coreEvent struct {
-	at   sim.Cycle
-	seq  uint64
-	kind coreEventKind
 	r    instrRef
 	val  mem.Word
+	next int32 // the next event in the same bucket, or the next free slot
+	kind coreEventKind
 }
 
-type coreEvents struct {
-	h   []coreEvent
+// overflowEvent is an event scheduled wheelSize or more cycles ahead.
+type overflowEvent struct {
+	at  sim.Cycle
 	seq uint64
+	ev  coreEvent
+}
+
+// wheelSize is the number of wheel buckets; it must be 64, one bit of
+// coreEvents.occ per bucket.
+const wheelSize = 64
+
+type coreEvents struct {
+	pool       []coreEvent
+	free       int32            // first free pool slot, -1 if none
+	head, tail [wheelSize]int32 // each bucket's first and last event
+	occ        uint64           // bit b is set while bucket b is non-empty
+	overflow   []overflowEvent  // heap on (at, seq)
+	n          int              // pending events
+	next       sim.Cycle        // earliest due cycle while n > 0
+	seq        uint64
+}
+
+// init allocates a pool of size event slots; a pool that needs more
+// grows to its peak.
+func (q *coreEvents) init(size int) {
+	q.pool = make([]coreEvent, size)
+	for i := range q.pool {
+		q.pool[i].next = int32(i + 1)
+	}
+	q.pool[size-1].next = -1
+	q.free = 0
 }
 
 func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr, val mem.Word) {
-	q.h = append(q.h, coreEvent{at: now + delay, seq: q.seq, kind: kind, r: ref(d), val: val})
-	q.seq++
-	i := len(q.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
+	if delay < 1 {
+		panic(fmt.Sprintf("cpu: core event scheduled %d cycles ahead at cycle %d (the queue needs at least 1)", delay, now))
 	}
+	at := now + delay
+	e := coreEvent{r: ref(d), val: val, next: -1, kind: kind}
+	if delay < wheelSize {
+		i := q.free
+		if i >= 0 {
+			q.free = q.pool[i].next
+		} else {
+			i = int32(len(q.pool))
+			q.pool = append(q.pool, coreEvent{})
+		}
+		q.pool[i] = e
+		b := at % wheelSize
+		if q.occ&(1<<b) != 0 {
+			q.pool[q.tail[b]].next = i
+		} else {
+			q.head[b] = i
+			q.occ |= 1 << b
+		}
+		q.tail[b] = i
+	} else {
+		q.push(overflowEvent{at: at, seq: q.seq, ev: e})
+	}
+	q.seq++
+	if q.n == 0 || at < q.next {
+		q.next = at
+	}
+	q.n++
 }
 
-// run fires every event due at or before now, in order, returning the
+// run fires every event due at now, in (cycle, seq) order, returning the
 // number fired (events of squashed instructions count, but do nothing).
-// Events scheduled while running (for the same cycle) also fire.
 func (q *coreEvents) run(c *Core, now sim.Cycle) int {
+	if !q.due(now) {
+		return 0
+	}
 	fired := 0
-	for len(q.h) > 0 && q.h[0].at <= now {
-		e := q.h[0]
-		q.pop()
+	for {
+		e, ok := q.take(now)
+		if !ok {
+			return fired
+		}
 		if e.r.live() {
 			switch e.kind {
 			case evComplete:
@@ -69,30 +137,97 @@ func (q *coreEvents) run(c *Core, now sim.Cycle) int {
 		}
 		fired++
 	}
-	return fired
 }
 
-func (q *coreEvents) empty() bool { return len(q.h) == 0 }
+// due reports whether events fall due at now. An event due before now
+// means a due cycle was skipped, and panics.
+func (q *coreEvents) due(now sim.Cycle) bool {
+	if q.n == 0 || q.next > now {
+		return false
+	}
+	if q.next < now {
+		panic(fmt.Sprintf("cpu: core event due at cycle %d was not run before cycle %d", q.next, now))
+	}
+	return true
+}
+
+// take removes and returns the next event due at now; ok is false once
+// none is left. Handlers schedule at least 1 and less than wheelSize
+// cycles ahead into other buckets, or into the overflow at
+// now+wheelSize or later, so neither source of now's events grows while
+// it drains.
+func (q *coreEvents) take(now sim.Cycle) (e coreEvent, ok bool) {
+	if len(q.overflow) > 0 && q.overflow[0].at == now {
+		e = q.overflow[0].ev
+		q.pop()
+		q.n--
+		return e, true
+	}
+	b := now % wheelSize
+	if q.occ&(1<<b) == 0 {
+		q.next = q.earliest(now)
+		return e, false
+	}
+	i := q.head[b]
+	e = q.pool[i]
+	if q.head[b] = e.next; e.next < 0 {
+		q.occ &^= 1 << b
+	}
+	q.pool[i].next, q.free = q.free, i
+	q.n--
+	return e, true
+}
+
+// earliest returns the earliest due cycle after now has run: the wheel
+// then holds cycles now+1 .. now+wheelSize-1, so the first occupied
+// bucket after now's names it, unless the overflow's top is sooner.
+func (q *coreEvents) earliest(now sim.Cycle) sim.Cycle {
+	var next sim.Cycle
+	if q.occ != 0 {
+		from := (now + 1) % wheelSize
+		next = now + 1 + sim.Cycle(bits.TrailingZeros64(bits.RotateLeft64(q.occ, -int(from))))
+	}
+	if len(q.overflow) > 0 && (q.occ == 0 || q.overflow[0].at < next) {
+		next = q.overflow[0].at
+	}
+	return next
+}
+
+func (q *coreEvents) empty() bool { return q.n == 0 }
 
 func (q *coreEvents) nextAt() (at sim.Cycle, ok bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
+	return q.next, q.n > 0
 }
 
+// The overflow heap.
+
 func (q *coreEvents) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
+	a, b := &q.overflow[i], &q.overflow[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q.h[i].seq < q.h[j].seq
+	return a.seq < b.seq
+}
+
+func (q *coreEvents) push(e overflowEvent) {
+	q.overflow = append(q.overflow, e)
+	i := len(q.overflow) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.overflow[i], q.overflow[parent] = q.overflow[parent], q.overflow[i]
+		i = parent
+	}
 }
 
 func (q *coreEvents) pop() {
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = coreEvent{}
-	q.h = q.h[:n]
+	h := q.overflow
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = overflowEvent{}
+	q.overflow = h[:n]
 	i := 0
 	for {
 		left := 2*i + 1
@@ -106,7 +241,7 @@ func (q *coreEvents) pop() {
 		if !q.less(least, i) {
 			return
 		}
-		q.h[i], q.h[least] = q.h[least], q.h[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
 }

@@ -15,14 +15,14 @@ import (
 // sosIndex returns the index of the Source-of-Speculation load: the
 // oldest non-performed entry (len(lq) if all performed). Loads at indices
 // < sosIndex are completed; the entry at sosIndex is the SoS load;
-// performed entries beyond it are M-speculative (Table 5).
+// performed entries beyond it are M-speculative (Table 5). A load never
+// unperforms, so the index is kept in lqSoS and only walked forward from
+// there.
 func (c *Core) sosIndex() int {
-	for i, e := range c.lq {
-		if !e.performed {
-			return i
-		}
+	for c.lqSoS < len(c.lq) && c.lq[c.lqSoS].performed {
+		c.lqSoS++
 	}
-	return len(c.lq)
+	return c.lqSoS
 }
 
 // lqIndex locates e in the LQ (-1 if removed).
@@ -92,9 +92,10 @@ func (c *Core) hasLockdownLQ(line mem.Line) bool {
 
 // oldestPendingAtomicSeq returns the seq of the oldest non-performed
 // atomic in the LQ, or MaxUint64 if none. Loads younger than it are
-// "atomic-speculative": they may not lock down or commit.
+// "atomic-speculative": they may not lock down or commit. Every entry
+// before the SoS load has performed, so the search starts there.
 func (c *Core) oldestPendingAtomicSeq() uint64 {
-	for _, e := range c.lq {
+	for _, e := range c.lq[c.sosIndex():] {
 		if e.isAtomic && !e.performed {
 			return e.d.seq
 		}
@@ -322,7 +323,7 @@ const (
 // a matching store at or before the fence cannot forward (the load must
 // wait and read memory after the fence performs).
 func (c *Core) forwardLookup(e *lqEntry, fenceSeq uint64) (mem.Word, uint64, fwdStatus) {
-	for i := len(c.sq) - 1; i >= 0; i-- {
+	for i := len(c.sq) - 1; i >= c.sqHead; i-- {
 		s := c.sq[i]
 		if s.d.seq >= e.d.seq {
 			continue
@@ -406,7 +407,7 @@ func (c *Core) tryAtomic(e *lqEntry) {
 	if e.performed || e.atomicGo || !e.addrValid {
 		return
 	}
-	if c.robLen() == 0 || c.rob[c.robHead] != e.d {
+	if c.robOldest() != e.d {
 		return
 	}
 	if c.sbLen() > 0 {

@@ -103,9 +103,12 @@ func (f *Flags) Start() (stop func(), err error) {
 // commands. Simulation output is a pure function of (config, workload,
 // seed), so collector pacing can never change a result — only how much
 // wall-clock the collector burns re-scanning the live heap. An
-// explicit GOGC in the environment wins.
-func TuneGC() {
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(400)
+// explicit GOGC in the environment wins. The returned function restores
+// the previous target, for callers that share the process (benchmarks).
+func TuneGC() (restore func()) {
+	if os.Getenv("GOGC") != "" {
+		return func() {}
 	}
+	prev := debug.SetGCPercent(400)
+	return func() { debug.SetGCPercent(prev) }
 }

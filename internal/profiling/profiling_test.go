@@ -3,6 +3,7 @@ package profiling
 import (
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 )
 
@@ -49,5 +50,39 @@ func TestStartBadPath(t *testing.T) {
 	f := &Flags{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}
 	if _, err := f.Start(); err == nil {
 		t.Fatal("expected error for uncreatable profile path")
+	}
+}
+
+// gcPercent reads the collector target without changing it.
+func gcPercent() int {
+	p := debug.SetGCPercent(-1)
+	debug.SetGCPercent(p)
+	return p
+}
+
+// TestTuneGCRestores checks that TuneGC raises the collector target to
+// 400 unless GOGC is set, and that its restore function puts back the
+// target it replaced.
+func TestTuneGCRestores(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(150))
+
+	t.Setenv("GOGC", "")
+	restore := TuneGC()
+	if got := gcPercent(); got != 400 {
+		t.Errorf("after TuneGC the target is %d, want 400", got)
+	}
+	restore()
+	if got := gcPercent(); got != 150 {
+		t.Errorf("after restore the target is %d, want 150", got)
+	}
+
+	t.Setenv("GOGC", "150")
+	restore = TuneGC()
+	if got := gcPercent(); got != 150 {
+		t.Errorf("with GOGC set, TuneGC changed the target to %d", got)
+	}
+	restore()
+	if got := gcPercent(); got != 150 {
+		t.Errorf("with GOGC set, restore changed the target to %d", got)
 	}
 }
