@@ -92,6 +92,18 @@ func (x *exBench) await(p int, t MsgType, line mem.Line) *Msg {
 	return nil
 }
 
+// awaitDir runs until the bank's entry for line is in dispatch state st
+// (or panics, as await does).
+func (x *exBench) awaitDir(st dirState, line mem.Line) {
+	for i := 0; i < 2000; i++ {
+		if dirStateOf(x.bank.find(line)) == st {
+			return
+		}
+		x.run(1)
+	}
+	panicf("exercise: directory entry for %v never reached %v", line, st)
+}
+
 // exStep is the settle time between scripted sends: longer than any
 // single component latency plus a mesh traversal.
 const exStep = 250
@@ -100,8 +112,8 @@ const exStep = 250
 // Directory scenarios. Scripted peers play the cores.
 // ---------------------------------------------------------------------
 
-// newDirBench builds a bench with one real directory bank (endpoint 3)
-// and three scripted cores (endpoints 0..2). The LLC is direct-mapped
+// newDirBench builds a bench with one real directory bank (endpoint 4)
+// and four scripted cores (endpoints 0..3). The LLC is direct-mapped
 // and tiny so scenarios can force directory evictions.
 func newDirBench(mode Mode) *exBench {
 	params := DefaultParams()
@@ -522,7 +534,9 @@ func exerciseTardisDir(agg *CoverageAgg) {
 
 	// Write parked on a leased line: (TsS, Read/PutOwned/Write), then
 	// (TsWaitW, Read/Write/PutOwned) queue and refuse behind the park,
-	// and (TsWaitW, LeaseExpired) grants the writer exclusivity.
+	// and (TsWaitW, LeaseExpired) grants the writer exclusivity. The
+	// park lasts until the read's lease expires, so the three sends go
+	// out as soon as the write has parked.
 	x := newDirBench(ModeTardis)
 	x.tsShareLine(0, 1, line)
 	x.peers[2].send(x.bankEP(), &Msg{Type: MsgGetS, Line: line, Requester: x.peers[2].id})
@@ -530,7 +544,7 @@ func exerciseTardisDir(agg *CoverageAgg) {
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
 	x.await(0, MsgPutAck, line)
 	x.peers[1].send(x.bankEP(), &Msg{Type: MsgGetX, Line: line, Requester: x.peers[1].id})
-	x.run(exStep)
+	x.awaitDir(dirStTsWaitWrite, line)
 	x.peers[2].send(x.bankEP(), &Msg{Type: MsgGetS, Line: line, Requester: x.peers[2].id})
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgGetX, Line: line, Requester: x.peers[0].id})
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
@@ -542,22 +556,28 @@ func exerciseTardisDir(agg *CoverageAgg) {
 
 	// Eviction of a leased entry: it parks in the eviction buffer
 	// (TsWaitEv) — no invalidations exist to fan out — queues new work,
-	// refuses a stale Put, and completes on the lease timer, after which
-	// the orphaned read refetches the line from memory.
+	// refuses a stale Put, and completes on the lease timer. A fresh
+	// lease keeps the eviction parked while the three sends arrive.
+	// The orphaned read then reads memory uncacheably (a tear-off): the
+	// colliding line's grant, which the scripted peer never unblocks,
+	// holds the only frame of the direct-mapped set.
 	x = newDirBench(ModeTardis)
 	x.tsShareLine(0, 1, line)
+	x.peers[2].send(x.bankEP(), &Msg{Type: MsgGetS, Line: line, Requester: x.peers[2].id})
+	x.await(2, MsgData, line)
 	probe := cache.NewArray(x.params.LLCLines, x.params.LLCWays)
 	coll := line + 1
 	for probe.SetIndex(coll) != probe.SetIndex(line) {
 		coll++
 	}
 	x.peers[2].send(x.bankEP(), &Msg{Type: MsgGetS, Line: coll, Requester: x.peers[2].id})
-	x.run(exStep)
+	x.awaitDir(dirStTsWaitEvict, line)
+	x.peers[1].got = nil // tsShareLine's grant must not satisfy the await
 	x.peers[1].send(x.bankEP(), &Msg{Type: MsgGetS, Line: line, Requester: x.peers[1].id})
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgGetX, Line: line, Requester: x.peers[0].id})
 	x.peers[0].send(x.bankEP(), &Msg{Type: MsgPutM, Line: line, Requester: x.peers[0].id, HasData: true})
 	x.await(0, MsgPutAck, line)
-	x.await(1, MsgData, line)
+	x.await(1, MsgTearoff, line)
 	agg.AddBank(x.bank)
 }
 

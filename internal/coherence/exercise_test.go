@@ -49,6 +49,19 @@ func TestExerciseProtocol(t *testing.T) {
 		"(RdWr, FwdGetS)",
 		"(RdWr, FwdGetX)",
 		"(RdWr, PutAck)",
+		// The tardis directory's lease lifecycle: a write and an
+		// eviction parked on a lease, and what arrives during the park.
+		"(TsS, Read)",
+		"(TsS, Write)",
+		"(TsS, PutOwned)",
+		"(TsWaitW, Read)",
+		"(TsWaitW, Write)",
+		"(TsWaitW, PutOwned)",
+		"(TsWaitW, LeaseExpired)",
+		"(TsWaitEv, Read)",
+		"(TsWaitEv, Write)",
+		"(TsWaitEv, PutOwned)",
+		"(TsWaitEv, LeaseExpired)",
 	}
 	for _, pair := range targets {
 		if strings.Contains(out, "silent: "+pair) {

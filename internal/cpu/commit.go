@@ -34,16 +34,7 @@ import (
 // holds while the SQ head is older. A load committing can perform others
 // (onOrderingChange), so the load blockers are re-read after one does.
 // Tests check every decision against a walk from the head (scanOracle).
-//
-// A call is skipped while nothing it reads has changed since the last one
-// committed nothing (see Core.commitDirty).
 func (c *Core) commit() int {
-	if !c.commitDirty && !c.checkSkip {
-		c.Stats.LDTFullStalls += c.commitStalls
-		return 0
-	}
-	skipped := !c.commitDirty
-	stalls0 := c.Stats.LDTFullStalls
 	var committed int
 	if c.cfg.CommitMode == CommitInOrder {
 		committed = c.commitInOrder()
@@ -51,15 +42,6 @@ func (c *Core) commit() int {
 		committed = c.commitOutOfOrder()
 	}
 	c.Stats.Committed += uint64(committed)
-	stalls := c.Stats.LDTFullStalls - stalls0
-	if skipped {
-		c.skipChecks++
-		if committed != 0 || stalls != c.commitStalls {
-			c.skipMismatches++
-		}
-	}
-	c.commitDirty = committed > 0
-	c.commitStalls = stalls
 	return committed
 }
 

@@ -83,20 +83,6 @@ type Core struct {
 	// caps at ROBSize, so the list runs empty only if a slot leaks.
 	free []*DynInstr
 
-	// Commit skip. Every write commit reads — completion (which branch
-	// resolution goes through), jump execution, store address
-	// resolution, a load performing, an LDT release, an SB drain, a
-	// squash — sets commitDirty, and so does a commit call that
-	// committed. While it is clear the next call would repeat the last
-	// one exactly: commit nothing and charge commitStalls LDT-full
-	// stalls. Dispatch needs no flag: a new instruction at the ROB tail
-	// has not completed and has nothing younger to gate.
-	commitDirty  bool
-	commitStalls uint64
-	// checkSkip, set only by tests, makes every skip run commit anyway
-	// and count in skipChecks/skipMismatches whether it agreed.
-	checkSkip                  bool
-	skipChecks, skipMismatches int
 	// checkScan, set only by tests, walks the window from the head at
 	// every commit call as the scanning commit did, and counts in
 	// scanChecks/scanMismatches the completed instructions visited and
@@ -138,17 +124,16 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 	cfg.Validate()
 	ring := max(64, pow2AtLeast(4*cfg.ROBSize)) // at least one done word
 	c := &Core{
-		ID:          id,
-		cfg:         cfg,
-		program:     program,
-		pred:        NewPredictor(12),
-		ldt:         make([]ldtEntry, cfg.LDTSize),
-		nextSeq:     1, // seq 0 reserved (fwdSeq sentinel, free slots)
-		free:        make([]*DynInstr, cfg.ROBSize),
-		rob:         make([]*DynInstr, ring),
-		robMask:     uint64(ring - 1),
-		done:        make([]uint64, ring/64),
-		commitDirty: true,
+		ID:      id,
+		cfg:     cfg,
+		program: program,
+		pred:    NewPredictor(12),
+		ldt:     make([]ldtEntry, cfg.LDTSize),
+		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel, free slots)
+		free:    make([]*DynInstr, cfg.ROBSize),
+		rob:     make([]*DynInstr, ring),
+		robMask: uint64(ring - 1),
+		done:    make([]uint64, ring/64),
 	}
 	if cfg.CommitMode != CommitInOrder {
 		c.branches = make([]instrRef, pow2AtLeast(cfg.ROBSize))
@@ -200,22 +185,6 @@ const (
 // stages run).
 func (c *Core) Tick(now sim.Cycle) {
 	c.now = now
-
-	// Quiet-done fast path: a halted core with every structure drained.
-	// Walking the full pipeline on such a core is provably equivalent to
-	// bumping the cycle counter (commit finds an empty ROB, the memory
-	// loops iterate empty queues, fetch returns immediately on halted),
-	// so do just that.
-	if c.halted && c.robLen() == 0 && len(c.lq) == 0 && c.sqLen() == 0 &&
-		c.sbLen() == 0 && c.readyLen() == 0 && len(c.seenLines) == 0 &&
-		c.events.empty() {
-		c.Stats.Cycles++
-		c.recurOK = c.recur == [4]uint64{}
-		c.recur = [4]uint64{}
-		c.inert = true
-		c.stallKind = stallNone
-		return
-	}
 
 	c.Stats.Cycles++
 
@@ -596,7 +565,6 @@ func (c *Core) execute(d *DynInstr) {
 	case isa.OpJump:
 		d.resolved = true
 		c.branchResolved(d)
-		c.commitDirty = true
 		c.events.after(c.now, 1, evComplete, d, 0)
 	case isa.OpALU:
 		lat := c.cfg.ALULatency
@@ -620,7 +588,6 @@ func (c *Core) execute(d *DynInstr) {
 		d.sq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
 		d.sq.line = mem.LineOf(d.sq.addr)
 		d.sq.addrValid = true
-		c.commitDirty = true
 		c.memDepCheck(&d.sq)
 		if !d.sq.prefetched {
 			d.sq.prefetched = true
@@ -652,7 +619,6 @@ func (c *Core) complete(d *DynInstr, result mem.Word) {
 	}
 	c.setDone(d, true)
 	d.result = result
-	c.commitDirty = true
 	for _, w := range d.waiters {
 		if w.live() {
 			c.produceDone(w.d, d)
@@ -712,7 +678,6 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		return
 	}
 
-	c.commitDirty = true
 	// Trim LQ and SQ (before the squashed slots are freed, which clears
 	// the seqs the trim compares).
 	c.lq = trimLQ(c.lq, cut)

@@ -193,7 +193,6 @@ func (c *Core) releaseMask(mask uint64) {
 			c.ldt[i].valid = false
 		}
 	}
-	c.commitDirty = true
 	c.resolveLockdowns()
 }
 
@@ -383,7 +382,6 @@ func (c *Core) performLoad(e *lqEntry, value mem.Word, fwdSeq uint64, wake sim.C
 	}
 	e.performed = true
 	e.issued = false
-	c.commitDirty = true
 	e.value = value
 	e.fwdSeq = fwdSeq
 	if fwdSeq == 0 && !c.isOrdered(e) {
@@ -427,7 +425,6 @@ func (c *Core) drainSB() {
 	head := c.sb[c.sbHead]
 	if c.pcu.StoreWrite(c.now, head.addr, head.value) {
 		c.sbHead++
-		c.commitDirty = true
 		// Rewind the ring when drained so the backing array is reused.
 		if c.sbHead == len(c.sb) {
 			c.sb = c.sb[:0]

@@ -1,7 +1,9 @@
 package wbsim_test
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -81,5 +83,53 @@ func TestDocMakeTargets(t *testing.T) {
 		if !targets[m[1]] {
 			t.Errorf("README's test block runs make %s, which the Makefile does not define", m[1])
 		}
+	}
+}
+
+// TestDocTestNames: every Test or Benchmark name that README.md or
+// DESIGN.md quotes in backticks must name a function of some _test.go
+// file in the repository, so deleting or renaming a test forces the
+// docs to follow. EXPERIMENTS.md is history and may name tests that are
+// gone.
+func TestDocTestNames(t *testing.T) {
+	defined := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	name := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*`)
+	quoted := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllString(string(data), -1) {
+			for _, n := range name.FindAllString(s, -1) {
+				quoted++
+				if !defined[n] {
+					t.Errorf("%s quotes `%s`, which no _test.go file defines", doc, n)
+				}
+			}
+		}
+	}
+	if quoted == 0 {
+		t.Error("README.md and DESIGN.md quote no test names — the pattern is broken")
 	}
 }
