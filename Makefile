@@ -170,16 +170,19 @@ bench-kernel:
 # Benchmark smoke: perfbench is a module of its own (perfbench/go.mod),
 # so `go build ./...` and `go test ./...` never compile it and an API
 # change under internal/ could break it unnoticed. Vet and test it, then
-# run the sim workload for two seconds and the check workload for one.
-# Every sim operation must reproduce the cycle-accurate 16-core
-# reference, so that run also checks the kernel's idle skips; every
-# check operation must close the 2c/1b/2l space at exactly 18111 states,
-# 85402 transitions and depth 51, so that run also checks the checker's
-# fingerprints and store. The target fails unless each result line
-# reports a correct run with no failed operation.
+# run the sim workload for two seconds and the sweep and check workloads
+# for one each. Every sim operation must reproduce the cycle-accurate
+# 16-core reference, so that run also checks the kernel's idle skips;
+# every sweep operation (Figure 9 on the 4-core machine, the one judged
+# workload that runs in-order commit) must match a two-worker run of the
+# experiment engine, so that run also checks the engine's determinism;
+# every check operation must close the 2c/1b/2l space at exactly 18111
+# states, 85402 transitions and depth 51, so that run also checks the
+# checker's fingerprints and store. The target fails unless each result
+# line reports a correct run with no failed operation.
 perfbench-smoke:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-	@for run in sim:2 check:1; do \
+	@for run in sim:2 sweep:1 check:1; do \
 		out=$$(python3 perfbench/run.py --workload $${run%:*} --seed 1 --seconds $${run#*:} --trace 0) || exit 1; \
 		echo "$$out"; \
 		case "$$out" in *'"correct":true'*'"failed":0,'*) ;; \

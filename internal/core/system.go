@@ -224,6 +224,9 @@ func (s *System) Run() (cycles sim.Cycle, err error) {
 	for _, p := range s.PCUs {
 		p.CheckInvariants()
 	}
+	for _, c := range s.Cores {
+		c.CheckInvariants()
+	}
 	return s.Clock.Now(), nil
 }
 

@@ -415,14 +415,7 @@ func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomi
 	}
 }
 
-func (c *Core) ldtFree() bool {
-	for i := range c.ldt {
-		if !c.ldt[i].valid {
-			return true
-		}
-	}
-	return false
-}
+func (c *Core) ldtFree() bool { return len(c.ldt) < c.cfg.LDTSize }
 
 // commitOne retires one instruction: architectural state is updated (WAW
 // guarded, since commits can be out of order), memory structures are
@@ -462,53 +455,33 @@ func (c *Core) commitOne(d *DynInstr, head bool) {
 }
 
 // removeLoad removes a committed load from the collapsible LQ. If it is
-// still M-speculative (ooo-wb or ooo-unsafe commit), its lockdown is
-// exported to the LDT and the release responsibility chained to the
-// nearest older non-performed load (Section 4.2). Unsafe commit simply
-// drops the entry — which is exactly what makes it unsafe.
+// still M-speculative (ooo-wb or ooo-unsafe commit), ooo-wb exports its
+// lockdown to the LDT, where it holds until every older load has
+// performed (Section 4.2). Unsafe commit simply drops the entry — which
+// is exactly what makes it unsafe.
 func (c *Core) removeLoad(e *lqEntry) {
 	idx := c.lqIndex(e)
 	if idx < 0 {
 		panic(fmt.Sprintf("cpu %d: committing load not in LQ: %v", c.ID, e.d))
 	}
 	ordered := idx <= c.sosIndex() // every older load has performed
-	mask := e.ldtMask
 
 	// Store-forwarded loads (fwdSeq != 0) never need a lockdown: their
 	// value came from the local store buffer and cannot be seen.
 	if !ordered && e.fwdSeq == 0 {
 		c.Stats.MSpecCommits++
 		if c.cfg.CommitMode == CommitOoOWB {
-			l := c.ldtAllocate(e.line)
-			if l < 0 {
+			if !c.ldtFree() {
 				panic(fmt.Sprintf("cpu %d: LDT overflow (canCommit must gate)", c.ID))
 			}
 			c.Stats.LDTExports++
-			mask |= 1 << uint(l)
+			c.ldt = append(c.ldt, ldtEntry{seq: e.d.seq, line: e.line})
 		}
 	}
 
 	c.lq = append(c.lq[:idx], c.lq[idx+1:]...)
 	if idx < c.lqSoS {
 		c.lqSoS--
-	}
-
-	if mask != 0 {
-		// Chain the responsibilities to the nearest older non-performed
-		// load; if every older load has performed, the exported loads
-		// are effectively ordered and the lockdowns release immediately.
-		var holder *lqEntry
-		for i := idx - 1; i >= 0; i-- {
-			if !c.lq[i].performed {
-				holder = c.lq[i]
-				break
-			}
-		}
-		if holder != nil {
-			holder.ldtMask |= mask
-		} else {
-			c.releaseMask(mask)
-		}
 	}
 	c.onOrderingChange()
 }

@@ -91,8 +91,8 @@ func (c *Config) Validate() {
 	if c.CommitMode == CommitOoOWB && c.LDTSize <= 0 {
 		panic("cpu: ooo-wb commit requires an LDT")
 	}
-	if c.LDTSize > 64 {
-		panic("cpu: LDT larger than 64 entries (mask encoding limit)")
+	if c.LDTSize < 0 {
+		panic("cpu: LDT size must be non-negative")
 	}
 	if c.CommitMode == CommitOoOWB && !c.Lockdown {
 		panic("cpu: ooo-wb commit requires lockdown coherence")
@@ -100,12 +100,4 @@ func (c *Config) Validate() {
 	if (c.CommitMode == CommitOoOSafe || c.CommitMode == CommitOoOUnsafe) && c.Lockdown {
 		panic("cpu: squash-based commit modes use the base protocol")
 	}
-}
-
-// CoherenceMode returns the coherence mode implied by the configuration.
-func (c *Config) CoherenceMode() int {
-	if c.Lockdown {
-		return 1
-	}
-	return 0
 }

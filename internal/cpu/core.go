@@ -128,7 +128,7 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 		cfg:     cfg,
 		program: program,
 		pred:    NewPredictor(12),
-		ldt:     make([]ldtEntry, cfg.LDTSize),
+		ldt:     make([]ldtEntry, 0, cfg.LDTSize),
 		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel, free slots)
 		free:    make([]*DynInstr, cfg.ROBSize),
 		rob:     make([]*DynInstr, ring),
@@ -160,6 +160,17 @@ func (c *Core) Halted() bool { return c.halted }
 // store buffer and no in-flight memory transactions.
 func (c *Core) Done() bool {
 	return c.halted && c.sbLen() == 0 && c.pcu.Quiescent() && c.events.empty()
+}
+
+// CheckInvariants panics, naming the core, if a finished run left state
+// behind in it: a live LDT entry (an exported lockdown that never
+// lifted), a withheld invalidation ack, or an LQ, SQ or ROB entry.
+// System.Run calls it after every run, beside the bank and PCU checks.
+func (c *Core) CheckInvariants() {
+	if len(c.ldt)+len(c.seenLines)+len(c.lq)+c.sqLen()+c.robLen() != 0 {
+		panic(fmt.Sprintf("cpu %d: finished run left ldt=%d seen=%d lq=%d sq=%d rob=%d",
+			c.ID, len(c.ldt), len(c.seenLines), len(c.lq), c.sqLen(), c.robLen()))
+	}
 }
 
 // Reg returns the architectural value of a register (for litmus results;
@@ -688,11 +699,8 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		c.brTail--
 	}
 
-	// Collect LDT responsibilities held by squashed loads; they must
-	// survive on an older non-performed load (or be released if every
-	// older load has performed) — Section 4.2. Slots are freed youngest
-	// first, so dispatch next takes the oldest squashed one.
-	var orphanMask uint64
+	// Slots are freed youngest first, so dispatch next takes the oldest
+	// squashed one.
 	for p := c.robTail; p > end; p-- {
 		i := (p - 1) & c.robMask
 		d := c.rob[i]
@@ -705,19 +713,9 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 		if d.state == stDispatched || d.state == stReady {
 			c.iqCount--
 		}
-		orphanMask |= d.lq.ldtMask // zero for non-loads
 		c.release(d)
 	}
 	c.robTail = end
-
-	// Reassign orphaned LDT responsibilities.
-	if orphanMask != 0 {
-		if holder := c.youngestNonPerformed(); holder != nil {
-			holder.ldtMask |= orphanMask
-		} else {
-			c.releaseMask(orphanMask)
-		}
-	}
 
 	// Rebuild the register producer table from surviving instructions.
 	c.regProd = [isa.NumRegs]*DynInstr{}
@@ -815,15 +813,4 @@ func trimSQ(entries []*sqEntry, cut uint64) []*sqEntry {
 		}
 	}
 	return entries
-}
-
-// youngestNonPerformed returns the youngest LQ entry that has not yet
-// performed, or nil.
-func (c *Core) youngestNonPerformed() *lqEntry {
-	for i := len(c.lq) - 1; i >= 0; i-- {
-		if !c.lq[i].performed {
-			return c.lq[i]
-		}
-	}
-	return nil
 }

@@ -101,12 +101,15 @@ func TestConfigValidate(t *testing.T) {
 	edge := validConfig()
 	edge.ForwardLatency, edge.MispredictPenalty = 0, 0 // performLoad clamps the wake-up to 1
 	edge.Validate()
+	big := validConfig()
+	big.LDTSize = 65 // the LDT is a list of live entries: no size cap
+	big.Validate()
 
 	bad := []func(*Config){
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.ROBSize = 0 },
 		func(c *Config) { c.CommitMode = CommitOoOWB; c.Lockdown = true; c.LDTSize = 0 },
-		func(c *Config) { c.LDTSize = 65 },
+		func(c *Config) { c.LDTSize = -1 }, // would panic in NewCore's make
 		func(c *Config) { c.CommitMode = CommitOoOWB; c.Lockdown = false },
 		func(c *Config) { c.CommitMode = CommitOoOSafe; c.Lockdown = true },
 		func(c *Config) { c.CommitMode = CommitOoOUnsafe; c.Lockdown = true },

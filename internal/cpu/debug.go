@@ -24,16 +24,14 @@ func (c *Core) DumpState() string {
 		i++
 	}
 	for i, e := range c.lq {
-		fmt.Fprintf(&b, "  lq[%d] %v addrV=%v perf=%v issued=%v retry=%v atomic=%v(go=%v) mask=%x\n",
-			i, e.d, e.addrValid, e.performed, e.issued, e.needRetry, e.isAtomic, e.atomicGo, e.ldtMask)
+		fmt.Fprintf(&b, "  lq[%d] %v addrV=%v perf=%v issued=%v retry=%v atomic=%v(go=%v)\n",
+			i, e.d, e.addrValid, e.performed, e.issued, e.needRetry, e.isAtomic, e.atomicGo)
 	}
 	for i, s := range c.sb[c.sbHead:] {
 		fmt.Fprintf(&b, "  sb[%d] seq=%d addr=%v\n", i, s.seq, s.addr)
 	}
-	for i := range c.ldt {
-		if c.ldt[i].valid {
-			fmt.Fprintf(&b, "  ldt[%d] line=%v\n", i, c.ldt[i].line)
-		}
+	for i, l := range c.ldt {
+		fmt.Fprintf(&b, "  ldt[%d] seq=%d line=%v\n", i, l.seq, l.line)
 	}
 	return b.String()
 }
@@ -52,7 +50,7 @@ type Snapshot struct {
 	SQ        int
 	SB        int
 	IQ        int
-	Lockdowns int    // valid LDT entries (live lockdown windows)
+	Lockdowns int    // live LDT entries (exported lockdown windows)
 	OldestROB string // rendering of the oldest ROB entry, "" when the ROB is empty
 	OldestLQ  string // rendering of lq[0], "" when the LQ is empty
 }
@@ -83,11 +81,7 @@ func (c *Core) Snapshot() Snapshot {
 		SQ:        c.sqLen(),
 		SB:        c.sbLen(),
 		IQ:        c.iqCount,
-	}
-	for i := range c.ldt {
-		if c.ldt[i].valid {
-			s.Lockdowns++
-		}
+		Lockdowns: len(c.ldt),
 	}
 	if d := c.robOldest(); d != nil {
 		s.OldestROB = fmt.Sprintf("%v state=%d pend=%d", d, d.state, d.pendingIssue)

@@ -113,11 +113,6 @@ type lqEntry struct {
 	fwdSeq    uint64 // seq of the store that forwarded the value (0 = memory)
 	isAtomic  bool
 	atomicGo  bool // atomic handed to the PCU
-
-	// ldtMask carries the LDT release responsibilities assigned to this
-	// (non-performed) load by younger loads that committed out of order
-	// (Section 4.2). Bit i refers to LDT entry i.
-	ldtMask uint64
 }
 
 // sqEntry is a store-queue entry, in program order.
@@ -141,12 +136,14 @@ type sbEntry struct {
 
 // ldtEntry is a Lockdown Table entry: the lockdown of a load that
 // committed out of order, kept at the L1 until the load would have become
-// ordered. The "seen" bit of the paper is tracked per line in
-// Core.seenLines (equivalent encoding: an Ack is owed when the last
-// lockdown for a seen line lifts).
+// ordered (Section 4.2) — that is, until no load older than seq is
+// unperformed. Loads never unperform, so onOrderingChange frees the entry
+// as soon as the oldest unperformed load is younger than it. The "seen"
+// bit of the paper is tracked per line in Core.seenLines (equivalent
+// encoding: an Ack is owed when the last lockdown for a seen line lifts).
 type ldtEntry struct {
-	line  mem.Line
-	valid bool
+	seq  uint64 // the committed load's seq
+	line mem.Line
 }
 
 // Stats aggregates per-core counters used by the figures.

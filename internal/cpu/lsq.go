@@ -10,7 +10,7 @@ import (
 
 // This file implements the memory side of the core: load issue under TSO,
 // store-to-load forwarding, the store buffer, atomics, and the lockdown
-// machinery (M-speculative tracking, S bits, LDT release chains).
+// machinery (M-speculative tracking, S bits, the Lockdown Table).
 
 // sosIndex returns the index of the Source-of-Speculation load: the
 // oldest non-performed entry (len(lq) if all performed). Loads at indices
@@ -57,15 +57,7 @@ func (c *Core) lqBySeq(seq uint64) *lqEntry {
 
 // isOrdered reports whether every load older than e has performed.
 func (c *Core) isOrdered(e *lqEntry) bool {
-	for _, x := range c.lq {
-		if x == e {
-			return true
-		}
-		if !x.performed {
-			return false
-		}
-	}
-	return true
+	return e.d.seq <= c.oldestUnperformedLoad()
 }
 
 // hasLockdownLQ reports whether an M-speculative load in the LQ matches
@@ -106,7 +98,7 @@ func (c *Core) oldestPendingAtomicSeq() uint64 {
 // hasLockdownLDT reports whether an exported lockdown matches line.
 func (c *Core) hasLockdownLDT(line mem.Line) bool {
 	for i := range c.ldt {
-		if c.ldt[i].valid && c.ldt[i].line == line {
+		if c.ldt[i].line == line {
 			return true
 		}
 	}
@@ -158,19 +150,20 @@ func (c *Core) resolveLockdowns() {
 }
 
 // onOrderingChange must run whenever the performed/ordered picture of the
-// LQ can have changed: it releases LDT responsibilities of newly ordered
-// loads, lifts lockdowns, and lets the (possibly new) SoS load retry or
-// bypass.
+// LQ can have changed: it frees the LDT entries of exported loads that
+// have become ordered, lifts lockdowns, and lets the (possibly new) SoS
+// load retry or bypass.
 func (c *Core) onOrderingChange() {
 	sos := c.sosIndex()
-	// Entries strictly before the SoS are performed and ordered: their
-	// LDT responsibilities release.
-	for i := 0; i < sos; i++ {
-		if m := c.lq[i].ldtMask; m != 0 {
-			c.lq[i].ldtMask = 0
-			c.releaseMask(m)
+	// An exported lockdown holds until its load would have become
+	// ordered: until no older load is unperformed (Section 4.2).
+	oldest, live := c.oldestUnperformedLoad(), c.ldt[:0]
+	for _, l := range c.ldt {
+		if l.seq > oldest {
+			live = append(live, l)
 		}
 	}
+	c.ldt = live
 	c.resolveLockdowns()
 	// Give the SoS load its privileges.
 	if sos < len(c.lq) {
@@ -183,29 +176,6 @@ func (c *Core) onOrderingChange() {
 			}
 		}
 	}
-}
-
-// releaseMask frees the given LDT entries and lifts their lockdowns.
-func (c *Core) releaseMask(mask uint64) {
-	for i := 0; mask != 0; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			mask &^= 1 << uint(i)
-			c.ldt[i].valid = false
-		}
-	}
-	c.resolveLockdowns()
-}
-
-// ldtAllocate claims a free LDT entry for line, returning its index or -1.
-func (c *Core) ldtAllocate(line mem.Line) int {
-	for i := range c.ldt {
-		if !c.ldt[i].valid {
-			c.ldt[i].valid = true
-			c.ldt[i].line = line
-			return i
-		}
-	}
-	return -1
 }
 
 // ---------------------------------------------------------------------

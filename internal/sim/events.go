@@ -16,11 +16,9 @@ type EventQueue struct {
 }
 
 // Events carry a static callback plus its argument rather than a bare
-// closure: a caller with a prepared argument struct (AtCall/AfterCall)
-// schedules with exactly one allocation — the argument — where a
-// capturing closure would cost a second one. Func values are
-// pointer-shaped, so boxing fn into the arg slot of the closure-style API
-// (At/After) allocates nothing.
+// closure: a caller with a prepared argument struct schedules with
+// exactly one allocation — the argument — where a capturing closure
+// would cost a second one.
 type event struct {
 	at   Cycle
 	seq  uint64
@@ -28,24 +26,11 @@ type event struct {
 	arg  any
 }
 
-// runFunc adapts the closure-style API onto the (call, arg) event shape.
-func runFunc(arg any) { arg.(func())() }
-
-// At schedules fn to run at cycle at (which must not be in the past when
-// Run is called for the current cycle).
-func (q *EventQueue) At(at Cycle, fn func()) {
-	q.AtCall(at, runFunc, fn)
-}
-
-// After schedules fn to run delay cycles after now.
-func (q *EventQueue) After(now Cycle, delay Cycle, fn func()) {
-	q.AtCall(now+delay, runFunc, fn)
-}
-
-// AtCall schedules call(arg) to run at cycle at. call should be a static
-// function so the only allocation on the scheduling path is the caller's
-// argument value (hot paths pack their whole deferred action into one
-// struct).
+// AtCall schedules call(arg) to run at cycle at (which must not be in
+// the past when Run is called for the current cycle). call should be a
+// static function so the only allocation on the scheduling path is the
+// caller's argument value (hot paths pack their whole deferred action
+// into one struct).
 func (q *EventQueue) AtCall(at Cycle, call func(any), arg any) {
 	q.h = append(q.h, event{at: at, seq: q.seq, call: call, arg: arg})
 	q.seq++
@@ -86,29 +71,12 @@ func (q *EventQueue) NextAt() (at Cycle, ok bool) {
 	return q.h[0].at, true
 }
 
-// Clone returns a deep copy of the queue: same (at, seq) keys, same
-// firing order. mapArg rewrites each event's scheduled argument — the
-// model checker's Clone passes a rewriter so deferred actions fire
-// against the cloned component instead of the original; nil shares the
-// argument values. Closure-style events (At/After) are cloned with their
-// closures shared, which is only sound if the closure captures nothing
-// the caller also clones; the checker forbids them outright.
-func (q *EventQueue) Clone(mapArg func(any) any) EventQueue {
-	out := EventQueue{seq: q.seq}
-	if len(q.h) > 0 {
-		out.h = make([]event, len(q.h))
-		copy(out.h, q.h)
-		if mapArg != nil {
-			for i := range out.h {
-				out.h[i].arg = mapArg(out.h[i].arg)
-			}
-		}
-	}
-	return out
-}
-
 // CloneInto overwrites dst with a deep copy of the queue, reusing dst's
-// heap storage (model-checker state pooling). Semantics match Clone.
+// heap storage (model-checker state pooling): same (at, seq) keys, same
+// firing order. mapArg rewrites each event's scheduled argument — the
+// model checker passes a rewriter so deferred actions fire against the
+// cloned component instead of the original; nil shares the argument
+// values.
 func (q *EventQueue) CloneInto(dst *EventQueue, mapArg func(any) any) {
 	dst.seq = q.seq
 	dst.h = append(dst.h[:0], q.h...)
@@ -136,8 +104,7 @@ func (q *EventQueue) ForEachArg(f func(any)) {
 func (q *EventQueue) ArgAt(i int) any { return q.h[i].arg }
 
 // PendingEvent describes one scheduled event without firing it. Arg is
-// the scheduled argument value (nil for the closure-style At/After API,
-// whose argument is the closure itself). The model checker uses the
+// the scheduled argument value. The model checker uses the
 // enumeration to fold a component's private event queue into a canonical
 // state fingerprint, so the order is the deterministic (at, seq) firing
 // order, not heap layout.

@@ -99,10 +99,11 @@ func TestRandFloat64Property(t *testing.T) {
 func TestEventQueueOrder(t *testing.T) {
 	var q EventQueue
 	var fired []int
-	q.At(5, func() { fired = append(fired, 2) })
-	q.At(3, func() { fired = append(fired, 1) })
-	q.At(5, func() { fired = append(fired, 3) }) // same cycle: insertion order
-	q.At(9, func() { fired = append(fired, 4) })
+	record := func(arg any) { fired = append(fired, arg.(int)) }
+	q.AtCall(5, record, 2)
+	q.AtCall(3, record, 1)
+	q.AtCall(5, record, 3) // same cycle: insertion order
+	q.AtCall(9, record, 4)
 	q.Run(4)
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("after Run(4): %v", fired)
@@ -125,10 +126,14 @@ func TestEventQueueCascade(t *testing.T) {
 	// the same Run call.
 	var q EventQueue
 	fired := 0
-	q.At(2, func() {
+	var fire func(any)
+	fire = func(arg any) {
 		fired++
-		q.At(2, func() { fired++ })
-	})
+		if arg.(bool) {
+			q.AtCall(2, fire, false)
+		}
+	}
+	q.AtCall(2, fire, true)
 	q.Run(2)
 	if fired != 2 {
 		t.Fatalf("cascaded event did not fire: %d", fired)
@@ -138,7 +143,7 @@ func TestEventQueueCascade(t *testing.T) {
 func TestEventQueueAfter(t *testing.T) {
 	var q EventQueue
 	fired := false
-	q.After(10, 5, func() { fired = true })
+	q.AfterCall(10, 5, func(any) { fired = true }, nil)
 	q.Run(14)
 	if fired {
 		t.Fatal("fired early")
@@ -152,7 +157,7 @@ func TestEventQueueAfter(t *testing.T) {
 func TestEventQueueLen(t *testing.T) {
 	var q EventQueue
 	for i := 0; i < 5; i++ {
-		q.At(Cycle(i), func() {})
+		q.AtCall(Cycle(i), func(any) {}, nil)
 	}
 	if q.Len() != 5 {
 		t.Fatalf("Len = %d", q.Len())
