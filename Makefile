@@ -135,9 +135,10 @@ check-liveness-deep: check-liveness
 # Zero-allocation gates for the event-driven kernel: a warmed-up mesh
 # cycle, a drained System.Step and a busy core's System.Step may not
 # allocate (see DESIGN.md, "Simulation kernel & performance model"); nor
-# may the model checker's copy-on-write child once its pool is warm.
+# may a warm component event queue, nor the model checker's
+# copy-on-write child once its pool is warm.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/network ./internal/core ./internal/coherence
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/coherence
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast

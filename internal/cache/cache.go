@@ -3,6 +3,11 @@
 // replacement, and MSHR files with the resource partitioning the paper
 // requires (at least one MSHR always reserved for SoS loads, Section
 // 3.5.2).
+//
+// An MSHR file is a tag match over its entries. Each entry carries its
+// line and an allocation stamp, so the MSHRs of one line are returned
+// oldest first, the order in which they were allocated, whichever slots
+// they occupy.
 package cache
 
 import (

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,7 +199,7 @@ func TestMSHRLookup(t *testing.T) {
 	if f.Lookup(5) != a {
 		t.Fatal("Lookup should return the oldest")
 	}
-	all := f.LookupAll(5)
+	all := f.LookupAll(5, nil)
 	if len(all) != 2 || all[0] != a || all[1] != b {
 		t.Fatalf("LookupAll = %v", all)
 	}
@@ -282,5 +283,117 @@ func TestMSHRProperty(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMSHRFileMatchesMapOracle drives random Allocate, AllocateReserved,
+// Free, Lookup and LookupAll traffic over three lines and checks every
+// step against an oracle kept here: the line-indexed map of slices the
+// file once used, which appends on allocation and deletes in place on
+// free, so each line's MSHRs read oldest first. The walks must reach
+// two live entries on one line (the SoS bypass) and an entry slot
+// reused after a Free, and a copy made with CloneInto midway must
+// answer every lookup with the entries at the same positions.
+func TestMSHRFileMatchesMapOracle(t *testing.T) {
+	const capacity, reserved = 6, 2
+	lines := []mem.Line{3, 17, 40}
+	sameLine, reused := 0, 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := seed
+		next := func(n int) int {
+			r = r*6364136223846793005 + 1442695040888963407
+			return int(r>>33) % n
+		}
+		f := NewMSHRFile(capacity, reserved)
+		oracle := map[mem.Line][]*MSHR{}
+		var live []*MSHR
+		used := map[*MSHR]bool{}
+		var copyOf MSHRFile
+		index := func(file *MSHRFile, m *MSHR) int {
+			for i := range file.entries {
+				if &file.entries[i] == m {
+					return i
+				}
+			}
+			return -1
+		}
+		check := func(step int, l mem.Line) {
+			t.Helper()
+			want := oracle[l]
+			var first *MSHR
+			if len(want) > 0 {
+				first = want[0]
+			}
+			if got := f.Lookup(l); got != first {
+				t.Fatalf("seed %d step %d: Lookup(%v) = %p, oracle %p", seed, step, l, got, first)
+			}
+			var buf [2]*MSHR
+			pre := append(buf[:0], nil) // LookupAll appends after what dst holds
+			got := f.LookupAll(l, pre)
+			if got[0] != nil || !slices.Equal(got[1:], want) {
+				t.Fatalf("seed %d step %d: LookupAll(%v) = %v, oracle %v", seed, step, l, got[1:], want)
+			}
+		}
+		for step := 0; step < 60; step++ {
+			l := lines[next(len(lines))]
+			switch op := next(5); {
+			case op == 0 && len(live) > 0:
+				i := next(len(live))
+				m := live[i]
+				live = append(live[:i], live[i+1:]...)
+				es := oracle[m.Line]
+				k := slices.Index(es, m)
+				es = append(es[:k], es[k+1:]...)
+				if len(es) == 0 {
+					delete(oracle, m.Line)
+				} else {
+					oracle[m.Line] = es
+				}
+				f.Free(m)
+			case op <= 2:
+				var m *MSHR
+				if op == 1 {
+					m = f.Allocate(l)
+				} else {
+					m = f.AllocateReserved(l)
+				}
+				if m == nil {
+					break
+				}
+				if used[m] {
+					reused++
+				}
+				used[m] = true
+				if len(oracle[l]) > 0 {
+					sameLine++
+				}
+				live = append(live, m)
+				oracle[l] = append(oracle[l], m)
+			}
+			if f.InUse() != len(live) {
+				t.Fatalf("seed %d step %d: InUse = %d, %d live", seed, step, f.InUse(), len(live))
+			}
+			for _, l := range lines {
+				check(step, l)
+			}
+			if step == 30 {
+				f.CloneInto(&copyOf, func(p any) any { return p })
+				for _, l := range lines {
+					var a, b [capacity]*MSHR
+					orig, cp := f.LookupAll(l, a[:0]), copyOf.LookupAll(l, b[:0])
+					if len(orig) != len(cp) {
+						t.Fatalf("seed %d: the copy holds %d MSHRs for %v, the original %d", seed, len(cp), l, len(orig))
+					}
+					for i := range orig {
+						if index(f, orig[i]) != index(&copyOf, cp[i]) {
+							t.Fatalf("seed %d: the copy orders line %v's MSHRs differently", seed, l)
+						}
+					}
+				}
+			}
+		}
+	}
+	if sameLine == 0 || reused == 0 {
+		t.Fatalf("walks met %d same-line allocations and %d reused slots; both checks need some", sameLine, reused)
 	}
 }

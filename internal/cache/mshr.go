@@ -14,23 +14,25 @@ type MSHR struct {
 	Payload  any
 
 	valid bool
+	stamp uint64 // allocation order among the file's entries
 }
 
 // MSHRFile is a fully-associative miss-status holding register file with
 // the resource partitioning of Section 3.5.2: `reserved` entries can only
 // be claimed by SoS loads, so stores and evictions can never exhaust the
 // file and block the one load whose completion every lockdown depends on.
+//
+// Like the hardware it models, a lookup is a tag match across every
+// entry. Each entry carries its line tag and an allocation stamp, so
+// lookups return the MSHRs of a line oldest first, and the file holds
+// no pointer but the payloads: copying it is a slice copy.
 type MSHRFile struct {
 	entries  []MSHR
-	index    map[mem.Line][]*MSHR
 	capacity int
 	reserved int
 	inUse    int
 	resInUse int
-
-	// spare holds index slices whose lines CloneInto dropped, so a later
-	// clone indexing a line again reuses one instead of allocating.
-	spare [][]*MSHR
+	stamp    uint64 // the next allocation's stamp
 }
 
 // NewMSHRFile builds a file with capacity total entries of which reserved
@@ -41,26 +43,43 @@ func NewMSHRFile(capacity, reserved int) *MSHRFile {
 	}
 	return &MSHRFile{
 		entries:  make([]MSHR, capacity),
-		index:    make(map[mem.Line][]*MSHR, capacity),
 		capacity: capacity,
 		reserved: reserved,
 	}
 }
 
-// Lookup returns the first MSHR outstanding for l, or nil. The common case
-// is a single MSHR per line; a second one can exist transiently when a SoS
-// load bypasses a blocked write (Section 3.5.2), in which case Lookup
-// returns the oldest and LookupAll exposes both.
+// Lookup returns the oldest MSHR outstanding for l, or nil. The common
+// case is a single MSHR per line; a second one can exist transiently
+// when a SoS load bypasses a blocked write (Section 3.5.2), in which
+// case Lookup returns the oldest and LookupAll exposes both.
 func (f *MSHRFile) Lookup(l mem.Line) *MSHR {
-	es := f.index[l]
-	if len(es) == 0 {
-		return nil
+	var oldest *MSHR
+	for i := range f.entries {
+		e := &f.entries[i]
+		if e.valid && e.Line == l && (oldest == nil || e.stamp < oldest.stamp) {
+			oldest = e
+		}
 	}
-	return es[0]
+	return oldest
 }
 
-// LookupAll returns every MSHR outstanding for l.
-func (f *MSHRFile) LookupAll(l mem.Line) []*MSHR { return f.index[l] }
+// LookupAll appends every MSHR outstanding for l to dst, oldest first,
+// and returns the extended slice. Callers pass a small stack buffer, so
+// a lookup allocates nothing and nested lookups never share storage.
+func (f *MSHRFile) LookupAll(l mem.Line, dst []*MSHR) []*MSHR {
+	start := len(dst)
+	for i := range f.entries {
+		e := &f.entries[i]
+		if !e.valid || e.Line != l {
+			continue
+		}
+		dst = append(dst, e)
+		for j := len(dst) - 1; j > start && dst[j].stamp < dst[j-1].stamp; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
+}
 
 // FullForNormal reports whether a non-reserved allocation would fail.
 func (f *MSHRFile) FullForNormal() bool {
@@ -98,7 +117,8 @@ func (f *MSHRFile) place(l mem.Line, reserved bool) *MSHR {
 			e.Line = l
 			e.Reserved = reserved
 			e.Payload = nil
-			f.index[l] = append(f.index[l], e)
+			e.stamp = f.stamp
+			f.stamp++
 			f.inUse++
 			if reserved {
 				f.resInUse++
@@ -113,18 +133,6 @@ func (f *MSHRFile) place(l mem.Line, reserved bool) *MSHR {
 func (f *MSHRFile) Free(m *MSHR) {
 	if !m.valid {
 		panic("cache: freeing invalid MSHR")
-	}
-	es := f.index[m.Line]
-	for i, e := range es {
-		if e == m {
-			es = append(es[:i], es[i+1:]...)
-			break
-		}
-	}
-	if len(es) == 0 {
-		delete(f.index, m.Line)
-	} else {
-		f.index[m.Line] = es
 	}
 	m.valid = false
 	m.Payload = nil

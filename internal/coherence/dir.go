@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,7 +104,7 @@ type dirLine struct {
 	dataValid bool // data is the current value of the line
 	dirty     bool // data differs from memory
 	txn       *dirTxn
-	pending   []*Msg // queued requests (writes while WB; everything while Busy/Fetching)
+	pending   []Msg // queued requests (writes while WB; everything while Busy/Fetching)
 	inEvBuf   bool
 	frame     *cache.Entry
 
@@ -154,16 +155,17 @@ type Bank struct {
 	id     network.Endpoint
 	port   network.Port
 	params *Params
-	events sim.EventQueue
+	events sim.Queue[deferred]
 	memory *mem.Memory
 
 	array *cache.Array
 	lines map[mem.Line]*dirLine
-	evbuf map[mem.Line]*dirLine
+	evbuf []*dirLine // eviction buffer, in line order
 
 	// earlyDelayed buffers DelayedAcks that overtook their Nack in the
-	// unordered network; they are consumed when the Nack arrives.
-	earlyDelayed map[mem.Line]int
+	// unordered network, one line per ack; they are consumed when the
+	// Nack arrives.
+	earlyDelayed []mem.Line
 
 	// machine is the composed transition table the bank dispatches on;
 	// cov counts row firings for the -coverage report; trace, when set,
@@ -188,24 +190,39 @@ func NewBank(id network.Endpoint, port network.Port, params *Params, memory *mem
 	flavor := dirFlavorFor(mode, params.NonSilentSharedEvictions)
 	machine := dirMachines[flavor]
 	return &Bank{
-		id:           id,
-		port:         port,
-		params:       params,
-		memory:       memory,
-		array:        cache.NewArray(params.LLCLines, params.LLCWays),
-		lines:        make(map[mem.Line]*dirLine),
-		evbuf:        make(map[mem.Line]*dirLine),
-		earlyDelayed: make(map[mem.Line]int),
-		flavor:       flavor,
-		machine:      machine,
-		cov:          machine.NewCoverage(),
+		id:      id,
+		port:    port,
+		params:  params,
+		memory:  memory,
+		array:   cache.NewArray(params.LLCLines, params.LLCWays),
+		lines:   make(map[mem.Line]*dirLine),
+		flavor:  flavor,
+		machine: machine,
+		cov:     machine.NewCoverage(),
 	}
 }
 
 // Tick runs the bank's deferred events.
 func (b *Bank) Tick(now sim.Cycle) {
 	b.now = now
-	b.events.Run(now)
+	b.events.Run(now, b.fire)
+}
+
+// fire runs one of the bank's deferred actions.
+func (b *Bank) fire(ev deferred) {
+	//wbsim:partial(dfPCUSend, dfPCULease) -- a bank schedules only its own kinds
+	switch ev.kind {
+	case dfBankSend:
+		send(b.port, b.now, b.id, ev.dst, &ev.m, b.params.DataFlits, b.params.CtrlFlits)
+	case dfBankRetry, dfBankRequeue:
+		b.reenter(ev.m)
+	case dfBankFetchDone:
+		b.fetchDone(ev.line)
+	case dfBankLease:
+		b.dispatch(dirEvLeaseExpired, &Msg{Line: ev.line})
+	default:
+		panicf("bank %d: no action for deferred kind %d", b.id, ev.kind)
+	}
 }
 
 // EventsDue reports whether Tick(now) would fire at least one deferred
@@ -339,8 +356,7 @@ func (b *Bank) allocateAndFetch(m *Msg) {
 		// (Section 3.5) — and retry after a backoff.
 		b.sendAfter(b.params.TagLatency, m.Requester,
 			&Msg{Type: MsgBlockedHint, Line: m.Line, Requester: m.Requester})
-		b.events.AfterCall(b.now, sim.Cycle(b.params.LLCLatency),
-			fireBankRetry, &bankRetry{b: b, m: *m})
+		b.events.After(b.now, sim.Cycle(b.params.LLCLatency), deferred{kind: dfBankRetry, m: *m})
 		return
 	}
 	if victim.Valid() {
@@ -348,76 +364,46 @@ func (b *Bank) allocateAndFetch(m *Msg) {
 	}
 	frame := b.array.Install(victim, m.Line)
 	dl := &dirLine{line: m.Line, kind: dirFetching, frame: frame, since: b.now}
-	dl.pending = append(dl.pending, m)
+	dl.pending = append(dl.pending, *m)
 	b.lines[m.Line] = dl
 	b.Stats.MemReads++
-	b.events.AfterCall(b.now, sim.Cycle(b.params.MemLatency),
-		fireBankFetchDone, &bankFetchDone{b: b, dl: dl})
+	b.events.After(b.now, sim.Cycle(b.params.MemLatency), deferred{kind: dfBankFetchDone, line: m.Line})
 }
 
-// The bank's deferred actions are scheduled as static fire functions
-// with one argument struct each (like bankSend in messages.go), never as
-// anonymous closures. Beyond saving an allocation, this keeps every
-// pending event inspectable: the model checker folds each component's
-// event queue into the state fingerprint by looking at the scheduled
-// argument values, which a closure would hide.
-
-// bankRetry re-enters a write that was turned away by a full directory
-// (BlockedHint) after its backoff.
-type bankRetry struct {
-	b *Bank
-	m Msg
-}
-
-func fireBankRetry(a any) {
-	r := a.(*bankRetry)
-	r.b.redispatch(&r.m)
-}
-
-// bankFetchDone lands a memory fetch for a Fetching entry and replays
+// fetchDone lands the memory fetch of line's Fetching entry and replays
 // the requests queued on it.
-type bankFetchDone struct {
-	b  *Bank
-	dl *dirLine
-}
-
-func fireBankFetchDone(a any) {
-	f := a.(*bankFetchDone)
-	b, dl := f.b, f.dl
-	dl.data = b.memory.ReadLine(dl.line)
+func (b *Bank) fetchDone(line mem.Line) {
+	dl := b.lines[line]
+	if dl == nil || dl.kind != dirFetching {
+		panicf("bank %d: fetch for %v landed on no Fetching entry", b.id, line)
+	}
+	dl.data = b.memory.ReadLine(line)
 	dl.dataValid = true
 	dl.dirty = false
 	dl.kind = dirInvalid
 	b.processPending(dl)
 }
 
-// bankRequeue re-dispatches one request orphaned by a completed
-// eviction; it re-enters as a fresh request and allocates anew.
-type bankRequeue struct {
-	b *Bank
-	m *Msg
-}
-
-func fireBankRequeue(a any) {
-	r := a.(*bankRequeue)
-	r.b.redispatch(r.m)
-}
+// reenter re-dispatches a retried or requeued request. The bank may
+// queue the message it is handed, so it gets a copy of its own.
+func (b *Bank) reenter(m Msg) { b.redispatch(&m) }
 
 // ---------------------------------------------------------------------
 // Writes
 // ---------------------------------------------------------------------
 
 // drainPendingReads serves every queued read with tear-off data, leaving
-// writes queued (used on Busy -> WB transitions).
+// writes queued in order (used on Busy -> WB transitions).
 func (b *Bank) drainPendingReads(dl *dirLine) {
-	var writes []*Msg
-	for _, pm := range dl.pending {
-		if pm.Type == MsgGetS || pm.Type == MsgRetryRd {
+	writes := dl.pending[:0]
+	for i := range dl.pending {
+		if pm := &dl.pending[i]; pm.Type == MsgGetS || pm.Type == MsgRetryRd {
 			b.serveTearoff(dl, pm)
 		} else {
-			writes = append(writes, pm)
+			writes = append(writes, *pm)
 		}
 	}
+	clear(dl.pending[len(writes):])
 	dl.pending = writes
 }
 
@@ -463,7 +449,9 @@ func (b *Bank) processPending(dl *dirLine) {
 	for len(dl.pending) > 0 &&
 		(dl.kind == dirInvalid || dl.kind == dirShared || dl.kind == dirExclusive ||
 			(dl.kind == dirTsShared && dl.txn == nil)) {
-		m := dl.pending[0]
+		// The popped slot lies before the slice's start, so nothing the
+		// redispatch queues can overwrite it.
+		m := &dl.pending[0]
 		dl.pending = dl.pending[1:]
 		b.redispatch(m)
 	}
@@ -528,7 +516,7 @@ func (b *Bank) startEviction(frame *cache.Entry) {
 		dl.hasOwner = false
 	}
 	dl.inEvBuf = true
-	b.evbuf[dl.line] = dl
+	b.evbufPut(dl)
 	if dl.txn.acksPending == 0 {
 		b.maybeFinishEviction(dl)
 	}
@@ -544,8 +532,54 @@ func (b *Bank) maybeFinishEviction(dl *dirLine) {
 		b.memory.WriteLine(dl.line, dl.data)
 		b.Stats.MemWrites++
 	}
-	delete(b.evbuf, dl.line)
+	b.evbufDrop(dl.line)
 	b.requeueOrphans(dl)
+}
+
+// evbufFind returns line's entry in the eviction buffer, or nil.
+func (b *Bank) evbufFind(line mem.Line) *dirLine {
+	for _, dl := range b.evbuf {
+		if dl.line == line {
+			return dl
+		}
+	}
+	return nil
+}
+
+// evbufPut parks dl in the eviction buffer, in place of any entry
+// for its line.
+func (b *Bank) evbufPut(dl *dirLine) {
+	i := 0
+	for i < len(b.evbuf) && b.evbuf[i].line < dl.line {
+		i++
+	}
+	if i < len(b.evbuf) && b.evbuf[i].line == dl.line {
+		b.evbuf[i] = dl
+		return
+	}
+	b.evbuf = slices.Insert(b.evbuf, i, dl)
+}
+
+// evbufDrop frees line's eviction-buffer slot.
+func (b *Bank) evbufDrop(line mem.Line) {
+	for i, dl := range b.evbuf {
+		if dl.line == line {
+			b.evbuf = slices.Delete(b.evbuf, i, i+1)
+			return
+		}
+	}
+}
+
+// earlyDelayedFor reports how many DelayedAcks for line overtook
+// their Nack.
+func (b *Bank) earlyDelayedFor(line mem.Line) int {
+	n := 0
+	for _, l := range b.earlyDelayed {
+		if l == line {
+			n++
+		}
+	}
+	return n
 }
 
 // requeueOrphans re-dispatches requests that were queued on an entry that
@@ -554,7 +588,7 @@ func (b *Bank) requeueOrphans(dl *dirLine) {
 	pending := dl.pending
 	dl.pending = nil
 	for _, m := range pending {
-		b.events.AfterCall(b.now, 1, fireBankRequeue, &bankRequeue{b: b, m: m})
+		b.events.After(b.now, 1, deferred{kind: dfBankRequeue, m: m})
 	}
 }
 
@@ -678,7 +712,6 @@ func (b *Bank) TransientLines(now sim.Cycle) []TransientLine {
 	for _, dl := range b.lines {
 		collect(dl)
 	}
-	//wbsim:nondet -- entries are sorted below before return
 	for _, dl := range b.evbuf {
 		if _, dup := b.lines[dl.line]; !dup {
 			collect(dl)
@@ -708,8 +741,7 @@ func (b *Bank) DumpState() string {
 			sb.WriteByte('\n')
 		}
 	}
-	for _, line := range sortedLines(b.evbuf) {
-		dl := b.evbuf[line]
+	for _, dl := range b.evbuf {
 		fmt.Fprintf(&sb, "bank %d EVBUF line=%v kind=%v\n", b.id, dl.line, dl.kind)
 	}
 	return sb.String()

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"wbsim/internal/coherence/table"
 	"wbsim/internal/mem"
 	"wbsim/internal/network"
@@ -607,7 +609,7 @@ var dirMachines = func() [numDirFlavors]*table.Machine[dirAction] {
 func dirActAlloc(b *Bank, _ *dirLine, m *Msg) { b.allocateAndFetch(m) }
 
 // dirActQueue parks a request on a transient entry until it stabilizes.
-func dirActQueue(_ *Bank, dl *dirLine, m *Msg) { dl.pending = append(dl.pending, m) }
+func dirActQueue(_ *Bank, dl *dirLine, m *Msg) { dl.pending = append(dl.pending, *m) }
 
 // dirActReadGrantExcl grants MESI Exclusive from the LLC copy: no
 // sharers exist.
@@ -699,7 +701,7 @@ func dirActWriteFwd(b *Bank, dl *dirLine, m *Msg) {
 // so its SoS loads bypass the blocked MSHR.
 func dirActWriteQueueWB(b *Bank, dl *dirLine, m *Msg) {
 	b.Stats.QueuedWrites++
-	dl.pending = append(dl.pending, m)
+	dl.pending = append(dl.pending, *m)
 	b.sendAfter(b.params.TagLatency, m.Requester,
 		&Msg{Type: MsgBlockedHint, Line: m.Line, Requester: m.Requester})
 }
@@ -732,7 +734,7 @@ func dirActPutStale(b *Bank, _ *dirLine, m *Msg) {
 func dirActPutRace(b *Bank, dl *dirLine, m *Msg) {
 	txn := dl.txn
 	if txn != nil && m.Src == txn.requester && !(txn.fwd && txn.oldOwner == m.Src) {
-		dl.pending = append(dl.pending, m)
+		dl.pending = append(dl.pending, *m)
 		return
 	}
 	dirActPutStale(b, dl, m)
@@ -814,12 +816,8 @@ func (b *Bank) absorbNack(dl *dirLine, m *Msg) bool {
 		dl.dirty = true
 	}
 	dl.txn.delayedPending++
-	if n := b.earlyDelayed[m.Line]; n > 0 {
-		if n == 1 {
-			delete(b.earlyDelayed, m.Line)
-		} else {
-			b.earlyDelayed[m.Line] = n - 1
-		}
+	if i := slices.Index(b.earlyDelayed, m.Line); i >= 0 {
+		b.earlyDelayed = slices.Delete(b.earlyDelayed, i, i+1)
 		return true
 	}
 	dl.txn.delayedFrom = append(dl.txn.delayedFrom, m.Src)
@@ -868,13 +866,15 @@ func dirActNackEvict(b *Bank, dl *dirLine, m *Msg) {
 
 // dirActDelayedEarly buffers a DelayedAck that overtook its Nack in the
 // unordered network; it is consumed when the Nack arrives.
-func dirActDelayedEarly(b *Bank, _ *dirLine, m *Msg) { b.earlyDelayed[m.Line]++ }
+func dirActDelayedEarly(b *Bank, _ *dirLine, m *Msg) {
+	b.earlyDelayed = append(b.earlyDelayed, m.Line)
+}
 
 // dirActDelayedAck accounts a lifted lockdown against the WritersBlock
 // (or buffers it if its own Nack is still in flight).
 func dirActDelayedAck(b *Bank, dl *dirLine, m *Msg) {
 	if dl.txn.delayedPending <= 0 {
-		b.earlyDelayed[m.Line]++
+		b.earlyDelayed = append(b.earlyDelayed, m.Line)
 		return
 	}
 	dl.txn.delayedFrom = removeEP(dl.txn.delayedFrom, m.Src)
@@ -925,13 +925,13 @@ func dirActUnblockExcl(b *Bank, dl *dirLine, m *Msg) {
 }
 
 // sendAfter schedules a message after delay cycles of local processing.
-// The message is copied into the deferred-send record, so callers may
-// pass short-lived stack values.
+// The message is copied into the queued event, so callers may pass
+// short-lived stack values.
 func (b *Bank) sendAfter(delay int, dst network.Endpoint, m *Msg) {
 	if b.conf != nil {
 		b.conf.send(dst, m)
 	}
-	b.events.AfterCall(b.now, sim.Cycle(delay), fireBankSend, &bankSend{b: b, dst: dst, m: *m})
+	b.events.After(b.now, sim.Cycle(delay), deferred{kind: dfBankSend, dst: dst, m: *m})
 }
 
 // find returns the directory entry for line, looking in the live slice
@@ -945,5 +945,5 @@ func (b *Bank) find(line mem.Line) *dirLine {
 	if len(b.evbuf) == 0 {
 		return nil
 	}
-	return b.evbuf[line]
+	return b.evbufFind(line)
 }

@@ -36,7 +36,7 @@ func (d *exPeer) Receive(now sim.Cycle, nm *network.Message) {
 }
 
 func (d *exPeer) send(dst network.Endpoint, m *Msg) {
-	send(d.bch.mesh, new(network.Message), d.bch.now, d.id, dst, m, d.bch.params.DataFlits, d.bch.params.CtrlFlits)
+	send(d.bch.mesh, d.bch.now, d.id, dst, m, d.bch.params.DataFlits, d.bch.params.CtrlFlits)
 }
 
 // last returns the most recent delivery of the given type for the given

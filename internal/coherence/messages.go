@@ -145,53 +145,60 @@ func vnetOf(t MsgType) network.VNet {
 // carriesData reports whether the message needs data-sized flits.
 func carriesData(m *Msg) bool { return m.HasData }
 
-// send wraps a Msg into the network envelope env and injects it.
-func send(port network.Port, env *network.Message, now simCycle, src, dst network.Endpoint, m *Msg, dataFlits, ctrlFlits int) {
+// deferredKind names what a scheduled PCU or bank event does when it
+// fires. Each component fires only its own kinds.
+type deferredKind uint8
+
+const (
+	dfPCUSend       deferredKind = iota // PCU: send m to dst
+	dfPCULease                          // PCU: the lease on line, armed for expiry, lapses (tardis)
+	dfBankSend                          // bank: send m to dst
+	dfBankRetry                         // bank: re-enter m, a write a full directory turned away
+	dfBankFetchDone                     // bank: the memory fetch for line lands
+	dfBankRequeue                       // bank: re-enter m, orphaned by a completed eviction
+	dfBankLease                         // bank: the lease timer of line fires (tardis)
+)
+
+// deferred is one scheduled action of a PCU or bank, held by value in
+// its event queue: a send carries its message, a timer or fetch names
+// its line. It holds no pointer, so the model checker copies a queue
+// as a slice and folds each pending event into the state fingerprint
+// from these fields alone.
+type deferred struct {
+	kind   deferredKind
+	dst    network.Endpoint // send destination
+	line   mem.Line         // fetch and lease targets
+	expiry simCycle         // dfPCULease: the stamp the timer was armed for
+	m      Msg              // sent or re-entered message
+}
+
+// envelope is one message on the mesh: the network envelope and the
+// protocol body it carries, allocated when the send fires and kept
+// alive by the mesh until delivery.
+type envelope struct {
+	env network.Message
+	m   Msg
+}
+
+// send stamps m with its source and injects it into port. The mesh
+// keeps what it is handed until delivery, so the message travels in an
+// envelope of its own. The model checker's port copies the message into
+// a flight instead, so it gets a stack envelope and nothing is
+// allocated.
+func send(port network.Port, now simCycle, src, dst network.Endpoint, m *Msg, dataFlits, ctrlFlits int) {
 	m.Src = src
 	flits := ctrlFlits
 	if carriesData(m) {
 		flits = dataFlits
 	}
-	*env = network.Message{
-		Src:     src,
-		Dst:     dst,
-		VNet:    vnetOf(m.Type),
-		Flits:   flits,
-		Payload: m,
+	env := network.Message{Src: src, Dst: dst, VNet: vnetOf(m.Type), Flits: flits}
+	if mp, ok := port.(modelPort); ok {
+		mp.put(env, m)
+		return
 	}
-	port.Send(now, env)
-}
-
-// bankSend and pcuSend pack one scheduled protocol send — owner,
-// destination, the message body and its network envelope — into a
-// single allocation, passed through EventQueue.AfterCall with a static
-// fire function. The owner pointer is read at fire time so the send
-// stamps the owner's then-current cycle. A send fires once, so its
-// envelope is written once, at fire time; until then it is zero.
-type bankSend struct {
-	b   *Bank
-	dst network.Endpoint
-	m   Msg
-	env network.Message
-}
-
-func fireBankSend(a any) {
-	s := a.(*bankSend)
-	b := s.b
-	send(b.port, &s.env, b.now, b.id, s.dst, &s.m, b.params.DataFlits, b.params.CtrlFlits)
-}
-
-type pcuSend struct {
-	p   *PCU
-	dst network.Endpoint
-	m   Msg
-	env network.Message
-}
-
-func firePCUSend(a any) {
-	s := a.(*pcuSend)
-	p := s.p
-	send(p.port, &s.env, p.now, p.id, s.dst, &s.m, p.params.DataFlits, p.params.CtrlFlits)
+	e := &envelope{env: env, m: *m}
+	e.env.Payload = &e.m
+	port.Send(now, &e.env)
 }
 
 // panicf reports a protocol-invariant violation. Handlers call this

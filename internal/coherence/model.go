@@ -14,7 +14,7 @@ package coherence
 //     subset).
 //   - Component event queues (the deferred sends and completions that
 //     latency parameters would spread over time) fire in any order via
-//     EventQueue.FireNth, exploring every latency assignment at once.
+//     Queue.FireNth, exploring every latency assignment at once.
 //   - A tiny in-order model core per PCU issues a fixed load/store
 //     program, arms and lifts lockdowns, and retries stores with weak
 //     fairness (the retry choice is always enabled), mirroring the
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wbsim/internal/cache"
 	"wbsim/internal/coherence/table"
 	"wbsim/internal/mem"
 	"wbsim/internal/network"
@@ -131,21 +132,18 @@ type Model struct {
 }
 
 // scratchBufs holds the buffers a choice enumeration and a fingerprint
-// are assembled in and the envelope a delivery hands over. Each is
-// overwritten before it is read and dead once the next call that fills
-// it starts, so the models of one pool, which one worker uses one at a
-// time, share a single set.
+// are assembled in. Each is overwritten before it is read and dead once
+// the next call that fills it starts, so the models of one pool, which
+// one worker uses one at a time, share a single set.
 type scratchBufs struct {
 	ch           []choice
 	fp, sec, sym []byte
 	ka           []byte  // key arena of a multiset being sorted
 	kaOffs       []int32 // key spans in ka
 	sh           []int64 // sharer list being sorted
-	env          network.Message
 }
 
-// scratch returns the buffers m's enumerations, fingerprints and
-// deliveries use.
+// scratch returns the buffers m's enumerations and fingerprints use.
 func (m *Model) scratch() *scratchBufs {
 	if m.pool != nil {
 		return &m.pool.bufs
@@ -159,13 +157,16 @@ func (m *Model) scratch() *scratchBufs {
 // modelPort funnels every component's sends into the model's multiset.
 type modelPort struct{ m *Model }
 
-// Send copies the message into a flight of the model's own: the
-// envelope and body it is handed live in the sender's send record,
-// which the snapshot reuses once the send has fired.
-func (p modelPort) Send(_ sim.Cycle, msg *network.Message) {
+// Send copies the message into a flight of the model's own; the
+// components' sends reach put directly (send, messages.go).
+func (p modelPort) Send(_ sim.Cycle, env *network.Message) {
+	p.put(*env, env.Payload.(*Msg))
+}
+
+// put parks a copy of env and its body m in the in-flight multiset.
+func (p modelPort) put(env network.Message, m *Msg) {
 	f := p.m.pool.newFlight()
-	f.env = *msg
-	f.msg = *msg.Payload.(*Msg)
+	f.env, f.msg = env, *m
 	f.env.Payload = &f.msg
 	f.refs.Store(1)
 	p.m.net = append(p.m.net, f)
@@ -540,11 +541,11 @@ func (m *Model) DescribeChoice(ch Choice) string {
 		f := m.net[ch.idx]
 		return "deliver " + m.msgDesc(&f.msg, f.env.Dst)
 	case chFireCore:
-		pe := m.ps[ch.comp].pcu.events.Pending()[ch.idx]
-		return fmt.Sprintf("fire core%d %s", ch.comp, m.describeEvent(pe.Arg))
+		p := m.ps[ch.comp].pcu
+		return fmt.Sprintf("fire core%d %s", ch.comp, m.describeEvent(p.events.Nth(int(ch.idx)), p.id))
 	case chFireBank:
-		pe := m.bs[ch.comp].bank.events.Pending()[ch.idx]
-		return fmt.Sprintf("fire bank%d %s", ch.comp, m.describeEvent(pe.Arg))
+		b := m.bs[ch.comp].bank
+		return fmt.Sprintf("fire bank%d %s", ch.comp, m.describeEvent(b.events.Nth(int(ch.idx)), b.id))
 	case chLoad:
 		core := &m.ps[ch.comp].core
 		return fmt.Sprintf("core%d load %v", ch.comp, m.lines[core.prog[core.pc].li])
@@ -566,11 +567,11 @@ func (m *Model) applyChoice(ch choice) {
 	case chDeliver:
 		m.deliver(int(ch.idx))
 	case chFireCore:
-		s := m.ps[ch.comp]
-		s.reuseFired(s.pcu.events.FireNth(int(ch.idx)))
+		p := m.ps[ch.comp].pcu
+		p.events.FireNth(int(ch.idx), p.fire)
 	case chFireBank:
-		s := m.bs[ch.comp]
-		s.reuseFired(s.bank.events.FireNth(int(ch.idx)))
+		b := m.bs[ch.comp].bank
+		b.events.FireNth(int(ch.idx), b.fire)
 	case chLoad:
 		core := &m.ps[ch.comp].core
 		m.stimLoad(core, core.prog[core.pc])
@@ -652,28 +653,29 @@ func (m *Model) stimLift(c *modelCore, li int) {
 	}
 }
 
-// describeEvent renders a scheduled event-queue argument. Every deferred
-// action in the coherence package is scheduled as a known argument
-// struct; an unknown type means a closure snuck in and would hide state
-// from the fingerprint, so it is a hard error.
-func (m *Model) describeEvent(arg any) string {
-	switch a := arg.(type) {
-	case *pcuSend:
-		return "send " + m.msgDesc(&a.m, a.dst)
-	case *bankSend:
-		return "send " + m.msgDesc(&a.m, a.dst)
-	case *bankRetry:
-		return "retry " + m.msgDesc(&a.m, a.b.id)
-	case *bankFetchDone:
-		return fmt.Sprintf("fetch-done %v", a.dl.line)
-	case *bankRequeue:
-		return "requeue " + m.msgDesc(a.m, a.b.id)
-	case *bankLeaseExpire:
-		return fmt.Sprintf("lease-expire %v", a.line)
-	case *pcuLeaseExpire:
-		return fmt.Sprintf("lease-expire %v", a.line)
+// describeEvent renders a pending event of the component at endpoint
+// self. An unknown kind would hide state from the fingerprint, so it is
+// a hard error.
+func (m *Model) describeEvent(ev *deferred, self network.Endpoint) string {
+	switch ev.kind {
+	case dfPCUSend, dfBankSend:
+		return "send " + m.msgDesc(&ev.m, ev.dst)
+	case dfBankRetry:
+		return "retry " + m.msgDesc(&ev.m, self)
+	case dfBankFetchDone:
+		return fmt.Sprintf("fetch-done %v", ev.line)
+	case dfBankRequeue:
+		return "requeue " + m.msgDesc(&ev.m, self)
+	case dfBankLease, dfPCULease:
+		return fmt.Sprintf("lease-expire %v", ev.line)
 	}
-	panic(fmt.Sprintf("model: unfingerprintable pending event %T", arg))
+	panic(unknownEvent(ev))
+}
+
+// unknownEvent is the panic message for a pending event of a kind the
+// model cannot render or fingerprint.
+func unknownEvent(ev *deferred) string {
+	return fmt.Sprintf("model: unfingerprintable pending event kind %d", ev.kind)
 }
 
 // ApplyIndex applies the i-th choice of the current state's choice
@@ -883,31 +885,29 @@ func msgKeyTail(b []byte, pm *Msg, requester network.Endpoint) []byte {
 	return b
 }
 
-// eventKey appends a scheduled event-queue argument's canonical
-// serialization (fast counterpart of describeEvent). An unknown type
-// means a closure snuck in and would hide state from the fingerprint,
-// so it is a hard error.
-func (m *Model) eventKey(b []byte, arg any) []byte {
-	switch a := arg.(type) {
-	case *pcuSend:
-		return m.msgKey(append(b, 'p'), &a.m, a.dst)
-	case *bankSend:
-		return m.msgKey(append(b, 'b'), &a.m, a.dst)
-	case *bankRetry:
-		return m.msgKey(append(b, 'r'), &a.m, a.b.id)
-	case *bankFetchDone:
-		return fpInt(append(b, 'f'), int64(a.dl.line))
-	case *bankRequeue:
-		return m.msgKey(append(b, 'q'), a.m, a.b.id)
-	case *bankLeaseExpire:
-		return fpInt(append(b, 'L'), int64(a.line))
-	case *pcuLeaseExpire:
+// eventKey appends the canonical serialization of a pending event of
+// the component at endpoint self (fast counterpart of describeEvent).
+func (m *Model) eventKey(b []byte, ev *deferred, self network.Endpoint) []byte {
+	switch ev.kind {
+	case dfPCUSend:
+		return m.msgKey(append(b, 'p'), &ev.m, ev.dst)
+	case dfBankSend:
+		return m.msgKey(append(b, 'b'), &ev.m, ev.dst)
+	case dfBankRetry:
+		return m.msgKey(append(b, 'r'), &ev.m, self)
+	case dfBankFetchDone:
+		return fpInt(append(b, 'f'), int64(ev.line))
+	case dfBankRequeue:
+		return m.msgKey(append(b, 'q'), &ev.m, self)
+	case dfBankLease:
+		return fpInt(append(b, 'L'), int64(ev.line))
+	case dfPCULease:
 		// The expiry stamp is excluded: the model runs at now=0, so every
 		// stamp is the same constant (leaseSpan of zero) and carries no
 		// semantic information beyond the timer's presence.
-		return fpInt(append(b, 'x'), int64(a.line))
+		return fpInt(append(b, 'x'), int64(ev.line))
 	}
-	panic(fmt.Sprintf("model: unfingerprintable pending event %T", arg))
+	panic(unknownEvent(ev))
 }
 
 // Fingerprint serializes all semantic state canonically: map contents in
@@ -1010,7 +1010,7 @@ func (m *Model) pcuKey(b []byte, s *pcuSnap) ([]byte, int) {
 	for _, line := range m.lines {
 		b = pcuLineKey(b, s.pcu, line, int64(line))
 	}
-	return m.eventMultiset(b, &s.pcu.events), mid
+	return m.eventMultiset(b, &s.pcu.events, s.pcu.id), mid
 }
 
 // bankKey appends one bank's record: its directory entries, eviction
@@ -1021,16 +1021,16 @@ func (m *Model) bankKey(b []byte, bank *Bank) []byte {
 		if dl := bank.lines[line]; dl != nil {
 			b = m.dirLineKey(append(b, 'l'), bank, dl)
 		}
-		if dl := bank.evbuf[line]; dl != nil {
+		if dl := bank.evbufFind(line); dl != nil {
 			b = m.dirLineKey(append(b, 'e'), bank, dl)
 		}
-		if n := bank.earlyDelayed[line]; n != 0 {
+		if n := bank.earlyDelayedFor(line); n != 0 {
 			b = append(b, 'd')
 			b = fpInt(b, int64(line))
 			b = fpInt(b, int64(n))
 		}
 	}
-	return m.eventMultiset(b, &bank.events)
+	return m.eventMultiset(b, &bank.events, bank.id)
 }
 
 // pcuLineKey appends one PCU's records for line — its L2 entry, MSHRs,
@@ -1046,7 +1046,8 @@ func pcuLineKey(b []byte, p *PCU, line mem.Line, id int64) []byte {
 		b = fpInt(b, int64(e.Data.Get(line.Base())))
 		b = fpInt(b, int64(p.l2.LRURank(e)))
 	}
-	for _, ms := range p.mshrs.LookupAll(line) {
+	var buf [4]*cache.MSHR
+	for _, ms := range p.mshrs.LookupAll(line, buf[:0]) {
 		txn := ms.Payload.(*pcuTxn)
 		b = append(b, 'm')
 		b = fpInt(b, id)
@@ -1059,7 +1060,7 @@ func pcuLineKey(b []byte, p *PCU, line mem.Line, id int64) []byte {
 		b = fpInt(b, int64(len(txn.loads)))
 		b = fpInt(b, int64(len(txn.atomics)))
 	}
-	if wb := p.wbBuf[line]; wb != nil {
+	if wb := p.wbFind(line); wb != nil {
 		b = append(b, 'w')
 		b = fpInt(b, id)
 		b = append(b, fpBool(wb.dirty, 0)|fpBool(wb.staleAck, 1)|fpBool(wb.servedFwd, 2))
@@ -1130,21 +1131,21 @@ func (m *Model) dirLineKey(b []byte, bank *Bank, dl *dirLine) []byte {
 		b = fpInt(b, int64(t.delayedPending))
 	}
 	b = fpInt(b, int64(len(dl.pending)))
-	for _, pm := range dl.pending {
-		b = m.msgKey(b, pm, bank.id)
+	for i := range dl.pending {
+		b = m.msgKey(b, &dl.pending[i], bank.id)
 	}
 	return b
 }
 
-// eventMultiset appends a component's pending events as a sorted
-// multiset of serialized arguments.
-func (m *Model) eventMultiset(b []byte, q *sim.EventQueue) []byte {
+// eventMultiset appends the pending events of the component at endpoint
+// self as a sorted multiset of serialized events.
+func (m *Model) eventMultiset(b []byte, q *sim.Queue[deferred], self network.Endpoint) []byte {
 	b = append(b, 'E')
 	sc := m.scratch()
 	kb, offs := sc.ka[:0], sc.kaOffs[:0]
 	for i := 0; i < q.Len(); i++ {
 		start := int32(len(kb))
-		kb = m.eventKey(kb, q.ArgAt(i))
+		kb = m.eventKey(kb, q.Stored(i), self)
 		offs = append(offs, start, int32(len(kb)))
 	}
 	b = appendSortedKeys(b, kb, offs)

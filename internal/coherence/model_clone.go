@@ -21,28 +21,31 @@ package coherence
 //
 // In-flight messages are shared too: a child copies the net slice of
 // flight pointers, not the messages. A flight is the model's copy of a
-// sent message (modelPort.Send), so the send record it came from goes
-// back onto its snapshot's free list once it has fired (reuseFired). A
-// flight is immutable, and a receiving PCU neither keeps nor edits it. A
-// bank does keep the requests it queues, so deliver copies a bank-bound
-// message into the bank's snapshot first.
+// sent message (modelPort.put). A flight is immutable, and a receiving
+// component neither keeps nor edits it: a bank copies the requests it
+// queues.
+//
+// A component's mutable state holds no pointer the copy would have to
+// translate but its cache frames, directory entries and MSHR payloads:
+// pending events are values naming lines and messages, the MSHR file
+// orders entries by stamp, and the write-back and eviction buffers are
+// short slices. So copying a snapshot is a run of slice copies, plus a
+// deep copy of each directory entry and MSHR transaction.
 //
 // Snapshots and flights carry reference counts. When a model is
 // released its references are dropped; an object whose count reaches
 // zero goes onto the releasing pool's free list, and cloneFrom later
-// reuses a snapshot's maps, slices, arenas, cache frames and
-// event-argument objects. A snapshot's free lists are drawn from only
-// while cloneFrom overwrites it as a whole, and its arenas grow only
-// past the slots its current contents use, so nothing live is handed out
-// twice. Creating a child and privatizing one snapshot therefore
-// allocates nothing in steady state (TestModelChildZeroAlloc, in make
-// alloc-gate).
+// reuses a snapshot's maps, slices, arenas and cache frames. A
+// snapshot's arenas are reset only while cloneFrom overwrites it as a
+// whole, and grow only past the slots its current contents use, so
+// nothing live is handed out twice. Creating a child and privatizing
+// one snapshot therefore allocates nothing in steady state
+// (TestModelChildZeroAlloc, in make alloc-gate).
 //
 // Clone, the whole-model deep copy, is the test oracle the
 // copy-on-write path is checked against (model_clone_test.go).
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"wbsim/internal/cache"
@@ -64,10 +67,7 @@ type pcuSnap struct {
 	fpCore int
 	fpOK   bool
 
-	ptxnArena []pcuTxn          // MSHR payloads
-	freeWB    []*wbEntry        // write-back entries dropped by earlier copies
-	freeSend  []*pcuSend        // harvested event arguments
-	freeLease []*pcuLeaseExpire // harvested event arguments
+	ptxnArena []pcuTxn // MSHR payloads
 }
 
 // bankSnap is one bank's snapshot: the bank, the memory its lines are
@@ -81,24 +81,9 @@ type bankSnap struct {
 	fp   []byte // cached fingerprint section; valid while fpOK
 	fpOK bool
 
-	// Arenas backing queued and delivered messages, directory lines and
-	// directory transactions.
-	msgArena  []Msg
+	// Arenas backing directory lines and directory transactions.
 	dlArena   []dirLine
 	dtxnArena []dirTxn
-
-	// Clone memo: pointer identity during one cloneFrom, so aliased
-	// structures (a directory line in the line map and in a fetch event,
-	// a message in a pending queue and in a requeue event) stay aliased
-	// in the copy. Linear-scan slices: a state holds a handful of each.
-	msgs []msgPair
-	dls  []dlPair
-
-	freeSend      []*bankSend
-	freeRetry     []*bankRetry
-	freeFetchDone []*bankFetchDone
-	freeRequeue   []*bankRequeue
-	freeLease     []*bankLeaseExpire
 }
 
 // flight is one in-flight message, held by every model that has it in
@@ -108,9 +93,6 @@ type flight struct {
 	env  network.Message
 	msg  Msg // env's payload
 }
-
-type msgPair struct{ old, new *Msg }
-type dlPair struct{ old, new *dirLine }
 
 // ModelPool is one worker's free lists of retired models and component
 // snapshots. It is not safe for concurrent use; the snapshots' reference
@@ -333,8 +315,8 @@ func arenaSlot[T any](arena *[]T) *T {
 	return &a[len(a)-1]
 }
 
-// take pops a harvested event argument off a free list, or allocates
-// one when the list is empty.
+// take pops a retired object off a free list, or allocates one when
+// the list is empty.
 func take[T any](free *[]*T) *T {
 	if n := len(*free); n > 0 {
 		s := (*free)[n-1]
@@ -360,7 +342,7 @@ func (s *pcuSnap) cloneFrom(o *pcuSnap, lines []mem.Line) {
 	s.fpOK = false
 	s.ptxnArena = s.ptxnArena[:0]
 	if s.pcu == nil {
-		s.pcu = &PCU{l1: new(cache.Array), l2: new(cache.Array)}
+		s.pcu = &PCU{l1: new(cache.Array), l2: new(cache.Array), mshrs: new(cache.MSHRFile)}
 	}
 	s.clonePCUInto(s.pcu, o.pcu, lines)
 }
@@ -385,11 +367,7 @@ func (s *pcuSnap) clonePCUTxn(pay any) any {
 func (s *pcuSnap) clonePCUInto(np *PCU, p *PCU, lines []mem.Line) {
 	p.l1.CloneInto(np.l1)
 	p.l2.CloneInto(np.l2)
-	if np.mshrs == nil {
-		np.mshrs = p.mshrs.Clone(s.clonePCUTxn)
-	} else {
-		p.mshrs.CloneInto(np.mshrs, s.clonePCUTxn, lines)
-	}
+	p.mshrs.CloneInto(np.mshrs, s.clonePCUTxn)
 	np.id = p.id
 	np.port = nil
 	np.params = p.params // immutable after NewModel
@@ -401,37 +379,14 @@ func (s *pcuSnap) clonePCUInto(np *PCU, p *PCU, lines []mem.Line) {
 	np.cov = nil           // Fire skips counting on nil; clone coverage is never read
 	np.trace = p.trace
 	np.conf = nil // conformance recorders watch one component; never cloned
-	if np.wbBuf == nil {
-		np.wbBuf = make(map[mem.Line]*wbEntry, len(p.wbBuf))
-	}
-	// Walk the model's line universe instead of iterating the maps:
-	// lookups over the handful of modeled lines are cheaper than map
-	// iteration, and the stale-key deletes replace a clear().
-	wbCopied := 0
-	for _, l := range lines {
-		wb, old := p.wbBuf[l], np.wbBuf[l]
-		switch {
-		case wb == nil && old != nil:
-			s.freeWB = append(s.freeWB, old)
-			delete(np.wbBuf, l)
-		case wb != nil && old != nil:
-			*old = *wb
-		case wb != nil:
-			n := take(&s.freeWB)
-			*n = *wb
-			np.wbBuf[l] = n
-		}
-		if wb != nil {
-			wbCopied++
-		}
-	}
-	if wbCopied != len(p.wbBuf) {
-		panic("model: write-back buffer tracks a line outside the model universe")
-	}
+	np.wbBuf = append(np.wbBuf[:0], p.wbBuf...)
 	if p.leases != nil {
 		if np.leases == nil {
 			np.leases = make(map[mem.Line]simCycle, len(p.leases))
 		}
+		// Walk the model's line universe instead of iterating the maps:
+		// lookups over the handful of modeled lines are cheaper than map
+		// iteration, and the stale-key deletes replace a clear().
 		lsCopied := 0
 		for _, l := range lines {
 			if exp, ok := p.leases[l]; ok {
@@ -449,29 +404,7 @@ func (s *pcuSnap) clonePCUInto(np *PCU, p *PCU, lines []mem.Line) {
 	np.blockedWrites = p.blockedWrites
 	np.now = p.now
 	np.activeAt = p.activeAt
-	// Harvest the previous generation's event arguments before the
-	// queue is overwritten.
-	np.events.ForEachArg(func(arg any) {
-		switch a := arg.(type) {
-		case *pcuSend:
-			s.freeSend = append(s.freeSend, a)
-		case *pcuLeaseExpire:
-			s.freeLease = append(s.freeLease, a)
-		}
-	})
-	p.events.CloneInto(&np.events, func(arg any) any {
-		switch a := arg.(type) {
-		case *pcuSend:
-			n := take(&s.freeSend)
-			*n = pcuSend{p: np, dst: a.dst, m: a.m}
-			return n
-		case *pcuLeaseExpire:
-			n := take(&s.freeLease)
-			*n = pcuLeaseExpire{p: np, line: a.line, expiry: a.expiry}
-			return n
-		}
-		panic(fmt.Sprintf("model: unclonable pending PCU event %T", arg))
-	})
+	p.events.CloneInto(&np.events)
 }
 
 // cloneFrom overwrites s — a free snapshot nothing references — with a
@@ -482,50 +415,18 @@ func (s *bankSnap) cloneFrom(o *bankSnap, lines []mem.Line) {
 	}
 	o.memory.CloneInto(s.memory)
 	s.fpOK = false
-	s.msgArena = s.msgArena[:0]
 	s.dlArena = s.dlArena[:0]
 	s.dtxnArena = s.dtxnArena[:0]
 	if s.bank == nil {
 		s.bank = &Bank{array: new(cache.Array)}
 	}
 	s.cloneBankInto(s.bank, o.bank, lines)
-	// Drop the memo's pointers into o, so a pooled snapshot keeps
-	// nothing of its source alive.
-	clear(s.msgs)
-	clear(s.dls)
-	s.msgs, s.dls = s.msgs[:0], s.dls[:0]
 }
 
-// cloneMsg deep-copies a protocol message once; later references to the
-// same message resolve to the same copy.
-func (s *bankSnap) cloneMsg(pm *Msg) *Msg {
-	if pm == nil {
-		return nil
-	}
-	for _, p := range s.msgs {
-		if p.old == pm {
-			return p.new
-		}
-	}
-	n := arenaSlot(&s.msgArena)
-	*n = *pm
-	s.msgs = append(s.msgs, msgPair{pm, n})
-	return n
-}
-
-// cloneDirLine deep-copies a directory entry once, rewriting its frame
-// pointer into the cloned bank's array.
+// cloneDirLine deep-copies a directory entry into the arena, rewriting
+// its frame pointer into the cloned bank's array.
 func (s *bankSnap) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
-	if dl == nil {
-		return nil
-	}
-	for _, p := range s.dls {
-		if p.old == dl {
-			return p.new
-		}
-	}
 	n := arenaSlot(&s.dlArena)
-	s.dls = append(s.dls, dlPair{dl, n})
 	// Harvest the slot's previous-generation slice capacity before the
 	// overwrite (nil for a fresh slot).
 	sharers := n.sharers[:0]
@@ -533,6 +434,7 @@ func (s *bankSnap) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
 	*n = *dl
 	n.frame = array.FrameOf(dl.frame)
 	n.sharers = append(sharers, dl.sharers...)
+	n.pending = append(pending, dl.pending...)
 	if dl.txn != nil {
 		t := arenaSlot(&s.dtxnArena)
 		ackFrom := t.ackFrom[:0]
@@ -542,15 +444,11 @@ func (s *bankSnap) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
 		t.delayedFrom = append(delayedFrom, dl.txn.delayedFrom...)
 		n.txn = t
 	}
-	n.pending = pending
-	for _, pm := range dl.pending {
-		n.pending = append(n.pending, s.cloneMsg(pm))
-	}
 	return n
 }
 
-// cloneBankInto deep-copies one LLC bank into nb, rewriting its deferred
-// event arguments to point at the copy. Its port is left for bindBank.
+// cloneBankInto deep-copies one LLC bank into nb. Its port is left for
+// bindBank.
 func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
 	b.array.CloneInto(nb.array)
 	nb.id = b.id
@@ -559,8 +457,6 @@ func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
 	nb.memory = s.memory
 	if nb.lines == nil {
 		nb.lines = make(map[mem.Line]*dirLine, len(b.lines))
-		nb.evbuf = make(map[mem.Line]*dirLine, len(b.evbuf))
-		nb.earlyDelayed = make(map[mem.Line]int, len(b.earlyDelayed))
 	}
 	nb.flavor = b.flavor
 	nb.machine = b.machine // immutable composed table
@@ -569,8 +465,8 @@ func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
 	nb.conf = nil // conformance recorders watch one component; never cloned
 	nb.Stats = b.Stats
 	nb.now = b.now
-	// Universe walk instead of map iteration, as in clonePCUInto.
-	copied, evCopied := 0, 0
+	// Universe walk instead of map iteration, as for the PCU's leases.
+	copied := 0
 	for _, l := range lines {
 		if dl := b.lines[l]; dl != nil {
 			nb.lines[l] = s.cloneDirLine(dl, nb.array)
@@ -578,102 +474,20 @@ func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
 		} else {
 			delete(nb.lines, l)
 		}
-		if dl := b.evbuf[l]; dl != nil {
-			nb.evbuf[l] = s.cloneDirLine(dl, nb.array)
-			evCopied++
-		} else {
-			delete(nb.evbuf, l)
-		}
-		if n := b.earlyDelayed[l]; n != 0 {
-			nb.earlyDelayed[l] = n
-		} else {
-			delete(nb.earlyDelayed, l)
-		}
 	}
-	if copied != len(b.lines) || evCopied != len(b.evbuf) {
+	if copied != len(b.lines) {
 		panic("model: bank directory tracks a line outside the model universe")
 	}
-	// Harvest the previous generation's event arguments before the
-	// queue is overwritten.
-	nb.events.ForEachArg(func(arg any) {
-		switch a := arg.(type) {
-		case *bankSend:
-			s.freeSend = append(s.freeSend, a)
-		case *bankRetry:
-			s.freeRetry = append(s.freeRetry, a)
-		case *bankFetchDone:
-			s.freeFetchDone = append(s.freeFetchDone, a)
-		case *bankRequeue:
-			s.freeRequeue = append(s.freeRequeue, a)
-		case *bankLeaseExpire:
-			s.freeLease = append(s.freeLease, a)
-		}
-	})
-	b.events.CloneInto(&nb.events, func(arg any) any {
-		switch a := arg.(type) {
-		case *bankSend:
-			n := take(&s.freeSend)
-			*n = bankSend{b: nb, dst: a.dst, m: a.m}
-			return n
-		case *bankRetry:
-			n := take(&s.freeRetry)
-			*n = bankRetry{b: nb, m: a.m}
-			return n
-		case *bankFetchDone:
-			n := take(&s.freeFetchDone)
-			*n = bankFetchDone{b: nb, dl: s.cloneDirLine(a.dl, nb.array)}
-			return n
-		case *bankRequeue:
-			n := take(&s.freeRequeue)
-			*n = bankRequeue{b: nb, m: s.cloneMsg(a.m)}
-			return n
-		case *bankLeaseExpire:
-			n := take(&s.freeLease)
-			*n = bankLeaseExpire{b: nb, line: a.line}
-			return n
-		}
-		panic(fmt.Sprintf("model: unclonable pending bank event %T", arg))
-	})
+	nb.evbuf = nb.evbuf[:0]
+	for _, dl := range b.evbuf {
+		nb.evbuf = append(nb.evbuf, s.cloneDirLine(dl, nb.array))
+	}
+	nb.earlyDelayed = append(nb.earlyDelayed[:0], b.earlyDelayed...)
+	b.events.CloneInto(&nb.events)
 }
 
 // deliverToBank hands flight f to bank b (already privatized). The bank
-// may keep the message in a pending queue or a requeue event, so it
-// receives a copy in its own snapshot, never the flight other models
-// still hold.
+// copies what it queues, so it reads the shared flight.
 func (m *Model) deliverToBank(b int, f *flight) {
-	s := m.bs[b]
-	pm := arenaSlot(&s.msgArena)
-	*pm = f.msg
-	env := &m.scratch().env
-	*env = f.env
-	env.Payload = pm
-	s.bank.Receive(0, env)
-}
-
-// reuseFired puts an event argument that has just fired back on the
-// snapshot's free list: a send's message now lives in a flight, and no
-// other fired PCU argument is referenced once its call returns.
-func (s *pcuSnap) reuseFired(arg any) {
-	switch a := arg.(type) {
-	case *pcuSend:
-		s.freeSend = append(s.freeSend, a)
-	case *pcuLeaseExpire:
-		s.freeLease = append(s.freeLease, a)
-	}
-}
-
-// reuseFired is pcuSnap.reuseFired for a bank. A fired bankRetry stays
-// out: it redispatches its by-value message by address, and the bank may
-// queue that address.
-func (s *bankSnap) reuseFired(arg any) {
-	switch a := arg.(type) {
-	case *bankSend:
-		s.freeSend = append(s.freeSend, a)
-	case *bankFetchDone:
-		s.freeFetchDone = append(s.freeFetchDone, a)
-	case *bankRequeue:
-		s.freeRequeue = append(s.freeRequeue, a)
-	case *bankLeaseExpire:
-		s.freeLease = append(s.freeLease, a)
-	}
+	m.bs[b].bank.Receive(0, &f.env)
 }

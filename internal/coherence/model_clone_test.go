@@ -1,8 +1,12 @@
 package coherence
 
 import (
+	"fmt"
 	"slices"
 	"testing"
+
+	"wbsim/internal/cache"
+	"wbsim/internal/mem"
 )
 
 // lcg is a tiny deterministic generator for pseudo-random walks (the
@@ -292,13 +296,42 @@ func TestChildIntoDirtyPool(t *testing.T) {
 	}
 }
 
+// childRound makes a child of src for each of its snapshots in turn,
+// privatizes that snapshot, fingerprints the child and retires it.
+func childRound(pool *ModelPool, src *Model) {
+	for i := range src.ps {
+		c := pool.Child(src)
+		c.privatizePCU(i)
+		c.FingerprintBytes()
+		pool.Release(c)
+	}
+	for b := range src.bs {
+		c := pool.Child(src)
+		c.privatizeBank(b)
+		c.FingerprintBytes()
+		pool.Release(c)
+	}
+}
+
 // TestModelChildZeroAlloc pins the copy-on-write steady state: once a
 // pool is warm, making a child, privatizing any one of its snapshots,
 // fingerprinting it and retiring it allocates nothing — the model
-// header, the snapshot and all of its maps, arenas, event arguments
-// and cache frames come back out of the pool. The model checker does
-// this once per explored transition.
+// header, the snapshot and all of its maps, arenas, event queues and
+// cache frames come back out of the pool. The model checker does this
+// once per explored transition. Besides a short walk in every
+// cloneCfgs geometry, it checks a state for each kind of pending
+// component state a clone has to copy (zeroAllocFeatures), found by
+// random walks that must reach every one.
 func TestModelChildZeroAlloc(t *testing.T) {
+	check := func(name string, src *Model) {
+		t.Helper()
+		src.FingerprintBytes()
+		pool := new(ModelPool)
+		childRound(pool, src)
+		if allocs := testing.AllocsPerRun(100, func() { childRound(pool, src) }); allocs != 0 {
+			t.Errorf("%s: a warm pool's children allocate %v times per round; want 0", name, allocs)
+		}
+	}
 	for _, cfg := range cloneCfgs {
 		rnd := lcg(uint64(cfg.Cores)*17 + uint64(cfg.Lines))
 		src := NewModel(cfg)
@@ -309,26 +342,168 @@ func TestModelChildZeroAlloc(t *testing.T) {
 			}
 			src.ApplyIndex(int(rnd.next() % uint64(n)))
 		}
-		src.FingerprintBytes()
-		pool := new(ModelPool)
-		child := func() {
-			for i := range src.ps {
-				c := pool.Child(src)
-				c.privatizePCU(i)
-				c.FingerprintBytes()
-				pool.Release(c)
-			}
-			for b := range src.bs {
-				c := pool.Child(src)
-				c.privatizeBank(b)
-				c.FingerprintBytes()
-				pool.Release(c)
+		check(fmt.Sprintf("cfg %+v", cfg), src)
+	}
+
+	// The model's banks hold every line, so its directory never evicts.
+	// These walks shrink each bank to one frame, which makes evictions,
+	// eviction-buffer entries, requeues and retries reachable. A model
+	// core stalls on its own store, so it never issues the SoS load that
+	// bypasses a blocked write; the walks issue that load themselves.
+	cfgs := []ModelConfig{
+		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeSquash},
+		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Lockdowns: 2, Mode: ModeLockdown},
+		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeTardis},
+	}
+	found := map[string]*Model{}
+	note := func(m *Model) {
+		for _, f := range zeroAllocFeatures {
+			if found[f.name] == nil && f.in(m) {
+				found[f.name] = m.Clone()
 			}
 		}
-		child()
-		if allocs := testing.AllocsPerRun(100, child); allocs != 0 {
-			t.Errorf("cfg %+v: a warm pool's children allocate %v times per round; want 0", cfg, allocs)
+	}
+	for _, cfg := range cfgs {
+		rnd := lcg(uint64(cfg.Cores)*29 + uint64(cfg.Lockdowns)*3 + uint64(cfg.Mode))
+		for walk := 0; walk < 40; walk++ {
+			m := NewModel(cfg)
+			for _, s := range m.bs {
+				s.bank.array = cache.NewArray(1, 1)
+			}
+			for step := 0; step < 150; step++ {
+				note(m)
+				if bypass := sosBypass(m); bypass != nil {
+					note(bypass)
+				}
+				n := m.NumChoices()
+				if n == 0 || m.Violation() != "" {
+					break
+				}
+				m.ApplyIndex(int(rnd.next() % uint64(n)))
+			}
 		}
+	}
+	for _, f := range zeroAllocFeatures {
+		src := found[f.name]
+		if src == nil {
+			t.Errorf("no walk reached a state with %s; its zero-allocation check is vacuous", f.name)
+			continue
+		}
+		check(f.name, src)
+	}
+}
+
+// zeroAllocFeatures names the pending component state a snapshot copy
+// must carry, each with a predicate on a model.
+var zeroAllocFeatures = []struct {
+	name string
+	in   func(*Model) bool
+}{
+	{"a pending fetch-done", bankEvent(dfBankFetchDone)},
+	{"a pending requeue", bankEvent(dfBankRequeue)},
+	{"a pending retry", bankEvent(dfBankRetry)},
+	{"a pending bank lease expiry", bankEvent(dfBankLease)},
+	{"a pending PCU lease expiry", func(m *Model) bool {
+		for _, s := range m.ps {
+			for i := 0; i < s.pcu.events.Len(); i++ {
+				if s.pcu.events.Stored(i).kind == dfPCULease {
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"two MSHRs on one line", func(m *Model) bool {
+		for _, s := range m.ps {
+			for _, l := range m.lines {
+				var buf [4]*cache.MSHR
+				if len(s.pcu.mshrs.LookupAll(l, buf[:0])) >= 2 {
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"a write-back buffer entry", func(m *Model) bool {
+		for _, s := range m.ps {
+			if len(s.pcu.wbBuf) > 0 {
+				return true
+			}
+		}
+		return false
+	}},
+	{"an eviction buffer entry", func(m *Model) bool {
+		for _, s := range m.bs {
+			if len(s.bank.evbuf) > 0 {
+				return true
+			}
+		}
+		return false
+	}},
+}
+
+// sosBypass returns a copy of m in which a core with a blocked write
+// has issued an SoS load of the write's line, which PCU.Load moves onto
+// a reserved MSHR of its own; nil if no core has a blocked write.
+func sosBypass(m *Model) *Model {
+	for i, s := range m.ps {
+		var line mem.Line
+		blocked := false
+		s.pcu.mshrs.ForEach(func(ms *cache.MSHR) {
+			if t := ms.Payload.(*pcuTxn); t.write && t.blocked {
+				line, blocked = ms.Line, true
+			}
+		})
+		if blocked {
+			c := m.Clone()
+			c.ps[i].pcu.Load(0, 1<<40, line.Base(), true)
+			return c
+		}
+	}
+	return nil
+}
+
+// bankEvent reports whether any bank has a pending event of kind k.
+func bankEvent(k deferredKind) func(*Model) bool {
+	return func(m *Model) bool {
+		for _, s := range m.bs {
+			for i := 0; i < s.bank.events.Len(); i++ {
+				if s.bank.events.Stored(i).kind == k {
+					return true
+				}
+			}
+		}
+		return false
+	}
+}
+
+// BenchmarkModelPrivatize isolates the model checker's clone layer: one
+// op makes a child of a mid-closure 2c/1b/2l state from a warm pool,
+// copies one snapshot into it and retires it, as exploring a choice of
+// that component does (without the transition and the fingerprint).
+func BenchmarkModelPrivatize(b *testing.B) {
+	src := NewModel(ModelConfig{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 2, Mode: ModeSquash})
+	rnd := lcg(7)
+	for step := 0; step < 24 && src.NumChoices() > 0; step++ {
+		src.ApplyIndex(int(rnd.next() % uint64(src.NumChoices())))
+	}
+	pool := new(ModelPool)
+	childRound(pool, src)
+	run := func(name string, privatize func(*Model)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := pool.Child(src)
+				privatize(c)
+				pool.Release(c)
+			}
+		})
+	}
+	for i := range src.ps {
+		run(fmt.Sprintf("pcu%d", i), func(c *Model) { c.privatizePCU(i) })
+	}
+	for j := range src.bs {
+		run(fmt.Sprintf("bank%d", j), func(c *Model) { c.privatizeBank(j) })
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"wbsim/internal/mem"
 	"wbsim/internal/network"
 	"wbsim/internal/sim"
 )
@@ -49,12 +48,12 @@ func inFlight(dst network.Endpoint, pm *Msg) *flight {
 // state twice — with multisets filled in either order — must give equal
 // fingerprints.
 func TestFingerprintSelfDelimiting(t *testing.T) {
-	fetch := func(m *Model, li int) any {
-		return &bankFetchDone{b: m.bs[0].bank, dl: &dirLine{line: m.lines[li]}}
+	fetch := func(m *Model, li int) deferred {
+		return deferred{kind: dfBankFetchDone, line: m.lines[li]}
 	}
-	schedule := func(q *sim.EventQueue, args ...any) {
-		for _, a := range args {
-			q.AtCall(0, func(any) {}, a)
+	schedule := func(q *sim.Queue[deferred], evs ...deferred) {
+		for _, ev := range evs {
+			q.At(0, ev)
 		}
 	}
 	sharers := func(s ...network.Endpoint) func(*Model) {
@@ -64,7 +63,7 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 		return func(m *Model) {
 			dl := craftDirLine(m)
 			for _, s := range srcs {
-				dl.pending = append(dl.pending, craftMsg(m, s))
+				dl.pending = append(dl.pending, *craftMsg(m, s))
 			}
 		}
 	}
@@ -79,7 +78,12 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 		{"pc is 'o'", func(m *Model) { m.ps[0].core.pc = 'o' }},
 		{"observed is 'v'", func(m *Model) { m.ps[1].core.observed[0] = 'v' }},
 		{"latest is ';'", latest(';')},
-		{"early DelayedAcks are 'l'", func(m *Model) { m.bs[0].bank.earlyDelayed[m.lines[0]] = 'l' }},
+		{"early DelayedAcks are 'l'", func(m *Model) {
+			bank := m.bs[0].bank
+			for len(bank.earlyDelayed) < 'l' {
+				bank.earlyDelayed = append(bank.earlyDelayed, m.lines[0])
+			}
+		}},
 		{"latest is 254", latest(254)},
 		{"latest is 255", latest(255)},
 		{"latest is 256", latest(256)},
@@ -161,11 +165,14 @@ func TestFingerprintSelfDelimiting(t *testing.T) {
 func TestFingerprintMatchesIdentityMapping(t *testing.T) {
 	sorted := func(m *Model) bool {
 		for _, s := range m.bs {
-			for _, dls := range []map[mem.Line]*dirLine{s.bank.lines, s.bank.evbuf} {
-				for _, dl := range dls {
-					if !slices.IsSorted(dl.sharers) {
-						return false
-					}
+			for _, dl := range s.bank.lines {
+				if !slices.IsSorted(dl.sharers) {
+					return false
+				}
+			}
+			for _, dl := range s.bank.evbuf {
+				if !slices.IsSorted(dl.sharers) {
+					return false
 				}
 			}
 		}
@@ -206,12 +213,12 @@ func TestFingerprintMatchesIdentityMapping(t *testing.T) {
 	}
 }
 
-// TestUnfingerprintableEventNamesType: an event argument the encoders do
-// not know would hide state from the fingerprint, so both the identity
-// and the mapped encoder panic, naming its type.
+// TestUnfingerprintableEventNamesType: a pending event of a kind the
+// encoders do not know would hide state from the fingerprint, so both
+// the identity and the mapped encoder panic, naming its kind.
 func TestUnfingerprintableEventNamesType(t *testing.T) {
 	m := NewModel(fpCfg)
-	m.bs[0].bank.events.AtCall(0, func(any) {}, struct{ n int }{7})
+	m.bs[0].bank.events.At(0, deferred{kind: 99})
 	for _, c := range []struct {
 		name string
 		fp   func() string
@@ -222,8 +229,8 @@ func TestUnfingerprintableEventNamesType(t *testing.T) {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, "struct { n int }") {
-					t.Errorf("%s: panic %q does not name the event type", c.name, msg)
+				if !strings.Contains(msg, "kind 99") {
+					t.Errorf("%s: panic %q does not name the event kind", c.name, msg)
 				}
 			}()
 			c.fp()

@@ -37,7 +37,6 @@ package coherence
 
 import (
 	"bytes"
-	"fmt"
 
 	"wbsim/internal/mem"
 	"wbsim/internal/network"
@@ -350,7 +349,7 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 		for nli := 0; nli < m.cfg.Lines; nli++ {
 			b = pcuLineKey(b, pcu, m.lines[p.invLine[nli]], int64(nli+1))
 		}
-		b = m.eventMultisetMapped(b, &pcu.events, p)
+		b = m.eventMultisetMapped(b, &pcu.events, pcu.id, p)
 		if fb.step(b) {
 			return b
 		}
@@ -363,16 +362,16 @@ func (m *Model) fingerprintMapped(p *symPerm, b []byte, fb *fpBound) []byte {
 			if dl := bank.lines[line]; dl != nil {
 				b = m.dirLineKeyMapped(append(b, 'l'), bank, dl, p)
 			}
-			if dl := bank.evbuf[line]; dl != nil {
+			if dl := bank.evbufFind(line); dl != nil {
 				b = m.dirLineKeyMapped(append(b, 'e'), bank, dl, p)
 			}
-			if n := bank.earlyDelayed[line]; n != 0 {
+			if n := bank.earlyDelayedFor(line); n != 0 {
 				b = append(b, 'd')
 				b = fpInt(b, int64(nli+1))
 				b = fpInt(b, int64(n))
 			}
 		}
-		b = m.eventMultisetMapped(b, &bank.events, p)
+		b = m.eventMultisetMapped(b, &bank.events, bank.id, p)
 		if fb.step(b) {
 			return b
 		}
@@ -409,32 +408,32 @@ func (m *Model) msgKeyMappedSched(b []byte, pm *Msg, dst network.Endpoint, p *sy
 	return msgKeyTail(b, pm, m.mapEP(p, pm.Requester))
 }
 
-// eventKeyMapped is eventKey with renamed fields. Scheduled sends
-// (pcuSend/bankSend) carry an unset Src placeholder — send() stamps the
-// real source only at fire time — so their Src byte is emitted as-is,
-// never renamed (the sender's identity is already encoded by the
-// component's position in the serialization). Retry/requeue events wrap
-// received messages whose Src is a real endpoint and is renamed.
-func (m *Model) eventKeyMapped(b []byte, arg any, p *symPerm) []byte {
-	switch a := arg.(type) {
-	case *pcuSend:
-		return m.msgKeyMappedSched(append(b, 'p'), &a.m, a.dst, p)
-	case *bankSend:
-		return m.msgKeyMappedSched(append(b, 'b'), &a.m, a.dst, p)
-	case *bankRetry:
-		return m.msgKeyMapped(append(b, 'r'), &a.m, a.b.id, p)
-	case *bankFetchDone:
-		return fpInt(append(b, 'f'), int64(m.mapLine(p, a.dl.line)))
-	case *bankRequeue:
-		return m.msgKeyMapped(append(b, 'q'), a.m, a.b.id, p)
-	case *bankLeaseExpire:
-		return fpInt(append(b, 'L'), int64(m.mapLine(p, a.line)))
-	case *pcuLeaseExpire:
+// eventKeyMapped is eventKey with renamed fields. Scheduled sends carry
+// an unset Src placeholder — send() stamps the real source only at fire
+// time — so their Src byte is emitted as-is, never renamed (the
+// sender's identity is already encoded by the component's position in
+// the serialization). Retry/requeue events carry received messages
+// whose Src is a real endpoint and is renamed.
+func (m *Model) eventKeyMapped(b []byte, ev *deferred, self network.Endpoint, p *symPerm) []byte {
+	switch ev.kind {
+	case dfPCUSend:
+		return m.msgKeyMappedSched(append(b, 'p'), &ev.m, ev.dst, p)
+	case dfBankSend:
+		return m.msgKeyMappedSched(append(b, 'b'), &ev.m, ev.dst, p)
+	case dfBankRetry:
+		return m.msgKeyMapped(append(b, 'r'), &ev.m, self, p)
+	case dfBankFetchDone:
+		return fpInt(append(b, 'f'), int64(m.mapLine(p, ev.line)))
+	case dfBankRequeue:
+		return m.msgKeyMapped(append(b, 'q'), &ev.m, self, p)
+	case dfBankLease:
+		return fpInt(append(b, 'L'), int64(m.mapLine(p, ev.line)))
+	case dfPCULease:
 		// Expiry stamp excluded, matching eventKey: the model runs at
 		// now=0, so every stamp is the same constant.
-		return fpInt(append(b, 'x'), int64(m.mapLine(p, a.line)))
+		return fpInt(append(b, 'x'), int64(m.mapLine(p, ev.line)))
 	}
-	panic(fmt.Sprintf("model: unfingerprintable pending event %T", arg))
+	panic(unknownEvent(ev))
 }
 
 // dirLineKeyMapped is dirLineKey with renamed fields and sorted sharers.
@@ -471,21 +470,21 @@ func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) 
 		b = fpInt(b, int64(t.delayedPending))
 	}
 	b = fpInt(b, int64(len(dl.pending)))
-	for _, pm := range dl.pending {
-		b = m.msgKeyMapped(b, pm, bank.id, p)
+	for i := range dl.pending {
+		b = m.msgKeyMapped(b, &dl.pending[i], bank.id, p)
 	}
 	return b
 }
 
-// eventMultisetMapped appends a component's pending events as a sorted
-// multiset of renamed serialized arguments.
-func (m *Model) eventMultisetMapped(b []byte, q *sim.EventQueue, p *symPerm) []byte {
+// eventMultisetMapped appends the pending events of the component at
+// endpoint self as a sorted multiset of renamed serialized events.
+func (m *Model) eventMultisetMapped(b []byte, q *sim.Queue[deferred], self network.Endpoint, p *symPerm) []byte {
 	b = append(b, 'E')
 	sc := m.scratch()
 	kb, offs := sc.ka[:0], sc.kaOffs[:0]
 	for i := 0; i < q.Len(); i++ {
 		start := int32(len(kb))
-		kb = m.eventKeyMapped(kb, q.ArgAt(i), p)
+		kb = m.eventKeyMapped(kb, q.Stored(i), self, p)
 		offs = append(offs, start, int32(len(kb)))
 	}
 	b = appendSortedKeys(b, kb, offs)

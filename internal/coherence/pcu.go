@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"wbsim/internal/cache"
@@ -124,6 +125,7 @@ type atomicWaiter struct {
 // overtake the forward), so the entry must survive until that forward —
 // or an eviction invalidation — is served from it.
 type wbEntry struct {
+	line      mem.Line
 	data      mem.LineData
 	dirty     bool
 	staleAck  bool // stale PutAck received; a forward will consume this
@@ -162,7 +164,7 @@ type PCU struct {
 	data   DataHooks
 	order  OrderingHooks
 	mode   Mode
-	events sim.EventQueue
+	events sim.Queue[deferred]
 
 	machine *table.Machine[pcuAction]
 	cov     []uint64
@@ -172,7 +174,7 @@ type PCU struct {
 	l1    *cache.Array
 	l2    *cache.Array
 	mshrs *cache.MSHRFile
-	wbBuf map[mem.Line]*wbEntry
+	wbBuf []wbEntry // in line order; a handful at most
 
 	// leases maps each leased shared line to its expiry cycle (tardis
 	// only; nil in every other mode). Entries are stamps, not state: the
@@ -213,7 +215,6 @@ func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFun
 		l1:      cache.NewArray(params.L1Lines, params.L1Ways),
 		l2:      cache.NewArray(params.L2Lines, params.L2Ways),
 		mshrs:   cache.NewMSHRFile(params.MSHRs, params.ReservedMSHRs),
-		wbBuf:   make(map[mem.Line]*wbEntry),
 	}
 	if mode == ModeTardis {
 		p.leases = make(map[mem.Line]sim.Cycle)
@@ -225,7 +226,20 @@ func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFun
 func (p *PCU) Tick(now sim.Cycle) {
 	p.now = now
 	p.activeAt = now
-	p.events.Run(now)
+	p.events.Run(now, p.fire)
+}
+
+// fire runs one of the PCU's deferred actions.
+func (p *PCU) fire(ev deferred) {
+	//wbsim:partial(dfBankSend, dfBankRetry, dfBankFetchDone, dfBankRequeue, dfBankLease) -- a PCU schedules only its own kinds
+	switch ev.kind {
+	case dfPCUSend:
+		send(p.port, p.now, p.id, ev.dst, &ev.m, p.params.DataFlits, p.params.CtrlFlits)
+	case dfPCULease:
+		p.leaseLapsed(ev.line, ev.expiry)
+	default:
+		panicf("pcu %d: no action for deferred kind %d", p.id, ev.kind)
+	}
 }
 
 // ActiveAt reports whether a message arrived or a deferred event fired
@@ -265,13 +279,13 @@ func (p *PCU) CheckInvariants() {
 }
 
 // sendAfter schedules a message after delay cycles of local processing.
-// The message is copied into the deferred-send record, so callers may
-// pass short-lived stack values.
+// The message is copied into the queued event, so callers may pass
+// short-lived stack values.
 func (p *PCU) sendAfter(delay int, dst network.Endpoint, m *Msg) {
 	if p.conf != nil {
 		p.conf.send(dst, m)
 	}
-	p.events.AfterCall(p.now, sim.Cycle(delay), firePCUSend, &pcuSend{p: p, dst: dst, m: *m})
+	p.events.After(p.now, sim.Cycle(delay), deferred{kind: dfPCUSend, dst: dst, m: *m})
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +385,8 @@ func (p *PCU) PromoteSoS(now sim.Cycle, token uint64, addr mem.Addr) {
 		return
 	}
 	line := mem.LineOf(addr)
-	for _, m := range p.mshrs.LookupAll(line) {
+	var buf [4]*cache.MSHR
+	for _, m := range p.mshrs.LookupAll(line, buf[:0]) {
 		txn := m.Payload.(*pcuTxn)
 		if txn.write && txn.blocked {
 			p.bypassBlockedWrite(m, token)
@@ -507,16 +522,7 @@ func (p *PCU) Receive(now sim.Cycle, nm *network.Message) {
 	p.activeAt = now
 	m := nm.Payload.(*Msg)
 	ev := pcuEventOf(m.Type)
-	var rd, wr *cache.MSHR
-	for _, ms := range p.mshrs.LookupAll(m.Line) {
-		if ms.Payload.(*pcuTxn).write {
-			if wr == nil {
-				wr = ms
-			}
-		} else if rd == nil {
-			rd = ms
-		}
-	}
+	rd, wr := p.lineMSHRs(m.Line)
 	st := pcuStateOf(rd, wr)
 	if p.trace != nil {
 		p.trace(st, ev)
@@ -528,11 +534,11 @@ func (p *PCU) Receive(now sim.Cycle, nm *network.Message) {
 	p.machine.Fire(p.cov, int(st), int(ev))(p, m, rd, wr)
 }
 
-// lineState rederives the line's table dispatch state from its
-// outstanding MSHRs (conformance recorder).
-func (p *PCU) lineState(line mem.Line) pcuState {
-	var rd, wr *cache.MSHR
-	for _, ms := range p.mshrs.LookupAll(line) {
+// lineMSHRs returns line's oldest outstanding read and write MSHRs
+// (either may be nil).
+func (p *PCU) lineMSHRs(line mem.Line) (rd, wr *cache.MSHR) {
+	var buf [4]*cache.MSHR
+	for _, ms := range p.mshrs.LookupAll(line, buf[:0]) {
 		if ms.Payload.(*pcuTxn).write {
 			if wr == nil {
 				wr = ms
@@ -541,8 +547,12 @@ func (p *PCU) lineState(line mem.Line) pcuState {
 			rd = ms
 		}
 	}
-	return pcuStateOf(rd, wr)
+	return rd, wr
 }
+
+// lineState rederives the line's table dispatch state from its
+// outstanding MSHRs (conformance recorder).
+func (p *PCU) lineState(line mem.Line) pcuState { return pcuStateOf(p.lineMSHRs(line)) }
 
 // maybeCompleteWrite finishes a write transaction once the grant and all
 // acks (direct InvAcks plus redirected WritersBlock acks) have arrived.
@@ -600,19 +610,56 @@ func (p *PCU) ownedData(line mem.Line) (mem.LineData, bool) {
 	if e := p.l2.Lookup(line); e != nil && (e.State == stateE || e.State == stateM) {
 		return e.Data, true
 	}
-	if wb, ok := p.wbBuf[line]; ok {
-		p.consumeWB(line, wb)
-		return wb.data, true
+	if wb := p.wbFind(line); wb != nil {
+		data := wb.data
+		p.consumeWB(wb)
+		return data, true
 	}
 	return mem.LineData{}, false
 }
 
 // consumeWB marks a writeback-buffer entry as having served a forward and
-// frees it if its stale ack already arrived.
-func (p *PCU) consumeWB(line mem.Line, wb *wbEntry) {
+// frees it if its stale ack already arrived (wb is invalid from then on).
+func (p *PCU) consumeWB(wb *wbEntry) {
 	wb.servedFwd = true
 	if wb.staleAck {
-		delete(p.wbBuf, line)
+		p.wbDrop(wb.line)
+	}
+}
+
+// wbFind returns line's writeback-buffer entry, or nil. The pointer is
+// valid until the buffer next changes.
+func (p *PCU) wbFind(line mem.Line) *wbEntry {
+	for i := range p.wbBuf {
+		if p.wbBuf[i].line == line {
+			return &p.wbBuf[i]
+		}
+	}
+	return nil
+}
+
+// wbHold buffers an evicted owned line until its Put is acknowledged,
+// replacing any older entry for the line.
+func (p *PCU) wbHold(line mem.Line, data mem.LineData, dirty bool) {
+	e := wbEntry{line: line, data: data, dirty: dirty}
+	i := 0
+	for i < len(p.wbBuf) && p.wbBuf[i].line < line {
+		i++
+	}
+	if i < len(p.wbBuf) && p.wbBuf[i].line == line {
+		p.wbBuf[i] = e
+		return
+	}
+	p.wbBuf = slices.Insert(p.wbBuf, i, e)
+}
+
+// wbDrop frees line's writeback-buffer entry.
+func (p *PCU) wbDrop(line mem.Line) {
+	for i := range p.wbBuf {
+		if p.wbBuf[i].line == line {
+			p.wbBuf = slices.Delete(p.wbBuf, i, i+1)
+			return
+		}
 	}
 }
 
@@ -698,13 +745,13 @@ func (p *PCU) evictLine(e *cache.Entry) {
 	}
 	if p.mode == ModeLockdown && p.order.HasLockdown(line) {
 		p.Stats.LockdownPutS++
-		p.wbBuf[line] = &wbEntry{data: data, dirty: state == stateM}
+		p.wbHold(line, data, state == stateM)
 		p.sendAfter(p.params.TagLatency, p.home(line),
 			&Msg{Type: MsgPutS, Line: line, Requester: p.id, Data: data, HasData: true})
 		return
 	}
 	p.order.OnOwnedEviction(p.now, line)
-	p.wbBuf[line] = &wbEntry{data: data, dirty: state == stateM}
+	p.wbHold(line, data, state == stateM)
 	t := MsgPutE
 	hasData := false
 	if state == stateM {
@@ -719,7 +766,6 @@ func (p *PCU) evictLine(e *cache.Entry) {
 	p.sendAfter(p.params.TagLatency, p.home(line), msg)
 }
 
-// DumpState renders MSHR and writeback-buffer state for debugging.
 // MSHRWait describes one outstanding miss for hang diagnosis: the line,
 // its home bank, and what the transaction is still waiting on.
 type MSHRWait struct {
@@ -770,15 +816,15 @@ func (p *PCU) WaitSnapshot() PCUWaitSnapshot {
 		}
 		s.MSHRs = append(s.MSHRs, w)
 	})
-	for _, line := range sortedLines(p.wbBuf) {
-		wb := p.wbBuf[line]
+	for _, wb := range p.wbBuf {
 		s.WBBuf = append(s.WBBuf, WBWait{
-			Line: line, Dirty: wb.dirty, StaleAck: wb.staleAck, ServedFwd: wb.servedFwd,
+			Line: wb.line, Dirty: wb.dirty, StaleAck: wb.staleAck, ServedFwd: wb.servedFwd,
 		})
 	}
 	return s
 }
 
+// DumpState renders MSHR and writeback-buffer state for debugging.
 func (p *PCU) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pcu %d: mshrs=%d wbBuf=%d\n", p.id, p.mshrs.InUse(), len(p.wbBuf))
@@ -787,10 +833,9 @@ func (p *PCU) DumpState() string {
 		fmt.Fprintf(&b, "  mshr line=%v write=%v upgrade=%v blocked=%v grant=%v acks=%d/%d loads=%d atomics=%d\n",
 			m.Line, t.write, t.upgrade, t.blocked, t.gotGrant, t.acksGot, t.acksNeeded, len(t.loads), len(t.atomics))
 	})
-	for _, line := range sortedLines(p.wbBuf) {
-		wb := p.wbBuf[line]
+	for _, wb := range p.wbBuf {
 		fmt.Fprintf(&b, "  wb line=%v dirty=%v staleAck=%v servedFwd=%v\n",
-			line, wb.dirty, wb.staleAck, wb.servedFwd)
+			wb.line, wb.dirty, wb.staleAck, wb.servedFwd)
 	}
 	return b.String()
 }

@@ -341,10 +341,10 @@ func (p *PCU) invalidate(m *Msg, wr *cache.MSHR, nackAllowed bool) {
 			data = e.Data
 		}
 		p.dropLine(line)
-	} else if wb, ok := p.wbBuf[line]; ok {
+	} else if wb := p.wbFind(line); wb != nil {
 		hadOwned = true
 		data = wb.data
-		p.consumeWB(line, wb)
+		p.consumeWB(wb)
 	}
 	// An invalidation may target an upgrade in flight: the S copy (or
 	// its ghost) is gone, so the eventual grant must carry data.
@@ -434,15 +434,15 @@ func (p *PCU) forwardWrite(m *Msg, wr *cache.MSHR, nackAllowed bool) {
 // pcuActPutAck completes an eviction: a normal ack frees the writeback
 // entry; a stale ack frees it only once the racing forward is served.
 func pcuActPutAck(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	wb, ok := p.wbBuf[m.Line]
-	if !ok {
+	wb := p.wbFind(m.Line)
+	if wb == nil {
 		return
 	}
 	if m.Stale && !wb.servedFwd {
 		wb.staleAck = true
 		return
 	}
-	delete(p.wbBuf, m.Line)
+	p.wbDrop(m.Line)
 }
 
 // pcuActHint marks the write transaction as blocked behind a

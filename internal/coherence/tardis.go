@@ -15,16 +15,16 @@ package coherence
 // Interaction with the paper's load-load reordering problem: since no
 // invalidation ever reaches a core for a shared line, lease expiry is
 // the ONLY signal that a value bound by an M-speculative load may be
-// going stale — firePCULeaseExpire feeds it to the same
+// going stale — PCU.leaseLapsed feeds it to the same
 // OrderingHooks.OnInvalidation seam the MESI protocols use, so squash-
 // based cores revalidate exactly as if an invalidation had arrived.
 // Lockdown cores cannot run tardis (there is nothing to Nack); the
 // protocol registry enforces the pairing.
 //
 // Model-checker note: lease expiries are timers, not messages. Both
-// timer argument structs (bankLeaseExpire, pcuLeaseExpire) name their
-// target by line, never by entry pointer, so cloned states re-resolve
-// them; expiry cycles are stamps and stay out of state fingerprints.
+// timer events (dfBankLease, dfPCULease) name their target by line,
+// never by entry pointer, so cloned states re-resolve them; expiry
+// cycles are stamps and stay out of state fingerprints.
 
 import (
 	"wbsim/internal/cache"
@@ -232,7 +232,7 @@ func (b *Bank) startTsEviction(dl *dirLine) {
 	dl.txn = &dirTxn{eviction: true}
 	dl.since = b.now
 	dl.inEvBuf = true
-	b.evbuf[dl.line] = dl
+	b.evbufPut(dl)
 	b.armLeaseTimer(dl)
 }
 
@@ -245,7 +245,7 @@ func dirActTsEvictDone(b *Bank, dl *dirLine, m *Msg) {
 		b.memory.WriteLine(dl.line, dl.data)
 		b.Stats.MemWrites++
 	}
-	delete(b.evbuf, dl.line)
+	b.evbufDrop(dl.line)
 	dl.txn = nil
 	dl.inEvBuf = false
 	b.requeueOrphans(dl)
@@ -260,20 +260,7 @@ func (b *Bank) armLeaseTimer(dl *dirLine) {
 	if dl.rts+1 > b.now {
 		delay = dl.rts + 1 - b.now
 	}
-	b.events.AfterCall(b.now, delay, fireBankLeaseExpire, &bankLeaseExpire{b: b, line: dl.line})
-}
-
-// bankLeaseExpire is the directory's lease-timer event. It names its
-// target by line — never by entry pointer — so cloned model states
-// re-resolve it against their own maps.
-type bankLeaseExpire struct {
-	b    *Bank
-	line mem.Line
-}
-
-func fireBankLeaseExpire(a any) {
-	x := a.(*bankLeaseExpire)
-	x.b.dispatch(dirEvLeaseExpired, &Msg{Line: x.line})
+	b.events.After(b.now, delay, deferred{kind: dfBankLease, line: dl.line})
 }
 
 // ---------------------------------------------------------------------
@@ -336,8 +323,7 @@ func pcuActReadGrantTs(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 	p.install(m.Line, m.Data, stateS)
 	p.leases[m.Line] = m.Lease
 	p.Stats.LeasesTaken++
-	p.events.AfterCall(p.now, m.Lease-p.now, firePCULeaseExpire,
-		&pcuLeaseExpire{p: p, line: m.Line, expiry: m.Lease})
+	p.events.After(p.now, m.Lease-p.now, deferred{kind: dfPCULease, line: m.Line, expiry: m.Lease})
 	for _, lw := range loads {
 		p.data.LoadDone(p.now, lw.token, m.Data.Get(lw.addr), false)
 	}
@@ -365,31 +351,23 @@ func pcuActFwdGetSTs(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 		&Msg{Type: MsgOwnerData, Line: m.Line, Requester: m.Requester, Data: data, HasData: true})
 }
 
-// pcuLeaseExpire is the core's self-downgrade timer: line plus the
-// expiry stamp it was armed for, so a re-granted lease is never torn
-// down by its predecessor's stale timer.
-type pcuLeaseExpire struct {
-	p      *PCU
-	line   mem.Line
-	expiry simCycle
-}
-
-func firePCULeaseExpire(a any) {
-	x := a.(*pcuLeaseExpire)
-	p := x.p
+// leaseLapsed fires the core's self-downgrade timer for line. The timer
+// carries the expiry stamp it was armed for, so a re-granted lease is
+// never torn down by its predecessor's stale timer.
+func (p *PCU) leaseLapsed(line mem.Line, expiry simCycle) {
 	// Expiry is the only squash signal tardis has: loads that bound from
 	// this lease while M-speculative must revalidate now, even if the
 	// copy was silently evicted or upgraded to ownership in the
 	// meantime. Spurious firings for a superseded lease squash
 	// conservatively — always sound, never missed.
-	if p.order.OnInvalidation(p.now, x.line) {
-		panicf("pcu %d: tardis core nacked a lease expiry for %v", p.id, x.line)
+	if p.order.OnInvalidation(p.now, line) {
+		panicf("pcu %d: tardis core nacked a lease expiry for %v", p.id, line)
 	}
-	if exp, ok := p.leases[x.line]; ok && exp == x.expiry {
-		delete(p.leases, x.line)
+	if exp, ok := p.leases[line]; ok && exp == expiry {
+		delete(p.leases, line)
 		p.Stats.LeaseExpiries++
-		if e := p.l2.Lookup(x.line); e != nil && e.State == stateS {
-			p.dropLine(x.line)
+		if e := p.l2.Lookup(line); e != nil && e.State == stateS {
+			p.dropLine(line)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"wbsim/internal/isa"
@@ -127,8 +129,78 @@ func TestSystemStepZeroAllocBusyCore(t *testing.T) {
 				t.Fatalf("measured steps lack mispredicts, forwards or commits — test is vacuous: %+v", st)
 			}
 			if n := after.Mallocs - before.Mallocs; n != 0 {
-				t.Fatalf("busy core allocated %d objects in 10000 System.Steps, want 0", n)
+				sites := allocationSites(func() {
+					for i := 0; i < 10000; i++ {
+						sys.Step()
+					}
+				})
+				t.Fatalf("busy core allocated %d objects in 10000 System.Steps, want 0; the same window repeated with every allocation profiled allocated at:\n%s", n, sites)
 			}
 		})
 	}
+}
+
+// allocationSites runs fn with every allocation profiled and renders
+// the stacks that allocated during it, most objects first, or says that
+// nothing did.
+func allocationSites(fn func()) string {
+	before := allocCounts()
+	old := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	fn()
+	runtime.MemProfileRate = old
+	after := allocCounts()
+	type site struct {
+		n     int64
+		stack string
+	}
+	var sites []site
+	for stack, n := range after {
+		if strings.Contains(stack, "core.allocCounts") {
+			continue // the profile reading itself
+		}
+		if d := n - before[stack]; d > 0 {
+			sites = append(sites, site{d, stack})
+		}
+	}
+	if len(sites) == 0 {
+		return "  nothing (the allocation did not recur)"
+	}
+	sort.Slice(sites, func(i, j int) bool {
+		if sites[i].n != sites[j].n {
+			return sites[i].n > sites[j].n
+		}
+		return sites[i].stack < sites[j].stack
+	})
+	var b strings.Builder
+	for _, s := range sites {
+		fmt.Fprintf(&b, "%d objects at\n%s", s.n, s.stack)
+	}
+	return b.String()
+}
+
+// allocCounts returns the allocated-object count of every stack in the
+// heap profile, keyed by the rendered stack. The profile publishes an
+// allocation only after later collections, so it collects first.
+func allocCounts() map[string]int64 {
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	out := make(map[string]int64, n)
+	for _, r := range recs[:n] {
+		var b strings.Builder
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			fmt.Fprintf(&b, "  %s %s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+		out[b.String()] += r.AllocObjects
+	}
+	return out
 }

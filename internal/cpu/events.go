@@ -9,9 +9,10 @@ import (
 )
 
 // The core's deferred actions are few in kind — an instruction completes
-// with a result, or a branch resolves — so instead of the generic
-// closure-based sim.EventQueue the core uses a typed queue of small
-// structs, which keeps System.Step allocation-free in steady state.
+// with a result, or a branch resolves — and all but a few fall due within
+// a short window, so instead of the generic heap sim.Queue the core uses
+// a timing wheel of small structs, which keeps System.Step
+// allocation-free in steady state.
 //
 // The queue is a timing wheel: bucket t%wheelSize lists the events due
 // at cycle t, in insertion order. Two invariants make one bucket hold one
