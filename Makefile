@@ -173,7 +173,7 @@ bench-kernel:
 # change under internal/ could break it unnoticed. Vet and test it, then
 # run the sim workload for two seconds and the sweep and check workloads
 # for one each. Every sim operation must reproduce the cycle-accurate
-# 16-core reference, so that run also checks the kernel's idle skips;
+# 16-core reference, so that run also checks the kernel's idle skip;
 # every sweep operation (Figure 9 on the 4-core machine, the one judged
 # workload that runs in-order commit) must match a two-worker run of the
 # experiment engine, so that run also checks the engine's determinism;

@@ -179,6 +179,12 @@ type Bank struct {
 	Stats BankStats
 
 	now sim.Cycle
+
+	// fired holds the message of the deferred event being fired: a
+	// dispatch takes a *Msg, and a pointer to a local would move it to
+	// the heap. Handlers copy what they keep, so it is dead between
+	// events.
+	fired Msg
 }
 
 // NewBank builds an LLC bank/directory slice attached to the network at
@@ -215,11 +221,13 @@ func (b *Bank) fire(ev deferred) {
 	case dfBankSend:
 		send(b.port, b.now, b.id, ev.dst, &ev.m, b.params.DataFlits, b.params.CtrlFlits)
 	case dfBankRetry, dfBankRequeue:
-		b.reenter(ev.m)
+		b.fired = ev.m
+		b.redispatch(&b.fired)
 	case dfBankFetchDone:
 		b.fetchDone(ev.line)
 	case dfBankLease:
-		b.dispatch(dirEvLeaseExpired, &Msg{Line: ev.line})
+		b.fired = Msg{Line: ev.line}
+		b.dispatch(dirEvLeaseExpired, &b.fired)
 	default:
 		panicf("bank %d: no action for deferred kind %d", b.id, ev.kind)
 	}
@@ -233,9 +241,6 @@ func (b *Bank) EventsDue(now sim.Cycle) bool {
 	at, ok := b.events.NextAt()
 	return ok && at <= now
 }
-
-// NextEventCycle reports the cycle of the bank's earliest deferred event.
-func (b *Bank) NextEventCycle() (sim.Cycle, bool) { return b.events.NextAt() }
 
 // Quiescent reports whether the bank has no pending events, transactions,
 // or queued requests.
@@ -383,10 +388,6 @@ func (b *Bank) fetchDone(line mem.Line) {
 	dl.kind = dirInvalid
 	b.processPending(dl)
 }
-
-// reenter re-dispatches a retried or requeued request. The bank may
-// queue the message it is handed, so it gets a copy of its own.
-func (b *Bank) reenter(m Msg) { b.redispatch(&m) }
 
 // ---------------------------------------------------------------------
 // Writes

@@ -465,6 +465,7 @@ func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
 	nb.conf = nil // conformance recorders watch one component; never cloned
 	nb.Stats = b.Stats
 	nb.now = b.now
+	nb.fired = Msg{} // dead between events
 	// Universe walk instead of map iteration, as for the PCU's leases.
 	copied := 0
 	for _, l := range lines {

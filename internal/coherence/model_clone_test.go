@@ -345,16 +345,9 @@ func TestModelChildZeroAlloc(t *testing.T) {
 		check(fmt.Sprintf("cfg %+v", cfg), src)
 	}
 
-	// The model's banks hold every line, so its directory never evicts.
-	// These walks shrink each bank to one frame, which makes evictions,
-	// eviction-buffer entries, requeues and retries reachable. A model
-	// core stalls on its own store, so it never issues the SoS load that
-	// bypasses a blocked write; the walks issue that load themselves.
-	cfgs := []ModelConfig{
-		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeSquash},
-		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Lockdowns: 2, Mode: ModeLockdown},
-		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeTardis},
-	}
+	// A model core stalls on its own store, so it never issues the SoS
+	// load that bypasses a blocked write; the walks issue that load
+	// themselves.
 	found := map[string]*Model{}
 	note := func(m *Model) {
 		for _, f := range zeroAllocFeatures {
@@ -362,6 +355,33 @@ func TestModelChildZeroAlloc(t *testing.T) {
 				found[f.name] = m.Clone()
 			}
 		}
+	}
+	oneFrameWalks(func(m *Model) {
+		note(m)
+		if bypass := sosBypass(m); bypass != nil {
+			note(bypass)
+		}
+	})
+	for _, f := range zeroAllocFeatures {
+		src := found[f.name]
+		if src == nil {
+			t.Errorf("no walk reached a state with %s; its zero-allocation check is vacuous", f.name)
+			continue
+		}
+		check(f.name, src)
+	}
+}
+
+// oneFrameWalks calls visit on every state of 40 random walks of at
+// most 150 steps over each of three 2-core, 1-bank, 2-line models (one
+// per mode). The model's banks hold every line, so its directory never
+// evicts; these walks shrink each bank to one frame, which makes
+// evictions, eviction-buffer entries, requeues and retries reachable.
+func oneFrameWalks(visit func(*Model)) {
+	cfgs := []ModelConfig{
+		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeSquash},
+		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Lockdowns: 2, Mode: ModeLockdown},
+		{Cores: 2, Banks: 1, Lines: 2, OpsPerCore: 4, Mode: ModeTardis},
 	}
 	for _, cfg := range cfgs {
 		rnd := lcg(uint64(cfg.Cores)*29 + uint64(cfg.Lockdowns)*3 + uint64(cfg.Mode))
@@ -371,10 +391,7 @@ func TestModelChildZeroAlloc(t *testing.T) {
 				s.bank.array = cache.NewArray(1, 1)
 			}
 			for step := 0; step < 150; step++ {
-				note(m)
-				if bypass := sosBypass(m); bypass != nil {
-					note(bypass)
-				}
+				visit(m)
 				n := m.NumChoices()
 				if n == 0 || m.Violation() != "" {
 					break
@@ -383,13 +400,59 @@ func TestModelChildZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	for _, f := range zeroAllocFeatures {
-		src := found[f.name]
+}
+
+// TestBankFireZeroAlloc pins that a bank fires a retry and a tardis
+// lease expiry without allocating. Each re-enters the transition table
+// with a *Msg, which must not be a fresh heap copy of the event's
+// message. The states come from the one-frame walks; the lease expiry
+// is one that releases a parked write (the expiry that completes a
+// leased line's eviction writes memory back, which allocates). Each run
+// makes a child from a warm pool, privatizes the bank
+// (TestModelChildZeroAlloc pins both at zero), fires the event on the
+// private bank, whose sends go through the model's port, and retires the
+// child.
+func TestBankFireZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name string
+		is   func(*Bank, *deferred) bool
+	}{
+		{"retry", func(_ *Bank, ev *deferred) bool { return ev.kind == dfBankRetry }},
+		{"lease expiry", func(b *Bank, ev *deferred) bool {
+			if ev.kind != dfBankLease {
+				return false
+			}
+			dl := b.lines[ev.line]
+			return dl != nil && dl.txn != nil && dl.txn.write
+		}},
+	}
+	for _, tc := range cases {
+		var src *Model
+		var ch choice
+		oneFrameWalks(func(m *Model) {
+			for b, s := range m.bs {
+				for k := 0; src == nil && k < s.bank.events.Len(); k++ {
+					if tc.is(s.bank, s.bank.events.Nth(k)) {
+						src, ch = m.Clone(), choice{kind: chFireBank, comp: int32(b), idx: int32(k)}
+					}
+				}
+			}
+		})
 		if src == nil {
-			t.Errorf("no walk reached a state with %s; its zero-allocation check is vacuous", f.name)
+			t.Errorf("no walk reached a pending bank %s", tc.name)
 			continue
 		}
-		check(f.name, src)
+		pool := new(ModelPool)
+		fire := func() {
+			c := pool.Child(src)
+			c.privatizeBank(int(ch.comp))
+			c.applyChoice(ch)
+			pool.Release(c)
+		}
+		fire()
+		if allocs := testing.AllocsPerRun(100, fire); allocs != 0 {
+			t.Errorf("a bank %s (%s) allocates %v times; want 0", tc.name, src.DescribeChoice(ch), allocs)
+		}
 	}
 }
 

@@ -254,9 +254,6 @@ func (p *PCU) EventsDue(now sim.Cycle) bool {
 	return ok && at <= now
 }
 
-// NextEventCycle reports the cycle of the PCU's earliest deferred send.
-func (p *PCU) NextEventCycle() (sim.Cycle, bool) { return p.events.NextAt() }
-
 // Quiescent reports whether the PCU has no outstanding transactions.
 func (p *PCU) Quiescent() bool {
 	return p.events.Empty() && p.mshrs.InUse() == 0 && len(p.wbBuf) == 0

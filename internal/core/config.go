@@ -115,14 +115,13 @@ type Config struct {
 	// MaxCycles check; the zero value selects generous defaults.
 	Watchdog faults.WatchdogConfig
 
-	// CycleAccurate disables both idle skips: the fast-forward in Run,
-	// which warps the clock while every core is idle, and the per-core
-	// skip in Step, which credits an idle core's tick instead of
-	// executing it. Every cycle then executes and every core ticks in
-	// it. Simulated outcomes are identical either way — the skips only
-	// elide provably inert ticks — so the flag exists as an escape hatch
-	// for instrumentation that samples the machine mid-flight, and for
-	// the determinism gates that prove the equivalence.
+	// CycleAccurate disables the idle skip in Step, which credits an
+	// idle core's tick instead of executing it, so every core ticks in
+	// every cycle. Simulated outcomes are identical either way — the
+	// skip only elides provably inert ticks — so the flag exists as an
+	// escape hatch for instrumentation that samples the machine
+	// mid-flight, and for the determinism gates that prove the
+	// equivalence.
 	CycleAccurate bool
 }
 

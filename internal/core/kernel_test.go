@@ -11,15 +11,14 @@ import (
 )
 
 // TestIdleSkipMatchesCycleAccurate is the determinism gate for the
-// event-driven kernel: running with the idle-skip fast-forward (the
+// event-driven kernel: running with the per-core idle skip in Step (the
 // default) must produce *exactly* the run that cycle-accurate stepping
 // produces — same final cycle, same Results down to every stall and
 // squash counter, same architectural registers — across every registered
-// variant, fault plans, and random programs. The fast-forward and the
-// per-core skip in Step are only allowed to skip ticks they can prove are
-// replays; any divergence here means one skipped a tick it couldn't.
-// Every subtest must also see the per-core skip fire, so the comparison
-// never passes vacuously.
+// variant, fault plans, and random programs. The skip is only allowed to
+// credit ticks it can prove are replays; any divergence here means it
+// skipped a tick it couldn't. Every subtest must also see the skip fire,
+// so the comparison never passes vacuously.
 func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 	plans := []*faults.Plan{nil}
 	for _, p := range faults.Catalog() {
@@ -102,11 +101,14 @@ func TestIdleSkipMatchesCycleAccurate(t *testing.T) {
 	}
 }
 
-// TestFastForwardObservesWatchdog checks that skipping idle cycles does
-// not skip past watchdog checkpoints: a run that hangs under a fault plan
-// must trip the watchdog at the same cycle with and without idle-skip.
+// TestFastForwardObservesWatchdog checks that skipping idle core ticks
+// does not hide a hang from the watchdog: a run that hangs must trip at
+// the same cycle, with the same report, with and without the idle skip.
 // (Hang detection is the one consumer of "wasted" idle ticks, so it is
-// the easiest thing for a fast-forward to break.)
+// the easiest thing for an idle skip to break.) Two hangs are checked:
+// cores spinning on an L1 hit, which stay busy, and cores stalled on a
+// cold miss under a StallBound below the memory latency, which sit
+// idle-stable across watchdog checkpoints until the trip.
 func TestFastForwardObservesWatchdog(t *testing.T) {
 	// An intentionally unfinishable program: spin on a flag no one sets.
 	b := isa.NewBuilder("spin")
@@ -116,20 +118,38 @@ func TestFastForwardObservesWatchdog(t *testing.T) {
 	b.BranchI(isa.FnEQ, 2, 0, loop)
 	b.Halt()
 
-	run := func(accurate bool) (sim.Cycle, string) {
-		cfg := SmallConfig(2, OoOWB)
-		cfg.MaxCycles = 60000
-		cfg.CycleAccurate = accurate
-		sys := NewSystem(cfg, []*isa.Program{b.Program(), b.Program()})
-		cycles, err := sys.Run()
-		if err == nil {
-			t.Fatalf("accurate=%v: spin loop finished?", accurate)
-		}
-		return cycles, err.Error()
+	cases := []struct {
+		name  string
+		progs []*isa.Program
+		cfg   func(*Config)
+	}{
+		{"spin", []*isa.Program{b.Program(), b.Program()}, func(cfg *Config) { cfg.MaxCycles = 60000 }},
+		{"idle", []*isa.Program{stallProgram(0x10040), stallProgram(0x20080)}, func(cfg *Config) {
+			cfg.Watchdog = faults.WatchdogConfig{StallBound: 100, CheckPeriod: 16, TransientEvery: 1}
+		}},
 	}
-	accCycles, accErr := run(true)
-	if cycles, errStr := run(false); cycles != accCycles || errStr != accErr {
-		t.Errorf("hang detection diverges:\ngot:            cycle %d, %s\ncycle-accurate: cycle %d, %s",
-			cycles, errStr, accCycles, accErr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(accurate bool) (sim.Cycle, string, uint64) {
+				cfg := SmallConfig(len(tc.progs), OoOWB)
+				tc.cfg(&cfg)
+				cfg.CycleAccurate = accurate
+				sys := NewSystem(cfg, tc.progs)
+				cycles, err := sys.Run()
+				if err == nil {
+					t.Fatalf("accurate=%v: the hanging programs finished", accurate)
+				}
+				return cycles, err.Error(), sys.idleSkips
+			}
+			accCycles, accErr, _ := run(true)
+			cycles, errStr, skips := run(false)
+			if cycles != accCycles || errStr != accErr {
+				t.Errorf("hang detection diverges:\ngot:            cycle %d, %s\ncycle-accurate: cycle %d, %s",
+					cycles, errStr, accCycles, accErr)
+			}
+			if skips == 0 {
+				t.Error("the per-core idle skip never fired")
+			}
+		})
 	}
 }

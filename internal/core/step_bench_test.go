@@ -32,9 +32,8 @@ func stepBenchProgram(id int) *isa.Program {
 
 // BenchmarkSystemStep measures one Step of a busy 4-core system — the
 // simulator's innermost loop, with every component active and sharing
-// lines. One iteration is one simulated cycle: Step never warps the
-// clock (Run does), though it credits the tick of a core that is idle
-// that cycle instead of executing it.
+// lines. One iteration is one simulated cycle, though Step credits the
+// tick of a core that is idle that cycle instead of executing it.
 func BenchmarkSystemStep(b *testing.B) {
 	progs := make([]*isa.Program, 4)
 	for i := range progs {
@@ -56,11 +55,42 @@ func BenchmarkSystemStep(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/sec")
 }
 
+// BenchmarkSystemStepIdle measures one Step of a 4-core system whose
+// cores are all stalled on cold misses: the stretch in which every core
+// is idle and Step credits its tick instead of executing it, paid for
+// cycle by cycle. Memory answers after 2^30 cycles and the watchdog is
+// off, so the stretch outlasts any b.N.
+func BenchmarkSystemStepIdle(b *testing.B) {
+	progs := make([]*isa.Program, 4)
+	for i := range progs {
+		progs[i] = stallProgram(mem.Addr(0x10040 * (i + 1)))
+	}
+	cfg := SmallConfig(4, OoOWB)
+	cfg.Mem.MemLatency = 1 << 30
+	cfg.Watchdog.Disable = true
+	sys := NewSystem(cfg, progs)
+	for i := 0; i < 100; i++ { // past the misses' issue
+		sys.Step()
+	}
+	skips := sys.idleSkips
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Step()
+	}
+	b.StopTimer()
+	if n := sys.idleSkips - skips; n != 4*uint64(b.N) {
+		b.Fatalf("Step credited %d of %d core ticks; the cores are not idle", n, 4*b.N)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/sec")
+}
+
 // TestSystemStepZeroAllocWhenDrained pins the steady-state allocation
 // invariant of the scheduler: stepping a system whose cores have all
-// halted and drained must not allocate. This is the state the idle-skip
-// fast-forward replays arithmetically, so any allocation here is both a
-// perf bug and a hint that a "drained" tick still does real work.
+// halted and drained must not allocate. This is the state in which Step
+// credits every core's tick instead of executing it, so any allocation
+// here is both a perf bug and a hint that a "drained" tick still does
+// real work.
 func TestSystemStepZeroAllocWhenDrained(t *testing.T) {
 	b := isa.NewBuilder("drain")
 	b.MovImm(1, 0x2000)

@@ -122,8 +122,9 @@ func (s *System) ReadWord(addr mem.Addr) mem.Word {
 	return s.Memory.ReadWord(addr)
 }
 
-// Step advances the machine one cycle. Components whose Tick would
-// provably do nothing are skipped: a mesh with no arrival due, banks and
+// Step advances the machine one cycle. Run calls it for every cycle, so
+// the skips below are the kernel's only idle mechanism. Components whose
+// Tick would provably do nothing are skipped: a mesh with no arrival due, banks and
 // PCUs with no deferred event due (their Tick only refreshes a
 // timestamp every handler sets itself), and idle cores. A core is idle
 // at now when its last executed tick was idle-stable, its PCU received
@@ -151,21 +152,16 @@ func (s *System) Step() {
 			p.Tick(now)
 		}
 	}
-	accurate := s.cycleAccurate()
+	accurate := s.Cfg.CycleAccurate || s.stepHook != nil
 	for i, c := range s.Cores {
 		if !accurate && c.IdleStable() && !s.PCUs[i].ActiveAt(now) && !c.WakeDue(now) {
-			c.CreditIdle(1)
+			c.CreditIdle()
 			s.idleSkips++
 			continue
 		}
 		c.Tick(now)
 	}
 }
-
-// cycleAccurate reports whether every cycle must execute and every core
-// tick in it: the CycleAccurate escape hatch, or a stepHook probing
-// individual cycles.
-func (s *System) cycleAccurate() bool { return s.Cfg.CycleAccurate || s.stepHook != nil }
 
 // Done reports whether every core has halted and drained and no protocol
 // activity remains.
@@ -202,7 +198,6 @@ func (s *System) Run() (cycles sim.Cycle, err error) {
 		}
 	}()
 	wd := faults.NewWatchdog(s.Cfg.Watchdog, len(s.Cores))
-	accurate := s.cycleAccurate()
 	for !s.Done() {
 		now := s.Clock.Now()
 		if now >= s.Cfg.MaxCycles {
@@ -214,9 +209,6 @@ func (s *System) Run() (cycles sim.Cycle, err error) {
 			}
 		}
 		s.Step()
-		if !accurate {
-			s.fastForward(wd)
-		}
 	}
 	for _, b := range s.Banks {
 		b.CheckInvariants()
@@ -228,80 +220,6 @@ func (s *System) Run() (cycles sim.Cycle, err error) {
 		c.CheckInvariants()
 	}
 	return s.Clock.Now(), nil
-}
-
-// fastForward warps the clock over a provably inert stretch. It runs
-// right after a Step, with the clock at E (the cycle just executed; the
-// next loop header re-reads it). When every core's last tick was
-// idle-stable — nothing fired, committed, fetched, squashed, or moved,
-// and its per-cycle counter deltas matched the tick before — the machine
-// can only change state at the earliest next event of some component:
-// the mesh's next arrival, a bank/PCU deferred send, a core's scheduled
-// completion or fetch re-enable. Every cycle strictly before that is an
-// exact repeat, so the skipped core ticks are credited arithmetically
-// (CreditIdle) and the clock jumps to T-1, making T the next executed
-// cycle.
-//
-// The jump is bounded so the run loop's header observes every cycle it
-// acted on before: the next watchdog-due cycle (a multiple of
-// CheckPeriod) and the MaxCycles threshold are never skipped past —
-// which also keeps hang and deadlock runs (no event anywhere, cores
-// stalled forever) tripping at exactly the same cycle, just reached in
-// CheckPeriod-sized jumps.
-func (s *System) fastForward(wd *faults.Watchdog) {
-	for _, c := range s.Cores {
-		if !c.IdleStable() {
-			return
-		}
-	}
-	// The loop condition has not seen this cycle yet: if the run just
-	// finished, warping now would inflate the reported cycle count.
-	if s.Done() {
-		return
-	}
-	now := s.Clock.Now()
-
-	var target sim.Cycle
-	haveEvent := false
-	consider := func(at sim.Cycle, ok bool) {
-		if ok && (!haveEvent || at < target) {
-			haveEvent, target = true, at
-		}
-	}
-	consider(s.Mesh.NextEventCycle())
-	for _, b := range s.Banks {
-		consider(b.NextEventCycle())
-	}
-	for _, p := range s.PCUs {
-		consider(p.NextEventCycle())
-	}
-	for _, c := range s.Cores {
-		consider(c.NextEventCycle(now))
-	}
-
-	// Headers skipped by a jump to T-1 are now..T-2; clamp T so no due
-	// watchdog check and no MaxCycles trip falls in that range.
-	t := s.Cfg.MaxCycles + 1
-	if haveEvent && target < t {
-		t = target
-	}
-	if wcfg := wd.Config(); !wcfg.Disable {
-		due := now + (wcfg.CheckPeriod-now%wcfg.CheckPeriod)%wcfg.CheckPeriod
-		if due+1 < t {
-			t = due + 1
-		}
-	}
-	if s.Cfg.MaxCycles+1 < t {
-		t = s.Cfg.MaxCycles + 1
-	}
-	if t <= now+1 {
-		return
-	}
-	skipped := uint64(t - 1 - now)
-	for _, c := range s.Cores {
-		c.CreditIdle(skipped)
-	}
-	s.Clock.FastForwardTo(t - 1)
 }
 
 // checkProgress runs one watchdog inspection: per-core commit watermarks

@@ -460,8 +460,8 @@ func (c *Core) commitOne(d *DynInstr, head bool) {
 // performed (Section 4.2). Unsafe commit simply drops the entry — which
 // is exactly what makes it unsafe.
 func (c *Core) removeLoad(e *lqEntry) {
-	idx := c.lqIndex(e)
-	if idx < 0 {
+	idx := c.lqSearch(e.d.seq)
+	if idx == len(c.lq) || c.lq[idx] != e {
 		panic(fmt.Sprintf("cpu %d: committing load not in LQ: %v", c.ID, e.d))
 	}
 	ordered := idx <= c.sosIndex() // every older load has performed

@@ -98,10 +98,10 @@ type Core struct {
 	// dispatch-block reason for this cycle's stall accounting.
 	blockReason string
 
-	// Idle-skip bookkeeping (see core.System's fast-forward and per-core
-	// skip). inert records that the last Tick provably changed nothing
-	// but the cycle counter and per-cycle stall/polling counters; recur
-	// holds that tick's deltas of the recurring counters (MemDepWait,
+	// Idle-skip bookkeeping (see core.System.Step's per-core skip).
+	// inert records that the last Tick provably changed nothing but the
+	// cycle counter and per-cycle stall/polling counters; recur holds
+	// that tick's deltas of the recurring counters (MemDepWait,
 	// LDTFullStalls, PCU Loads, PCU LoadMisses) and recurOK that they
 	// matched the previous tick's — the steady-state signature that makes
 	// crediting skipped cycles exact. stallKind persists the accountStall
@@ -279,53 +279,40 @@ func (c *Core) sbLen() int { return len(c.sb) - c.sbHead }
 // was scheduled, nothing committed, fetched, issued, squashed, or moved
 // through the store buffer — AND its recurring-counter deltas matched the
 // tick before (so the core is past any one-shot transition such as
-// registering a miss waiter). While every core of a system is idle-stable
-// and no component has work due, ticks are exact repeats: the scheduler
-// may credit them wholesale instead of executing them. The same holds
-// for one core alone while its PCU stays inactive and WakeDue is false.
+// registering a miss waiter). While the core stays idle-stable, its PCU
+// stays inactive and WakeDue is false, its ticks are exact repeats: the
+// scheduler may credit them (CreditIdle) instead of executing them.
 func (c *Core) IdleStable() bool { return c.inert && c.recurOK }
-
-// NextEventCycle returns the earliest future cycle at which this core can
-// act spontaneously (scheduled event or fetch re-enable). ok is false if
-// the core has no self-scheduled wake-up (it may still be woken by a
-// message). now is the cycle of the tick that just ran.
-func (c *Core) NextEventCycle(now sim.Cycle) (at sim.Cycle, ok bool) {
-	at, ok = c.events.nextAt()
-	if !c.halted && !c.fetchHalted && c.fetchStallUntil > now {
-		if !ok || c.fetchStallUntil < at {
-			at, ok = c.fetchStallUntil, true
-		}
-	}
-	return at, ok
-}
 
 // WakeDue reports whether a scheduled event or the fetch re-enable
 // falls due at or before now, counting from the last executed tick.
 func (c *Core) WakeDue(now sim.Cycle) bool {
-	at, ok := c.NextEventCycle(c.now)
-	return ok && at <= now
+	if at, ok := c.events.nextAt(); ok && at <= now {
+		return true
+	}
+	return !c.halted && !c.fetchHalted && c.now < c.fetchStallUntil && c.fetchStallUntil <= now
 }
 
-// CreditIdle accounts n skipped cycles as if they had been executed: the
+// CreditIdle accounts one skipped cycle as if it had been executed: the
 // cycle counter, the persisted stall bucket, and the recurring per-cycle
-// counters (including the PCU's polling counters) advance exactly as n
-// inert ticks would have advanced them.
-func (c *Core) CreditIdle(n uint64) {
-	c.Stats.Cycles += n
+// counters (including the PCU's polling counters) advance exactly as an
+// inert tick would have advanced them.
+func (c *Core) CreditIdle() {
+	c.Stats.Cycles++
 	switch c.stallKind {
 	case stallROB:
-		c.Stats.StallROB += n
+		c.Stats.StallROB++
 	case stallLQ:
-		c.Stats.StallLQ += n
+		c.Stats.StallLQ++
 	case stallSQ:
-		c.Stats.StallSQ += n
+		c.Stats.StallSQ++
 	case stallOther:
-		c.Stats.StallOther += n
+		c.Stats.StallOther++
 	}
-	c.Stats.MemDepWait += n * c.recur[0]
-	c.Stats.LDTFullStalls += n * c.recur[1]
-	c.pcu.Stats.Loads += n * c.recur[2]
-	c.pcu.Stats.LoadMisses += n * c.recur[3]
+	c.Stats.MemDepWait += c.recur[0]
+	c.Stats.LDTFullStalls += c.recur[1]
+	c.pcu.Stats.Loads += c.recur[2]
+	c.pcu.Stats.LoadMisses += c.recur[3]
 }
 
 // ---------------------------------------------------------------------

@@ -17,15 +17,15 @@ import (
 // The queue is a timing wheel: bucket t%wheelSize lists the events due
 // at cycle t, in insertion order. Two invariants make one bucket hold one
 // cycle only: every delay is at least 1, and the core ticks (and runs the
-// queue) at every cycle an event falls due, which WakeDue and the
-// system's fast-forward guarantee. after asserts the first and due the
-// second (a due cycle left unrun is found at the next run). The rare
-// delay of wheelSize or more goes to an overflow heap ordered by (cycle,
-// seq); an overflow event due at t was scheduled at t-wheelSize or
-// earlier, before every bucket event due at t, so take fires it first.
+// queue) at every cycle an event falls due, because the system's idle
+// skip credits no tick for which WakeDue holds. after asserts the first
+// and due the second (a due cycle left unrun is found at the next run).
+// The rare delay of wheelSize or more goes to an overflow heap ordered by
+// (cycle, seq); an overflow event due at t was scheduled at t-wheelSize
+// or earlier, before every bucket event due at t, so take fires it first.
 // Firing order is therefore (cycle, insertion seq), as in the generic
 // queue. The earliest due cycle is cached, so nextAt — read by WakeDue
-// and the fast-forward every idle cycle — is O(1).
+// every idle cycle — is O(1).
 //
 // Bucket events live in one pool whose free slots are reused last-in
 // first-out, and the buckets chain them by index: the few events in

@@ -12,8 +12,9 @@ import (
 // TestCoreEventsOrder schedules random events, with delays from 1 to
 // well past the wheel size, and checks that they fire in (cycle, seq)
 // order, each at its cycle. The queue runs at every due cycle, jumping
-// over idle stretches as the system's fast-forward does, and nextAt must
-// name the earliest pending cycle throughout.
+// over idle stretches as a core whose ticks the system's idle skip
+// credits does, and nextAt must name the earliest pending cycle
+// throughout.
 func TestCoreEventsOrder(t *testing.T) {
 	d := &DynInstr{seq: 1}
 	for trial := 0; trial < 50; trial++ {

@@ -25,21 +25,10 @@ func (c *Core) sosIndex() int {
 	return c.lqSoS
 }
 
-// lqIndex locates e in the LQ (-1 if removed).
-func (c *Core) lqIndex(e *lqEntry) int {
-	for i, x := range c.lq {
-		if x == e {
-			return i
-		}
-	}
-	return -1
-}
-
-// lqBySeq returns the LQ entry of the load (or atomic) with the given seq
-// — its memory token — if that load is still in flight and its address
-// has resolved, or nil. The LQ is in program order, so a binary search
-// finds it.
-func (c *Core) lqBySeq(seq uint64) *lqEntry {
+// lqSearch returns the LQ index of the load (or atomic) with the given
+// seq, or of the oldest younger one if it is not in flight (len(lq) if
+// none is). The LQ is in program order, so a binary search finds it.
+func (c *Core) lqSearch(seq uint64) int {
 	lo, hi := 0, len(c.lq)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -49,8 +38,15 @@ func (c *Core) lqBySeq(seq uint64) *lqEntry {
 			hi = m
 		}
 	}
-	if lo < len(c.lq) && c.lq[lo].d.seq == seq && c.lq[lo].addrValid {
-		return c.lq[lo]
+	return lo
+}
+
+// lqBySeq returns the LQ entry of the load (or atomic) with the given seq
+// — its memory token — if that load is still in flight and its address
+// has resolved, or nil.
+func (c *Core) lqBySeq(seq uint64) *lqEntry {
+	if i := c.lqSearch(seq); i < len(c.lq) && c.lq[i].d.seq == seq && c.lq[i].addrValid {
+		return c.lq[i]
 	}
 	return nil
 }

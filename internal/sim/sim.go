@@ -2,10 +2,10 @@
 // components of the simulator: the cycle clock, a seeded random number
 // generator, and lightweight tracing hooks.
 //
-// The simulator is cycle driven. Every component implements Ticker and
-// is advanced once per cycle by the owning System in a fixed order,
-// which makes a whole run a pure function of (configuration, workload,
-// seed).
+// The simulator is cycle driven: the owning System advances the clock
+// one cycle at a time and visits its components in a fixed order,
+// ticking each one that has work due, which makes a whole run a pure
+// function of (configuration, workload, seed).
 package sim
 
 import "fmt"
@@ -13,13 +13,6 @@ import "fmt"
 // Cycle is a point in simulated time. Cycles start at 0 and advance by one
 // on every call to Clock.Advance.
 type Cycle uint64
-
-// Ticker is implemented by every component that does per-cycle work.
-type Ticker interface {
-	// Tick advances the component to the given cycle. It is called
-	// exactly once per cycle, in a fixed component order.
-	Tick(now Cycle)
-}
 
 // Clock holds the current simulated time.
 type Clock struct {
@@ -33,16 +26,6 @@ func (c *Clock) Now() Cycle { return c.now }
 func (c *Clock) Advance() Cycle {
 	c.now++
 	return c.now
-}
-
-// FastForwardTo jumps the clock to cycle at. It is used by the idle-skip
-// scheduler to warp over provably inert stretches; jumping backwards is a
-// kernel bug and panics.
-func (c *Clock) FastForwardTo(at Cycle) {
-	if at < c.now {
-		panic("sim: FastForwardTo into the past")
-	}
-	c.now = at
 }
 
 // Rand is a small, fast, deterministic PRNG (xorshift64*). It is used
