@@ -136,9 +136,10 @@ check-liveness-deep: check-liveness
 # cycle, a drained System.Step and a busy core's System.Step may not
 # allocate (see DESIGN.md, "Simulation kernel & performance model"); nor
 # may a warm component event queue, nor the model checker's
-# copy-on-write child once its pool is warm.
+# copy-on-write child once its pool is warm, nor a rewrite of a
+# materialized memory line.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/core ./internal/coherence
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/sim ./internal/mem ./internal/network ./internal/core ./internal/coherence
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast

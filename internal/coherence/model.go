@@ -351,7 +351,7 @@ func (c *modelCore) OnOwnedEviction(_ sim.Cycle, _ mem.Line) {}
 // ---------------------------------------------------------------------
 
 // choice is one enabled transition in compact form. Descriptions are
-// rendered on demand (ChoiceDesc): exploration replays millions of
+// rendered on demand (DescribeChoice): exploration replays millions of
 // transitions and must not pay for counterexample strings it will
 // never print.
 type choice struct {
@@ -521,16 +521,6 @@ func (m *Model) Apply(ch Choice) {
 	if m.violation == "" {
 		m.checkSWMR()
 	}
-}
-
-// ChoiceDesc renders the i-th enabled transition for counterexample
-// traces. It must be called before the choice is applied.
-func (m *Model) ChoiceDesc(i int) string {
-	cs := m.choices()
-	if i < 0 || i >= len(cs) {
-		return fmt.Sprintf("choice %d of %d", i, len(cs))
-	}
-	return m.DescribeChoice(cs[i])
 }
 
 // DescribeChoice renders one enabled transition for counterexample
@@ -1203,6 +1193,3 @@ func (m *Model) DumpState() string {
 	}
 	return sb.String()
 }
-
-// Stats counters the explorer reports.
-func (m *Model) NumCores() int { return m.cfg.Cores }

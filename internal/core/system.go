@@ -280,14 +280,6 @@ func (s *System) HangReport(reason string, stuckCore int, stallAge sim.Cycle) *f
 	return r
 }
 
-// RunFor executes exactly n additional cycles (for tests that inspect
-// intermediate state).
-func (s *System) RunFor(n sim.Cycle) {
-	for i := sim.Cycle(0); i < n; i++ {
-		s.Step()
-	}
-}
-
 // Results captures the aggregate statistics of a finished run.
 type Results struct {
 	Cycles sim.Cycle

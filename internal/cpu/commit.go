@@ -421,7 +421,6 @@ func (c *Core) ldtFree() bool { return len(c.ldt) < c.cfg.LDTSize }
 // guarded, since commits can be out of order), memory structures are
 // released, and M-speculative loads export their lockdown to the LDT.
 func (c *Core) commitOne(d *DynInstr, head bool) {
-	c.traceCommit(d)
 	if !head {
 		c.Stats.CommittedOoO++
 	}

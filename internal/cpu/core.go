@@ -114,9 +114,6 @@ type Core struct {
 
 	Stats Stats
 	now   sim.Cycle
-
-	traceRing []CommitTrace
-	traceCap  int
 }
 
 // NewCore builds a core running program under the given configuration.
@@ -152,9 +149,6 @@ func pow2AtLeast(n int) int { return 1 << bits.Len(uint(n-1)) }
 // AttachPCU wires the private cache unit (built after the core because
 // the PCU needs the core as its hooks receiver).
 func (c *Core) AttachPCU(p *coherence.PCU) { c.pcu = p }
-
-// Halted reports whether the program has committed its halt.
-func (c *Core) Halted() bool { return c.halted }
 
 // Done reports whether the core has fully drained: halted, with an empty
 // store buffer and no in-flight memory transactions.
@@ -212,7 +206,7 @@ func (c *Core) Tick(now sim.Cycle) {
 	preRecur := [4]uint64{c.Stats.MemDepWait, c.Stats.LDTFullStalls,
 		c.pcu.Stats.Loads, c.pcu.Stats.LoadMisses}
 
-	fired := c.events.run(c, now)
+	fired := c.events.run(now, c.fire)
 	committed := c.commit()
 	c.drainSB()
 	c.issue()

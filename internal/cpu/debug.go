@@ -1,40 +1,6 @@
 package cpu
 
-import (
-	"fmt"
-	"strings"
-)
-
-// DumpState renders the core's pipeline state for debugging stuck runs.
-func (c *Core) DumpState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "core %d: halted=%v fetchPC=%d rob=%d lq=%d sq=%d sb=%d iq=%d ready=%d seen=%v\n",
-		c.ID, c.halted, c.fetchPC, c.robLen(), len(c.lq), c.sqLen(), c.sbLen(), c.iqCount, c.readyLen(), c.seenLines)
-	i := 0
-	for p := c.robHead; p < c.robTail; p++ {
-		d := c.rob[p&c.robMask]
-		if d == nil {
-			continue // committed out of order
-		}
-		if i >= 8 {
-			fmt.Fprintf(&b, "  ... %d more\n", c.robLen()-i)
-			break
-		}
-		fmt.Fprintf(&b, "  rob[%d] %v state=%d pend=%d\n", i, d, d.state, d.pendingIssue)
-		i++
-	}
-	for i, e := range c.lq {
-		fmt.Fprintf(&b, "  lq[%d] %v addrV=%v perf=%v issued=%v retry=%v atomic=%v(go=%v)\n",
-			i, e.d, e.addrValid, e.performed, e.issued, e.needRetry, e.isAtomic, e.atomicGo)
-	}
-	for i, s := range c.sb[c.sbHead:] {
-		fmt.Fprintf(&b, "  sb[%d] seq=%d addr=%v\n", i, s.seq, s.addr)
-	}
-	for i, l := range c.ldt {
-		fmt.Fprintf(&b, "  ldt[%d] seq=%d line=%v\n", i, l.seq, l.line)
-	}
-	return b.String()
-}
+import "fmt"
 
 // Snapshot captures the core's commit-path state for hang reports: queue
 // occupancies, progress counters, and the oldest ROB entry (the commit
@@ -91,32 +57,4 @@ func (c *Core) Snapshot() Snapshot {
 		s.OldestLQ = fmt.Sprintf("%v addrV=%v perf=%v issued=%v retry=%v", e.d, e.addrValid, e.performed, e.issued, e.needRetry)
 	}
 	return s
-}
-
-// CommitTrace, when enabled via EnableCommitTrace, records the last N
-// committed instructions (pc, seq, result) for debugging.
-type CommitTrace struct {
-	PC     int
-	Seq    uint64
-	Result uint64
-}
-
-// EnableCommitTrace turns on commit tracing with a ring of n entries.
-func (c *Core) EnableCommitTrace(n int) {
-	c.traceRing = make([]CommitTrace, 0, n)
-	c.traceCap = n
-}
-
-// Trace returns the recorded ring (oldest first).
-func (c *Core) Trace() []CommitTrace { return c.traceRing }
-
-func (c *Core) traceCommit(d *DynInstr) {
-	if c.traceCap == 0 {
-		return
-	}
-	if len(c.traceRing) == c.traceCap {
-		copy(c.traceRing, c.traceRing[1:])
-		c.traceRing = c.traceRing[:c.traceCap-1]
-	}
-	c.traceRing = append(c.traceRing, CommitTrace{PC: d.pc, Seq: d.seq, Result: uint64(d.result)})
 }

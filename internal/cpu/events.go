@@ -10,22 +10,23 @@ import (
 
 // The core's deferred actions are few in kind — an instruction completes
 // with a result, or a branch resolves — and all but a few fall due within
-// a short window, so instead of the generic heap sim.Queue the core uses
-// a timing wheel of small structs, which keeps System.Step
+// a short window, so in front of the simulator's one event heap,
+// sim.Queue, the core keeps a timing wheel of small structs: scheduling
+// and firing a short-delay event touches no heap, and System.Step stays
 // allocation-free in steady state.
 //
-// The queue is a timing wheel: bucket t%wheelSize lists the events due
-// at cycle t, in insertion order. Two invariants make one bucket hold one
-// cycle only: every delay is at least 1, and the core ticks (and runs the
-// queue) at every cycle an event falls due, because the system's idle
-// skip credits no tick for which WakeDue holds. after asserts the first
-// and due the second (a due cycle left unrun is found at the next run).
-// The rare delay of wheelSize or more goes to an overflow heap ordered by
-// (cycle, seq); an overflow event due at t was scheduled at t-wheelSize
-// or earlier, before every bucket event due at t, so take fires it first.
-// Firing order is therefore (cycle, insertion seq), as in the generic
-// queue. The earliest due cycle is cached, so nextAt — read by WakeDue
-// every idle cycle — is O(1).
+// Bucket t%wheelSize of the wheel lists the events due at cycle t, in
+// insertion order. Two invariants make one bucket hold one cycle only:
+// every delay is at least 1, and the core ticks (and runs the queue) at
+// every cycle an event falls due, because the system's idle skip credits
+// no tick for which WakeDue holds. after asserts the first and due the
+// second (a due cycle left unrun is found at the next run). The rare
+// delay of wheelSize or more goes to an overflow sim.Queue; an overflow
+// event due at t was scheduled at t-wheelSize or earlier, before every
+// bucket event due at t, so run fires the overflow's due events first.
+// Firing order is therefore (cycle, insertion seq), as in sim.Queue. The
+// earliest due cycle is cached, so nextAt — read by WakeDue every idle
+// cycle — is O(1).
 //
 // Bucket events live in one pool whose free slots are reused last-in
 // first-out, and the buckets chain them by index: the few events in
@@ -50,26 +51,19 @@ type coreEvent struct {
 	kind coreEventKind
 }
 
-// overflowEvent is an event scheduled wheelSize or more cycles ahead.
-type overflowEvent struct {
-	at  sim.Cycle
-	seq uint64
-	ev  coreEvent
-}
-
 // wheelSize is the number of wheel buckets; it must be 64, one bit of
 // coreEvents.occ per bucket.
 const wheelSize = 64
 
 type coreEvents struct {
 	pool       []coreEvent
-	free       int32            // first free pool slot, -1 if none
-	head, tail [wheelSize]int32 // each bucket's first and last event
-	occ        uint64           // bit b is set while bucket b is non-empty
-	overflow   []overflowEvent  // heap on (at, seq)
-	n          int              // pending events
-	next       sim.Cycle        // earliest due cycle while n > 0
-	seq        uint64
+	free       int32                // first free pool slot, -1 if none
+	head, tail [wheelSize]int32     // each bucket's first and last event
+	occ        uint64               // bit b is set while bucket b is non-empty
+	overflow   sim.Queue[coreEvent] // events wheelSize or more cycles ahead
+	n          int                  // pending events
+	next       sim.Cycle            // earliest due cycle while n > 0
+	seq        uint64               // events ever scheduled
 }
 
 // init allocates a pool of size event slots; a pool that needs more
@@ -107,7 +101,7 @@ func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr
 		}
 		q.tail[b] = i
 	} else {
-		q.push(overflowEvent{at: at, seq: q.seq, ev: e})
+		q.overflow.At(at, e)
 	}
 	q.seq++
 	if q.n == 0 || at < q.next {
@@ -116,28 +110,33 @@ func (q *coreEvents) after(now, delay sim.Cycle, kind coreEventKind, d *DynInstr
 	q.n++
 }
 
-// run fires every event due at now, in (cycle, seq) order, returning the
-// number fired (events of squashed instructions count, but do nothing).
-func (q *coreEvents) run(c *Core, now sim.Cycle) int {
+// run fires every event due at now in (cycle, seq) order, passing each
+// to fire, and returns the number fired. Handlers schedule at least 1
+// and less than wheelSize cycles ahead into other buckets, or into the
+// overflow at now+wheelSize or later, so neither source of now's events
+// grows while it drains.
+func (q *coreEvents) run(now sim.Cycle, fire func(coreEvent)) int {
 	if !q.due(now) {
 		return 0
 	}
-	fired := 0
-	for {
-		e, ok := q.take(now)
-		if !ok {
-			return fired
+	fired := q.overflow.Run(now, func(e coreEvent) {
+		q.n--
+		fire(e)
+	})
+	b := now % wheelSize
+	for q.occ&(1<<b) != 0 {
+		i := q.head[b]
+		e := q.pool[i]
+		if q.head[b] = e.next; e.next < 0 {
+			q.occ &^= 1 << b
 		}
-		if e.r.live() {
-			switch e.kind {
-			case evComplete:
-				c.complete(e.r.d, e.val)
-			case evBranch:
-				c.resolveBranch(e.r.d)
-			}
-		}
+		q.pool[i].next, q.free = q.free, i
+		q.n--
+		fire(e)
 		fired++
 	}
+	q.next = q.earliest(now)
+	return fired
 }
 
 // due reports whether events fall due at now. An event due before now
@@ -152,33 +151,6 @@ func (q *coreEvents) due(now sim.Cycle) bool {
 	return true
 }
 
-// take removes and returns the next event due at now; ok is false once
-// none is left. Handlers schedule at least 1 and less than wheelSize
-// cycles ahead into other buckets, or into the overflow at
-// now+wheelSize or later, so neither source of now's events grows while
-// it drains.
-func (q *coreEvents) take(now sim.Cycle) (e coreEvent, ok bool) {
-	if len(q.overflow) > 0 && q.overflow[0].at == now {
-		e = q.overflow[0].ev
-		q.pop()
-		q.n--
-		return e, true
-	}
-	b := now % wheelSize
-	if q.occ&(1<<b) == 0 {
-		q.next = q.earliest(now)
-		return e, false
-	}
-	i := q.head[b]
-	e = q.pool[i]
-	if q.head[b] = e.next; e.next < 0 {
-		q.occ &^= 1 << b
-	}
-	q.pool[i].next, q.free = q.free, i
-	q.n--
-	return e, true
-}
-
 // earliest returns the earliest due cycle after now has run: the wheel
 // then holds cycles now+1 .. now+wheelSize-1, so the first occupied
 // bucket after now's names it, unless the overflow's top is sooner.
@@ -188,8 +160,8 @@ func (q *coreEvents) earliest(now sim.Cycle) sim.Cycle {
 		from := (now + 1) % wheelSize
 		next = now + 1 + sim.Cycle(bits.TrailingZeros64(bits.RotateLeft64(q.occ, -int(from))))
 	}
-	if len(q.overflow) > 0 && (q.occ == 0 || q.overflow[0].at < next) {
-		next = q.overflow[0].at
+	if at, ok := q.overflow.NextAt(); ok && (q.occ == 0 || at < next) {
+		next = at
 	}
 	return next
 }
@@ -200,49 +172,16 @@ func (q *coreEvents) nextAt() (at sim.Cycle, ok bool) {
 	return q.next, q.n > 0
 }
 
-// The overflow heap.
-
-func (q *coreEvents) less(i, j int) bool {
-	a, b := &q.overflow[i], &q.overflow[j]
-	if a.at != b.at {
-		return a.at < b.at
+// fire performs one due event; the event of a squashed instruction does
+// nothing.
+func (c *Core) fire(e coreEvent) {
+	if !e.r.live() {
+		return
 	}
-	return a.seq < b.seq
-}
-
-func (q *coreEvents) push(e overflowEvent) {
-	q.overflow = append(q.overflow, e)
-	i := len(q.overflow) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.overflow[i], q.overflow[parent] = q.overflow[parent], q.overflow[i]
-		i = parent
-	}
-}
-
-func (q *coreEvents) pop() {
-	h := q.overflow
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = overflowEvent{}
-	q.overflow = h[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+	switch e.kind {
+	case evComplete:
+		c.complete(e.r.d, e.val)
+	case evBranch:
+		c.resolveBranch(e.r.d)
 	}
 }

@@ -10,13 +10,14 @@ import (
 )
 
 // TestCoreEventsOrder schedules random events, with delays from 1 to
-// well past the wheel size, and checks that they fire in (cycle, seq)
-// order, each at its cycle. The queue runs at every due cycle, jumping
-// over idle stretches as a core whose ticks the system's idle skip
-// credits does, and nextAt must name the earliest pending cycle
-// throughout.
+// well past the wheel size (so both the buckets and the overflow queue
+// hold events), and checks that they fire in (cycle, seq) order, each at
+// its cycle. The queue runs at every due cycle, jumping over idle
+// stretches as a core whose ticks the system's idle skip credits does,
+// and nextAt must name the earliest pending cycle throughout.
 func TestCoreEventsOrder(t *testing.T) {
 	d := &DynInstr{seq: 1}
+	overflowed := false
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		var q coreEvents
@@ -40,6 +41,7 @@ func TestCoreEventsOrder(t *testing.T) {
 				pending[q.seq] = now + delay
 				q.after(now, delay, evComplete, d, mem.Word(q.seq))
 			}
+			overflowed = overflowed || !q.overflow.Empty()
 			at, ok := q.nextAt()
 			if ok != (len(pending) > 0) {
 				t.Fatalf("trial %d cycle %d: nextAt ok=%v with %d pending", trial, now, ok, len(pending))
@@ -59,21 +61,22 @@ func TestCoreEventsOrder(t *testing.T) {
 			if !q.due(now) {
 				t.Fatalf("trial %d cycle %d: events due but due() is false", trial, now)
 			}
-			for e, ok := q.take(now); ok; e, ok = q.take(now) {
+			before := len(got)
+			n := q.run(now, func(e coreEvent) {
 				seq := uint64(e.val)
 				if pending[seq] != now {
-					t.Fatalf("trial %d cycle %d: took event %d due at %d", trial, now, seq, pending[seq])
+					t.Fatalf("trial %d cycle %d: fired event %d due at %d", trial, now, seq, pending[seq])
 				}
 				got = append(got, ev{now, seq})
 				delete(pending, seq)
+			})
+			if n == 0 || n != len(got)-before {
+				t.Fatalf("trial %d cycle %d: run reported %d events, fired %d", trial, now, n, len(got)-before)
 			}
 		}
 		for q.n > 0 {
 			now, _ = q.nextAt()
-			q.due(now)
-			for e, ok := q.take(now); ok; e, ok = q.take(now) {
-				got = append(got, ev{now, uint64(e.val)})
-			}
+			q.run(now, func(e coreEvent) { got = append(got, ev{now, uint64(e.val)}) })
 		}
 		slices.SortStableFunc(want, func(a, b ev) int {
 			if a.at != b.at {
@@ -84,6 +87,9 @@ func TestCoreEventsOrder(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: fired %d events out of (cycle, seq) order", trial, len(got))
 		}
+	}
+	if !overflowed {
+		t.Fatal("no event went to the overflow queue")
 	}
 }
 

@@ -72,19 +72,6 @@ func NewMemory() *Memory {
 	return &Memory{lines: make(map[Line]*LineData)}
 }
 
-// Clone returns an independent copy of the memory contents (model
-// checker state cloning). The copy has its own line storage.
-func (m *Memory) Clone() *Memory {
-	out := &Memory{lines: make(map[Line]*LineData, len(m.lines))}
-	block := make([]LineData, 0, len(m.lines)) // one allocation for all lines
-	//wbsim:nondet -- per-key copy; which block slot a line lands in is unobservable
-	for l, d := range m.lines {
-		block = append(block, *d)
-		out.lines[l] = &block[len(block)-1]
-	}
-	return out
-}
-
 // CloneInto overwrites dst with m's contents, reusing dst's map and line
 // storage where the keys match (model-checker state pooling: dst is a
 // retired clone nothing else references).
@@ -114,10 +101,15 @@ func (m *Memory) ReadLine(l Line) LineData {
 	return LineData{}
 }
 
-// WriteLine replaces the line's data.
+// WriteLine replaces the line's data. A materialized line is
+// overwritten in place, so only a line's first write allocates.
 func (m *Memory) WriteLine(l Line, d LineData) {
-	nd := d
-	m.lines[l] = &nd
+	pd, ok := m.lines[l]
+	if !ok {
+		pd = new(LineData)
+		m.lines[l] = pd
+	}
+	*pd = d
 }
 
 // ReadWord returns the word at address a.

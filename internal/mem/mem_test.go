@@ -111,6 +111,35 @@ func TestMemoryLineOps(t *testing.T) {
 	}
 }
 
+// TestMemoryWriteLineZeroAlloc: rewriting a materialized line (a
+// directory write-back) overwrites it in place and allocates nothing,
+// and a CloneInto copy owns its lines, so a later write to the source
+// leaves the copy unchanged.
+func TestMemoryWriteLineZeroAlloc(t *testing.T) {
+	m := NewMemory()
+	var d LineData
+	m.WriteLine(5, d)
+	if allocs := testing.AllocsPerRun(100, func() {
+		d[0]++
+		m.WriteLine(5, d)
+	}); allocs != 0 {
+		t.Fatalf("rewriting a line allocated %v objects, want 0", allocs)
+	}
+	if got := m.ReadLine(5); got != d {
+		t.Fatalf("line reads %v after rewrite, want %v", got, d)
+	}
+
+	c := NewMemory()
+	m.CloneInto(c)
+	want := m.ReadLine(5)
+	d[1] = 77
+	m.WriteLine(5, d)
+	m.WriteWord(5<<LineShift, 99)
+	if got := c.ReadLine(5); got != want {
+		t.Fatalf("clone's line changed to %v after the source was written, want %v", got, want)
+	}
+}
+
 func TestMemoryWordLineConsistency(t *testing.T) {
 	if err := quick.Check(func(a uint64, v uint64) bool {
 		m := NewMemory()

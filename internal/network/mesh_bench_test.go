@@ -28,9 +28,15 @@ func (r *recycler) take() *Message {
 }
 
 // benchMesh builds a 4x4 mesh (the paper's geometry) with one recycling
-// endpoint per router.
-func benchMesh() (*Mesh, *recycler) {
-	m := NewMesh(DefaultConfig(16), nil)
+// endpoint per router, under faults f.
+func benchMesh(f Faults) (*Mesh, *recycler) {
+	cfg := DefaultConfig(16)
+	cfg.Faults = f
+	var rng *sim.Rand
+	if f.Active() {
+		rng = sim.NewRand(1)
+	}
+	m := NewMesh(cfg, rng)
 	rec := &recycler{}
 	for i := 0; i < 16; i++ {
 		m.Attach(Endpoint(i), i, rec)
@@ -60,7 +66,7 @@ func loadedCycle(m *Mesh, rec *recycler, now sim.Cycle, k int) {
 // four new messages per cycle with deliveries recycled, the traffic shape
 // of a busy coherence run. One iteration is one simulated network cycle.
 func BenchmarkMeshTickLoaded(b *testing.B) {
-	m, rec := benchMesh()
+	m, rec := benchMesh(Faults{})
 	now := sim.Cycle(0)
 	for i := 0; i < 4096; i++ { // warm arena, heap, and free list
 		now++
@@ -79,7 +85,7 @@ func BenchmarkMeshTickLoaded(b *testing.B) {
 // in which it has nothing to do — the case the idle-skipping scheduler
 // makes common, and the reason Tick must be near-free when idle.
 func BenchmarkMeshTickQuiescent(b *testing.B) {
-	m, _ := benchMesh()
+	m, _ := benchMesh(Faults{})
 	if !m.Quiescent() {
 		b.Fatal("mesh not quiescent")
 	}
@@ -93,20 +99,27 @@ func BenchmarkMeshTickQuiescent(b *testing.B) {
 
 // TestMeshTickZeroAlloc pins the zero-allocation invariant of the mesh
 // kernel: once the delivery arena and queues are warm, neither Send nor
-// Tick may allocate. A regression here (a per-tick map, sorting closure,
-// or batch slice) reintroduces exactly the garbage the arena removed.
+// Tick may allocate, with or without the PerturbDelivery fault (whose
+// Tick gathers each cycle's batch before reordering it). A regression
+// here (a per-tick map, sorting closure, or batch slice) reintroduces
+// exactly the garbage the arena removed.
 func TestMeshTickZeroAlloc(t *testing.T) {
-	m, rec := benchMesh()
 	now := sim.Cycle(0)
-	warm := func() {
-		now++
-		loadedCycle(m, rec, now, 4)
-	}
-	for i := 0; i < 4096; i++ {
-		warm()
-	}
-	if allocs := testing.AllocsPerRun(512, warm); allocs != 0 {
-		t.Fatalf("loaded mesh cycle allocates %.1f objects/cycle, want 0", allocs)
+	for _, f := range []Faults{{}, {PerturbDelivery: true}} {
+		m, rec := benchMesh(f)
+		warm := func() {
+			now++
+			loadedCycle(m, rec, now, 4)
+		}
+		for i := 0; i < 4096; i++ {
+			warm()
+		}
+		if f.PerturbDelivery && cap(m.batch) < 2 {
+			t.Fatal("perturbed mesh never gathered a batch of two messages")
+		}
+		if allocs := testing.AllocsPerRun(512, warm); allocs != 0 {
+			t.Fatalf("loaded mesh cycle (perturbed=%v) allocates %.1f objects/cycle, want 0", f.PerturbDelivery, allocs)
+		}
 	}
 
 	quiet := NewMesh(DefaultConfig(16), nil)

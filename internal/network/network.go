@@ -14,8 +14,9 @@
 //
 // The implementation is allocation-free on the per-cycle path: routes are
 // precomputed per router pair, endpoint and link state live in flat
-// slices indexed by dense ids, the in-flight set is a hand-rolled typed
-// heap, and the delivery-perturbation machinery reuses a per-mesh arena.
+// slices indexed by dense ids, the in-flight set is a sim.Queue of message
+// pointers fired in (arrival, injection) order, and the
+// delivery-perturbation machinery reuses a per-mesh arena.
 // Tick allocates nothing in steady state (enforced by a testing.AllocsPerRun
 // gate), so simulation throughput is bounded by protocol work, not GC.
 package network
@@ -64,26 +65,6 @@ type Message struct {
 	VNet     VNet
 	Flits    int // 5 for data-bearing messages, 1 for control
 	Payload  any
-
-	arrival sim.Cycle
-	seq     uint64
-}
-
-// Clone returns a copy of the message carrying payload in place of the
-// original's, preserving the routing stamps. The model checker uses it
-// to clone in-flight messages whose payloads it deep-copies itself.
-func (m *Message) Clone(payload any) *Message {
-	out := *m
-	out.Payload = payload
-	return &out
-}
-
-// CloneInto copies m into dst with payload substituted, preserving the
-// routing stamps. The model checker's pooled clone passes an arena slot
-// as dst instead of allocating.
-func (m *Message) CloneInto(dst *Message, payload any) {
-	*dst = *m
-	dst.Payload = payload
 }
 
 // Receiver consumes messages delivered to an endpoint. Receivers must
@@ -221,8 +202,7 @@ type Mesh struct {
 	// linkFree[link*NumVNets+vnet] is the cycle the channel frees up.
 	linkFree []sim.Cycle
 
-	inFlight msgHeap
-	seq      uint64
+	inFlight sim.Queue[*Message] // fires at each message's arrival cycle
 	stats    Stats
 
 	// Reusable arena for perturbed delivery ordering: bucketOf maps a
@@ -364,16 +344,13 @@ func (m *Mesh) Send(now sim.Cycle, msg *Message) {
 		m.stats.Spikes++
 	}
 
-	msg.arrival = arrival
-	msg.seq = m.seq
-	m.seq++
-	m.inFlight.push(msg)
+	m.inFlight.At(arrival, msg)
 
 	m.stats.Messages++
 	m.stats.Flits += uint64(msg.Flits)
 	m.stats.FlitHops += uint64(msg.Flits) * uint64(max(1, len(path)))
 	m.stats.PerVNet[msg.VNet] += uint64(msg.Flits)
-	if n := len(m.inFlight.h); n > m.stats.MaxInFlight {
+	if n := m.inFlight.Len(); n > m.stats.MaxInFlight {
 		m.stats.MaxInFlight = n
 	}
 }
@@ -387,23 +364,13 @@ func (m *Mesh) Tick(now sim.Cycle) {
 		m.tickPerturbed(now)
 		return
 	}
-	for len(m.inFlight.h) > 0 {
-		next := m.inFlight.h[0]
-		if next.arrival > now {
-			return
-		}
-		m.inFlight.pop()
-		m.deliver(now, next)
-	}
+	m.inFlight.Run(now, func(msg *Message) { m.deliver(now, msg) })
 }
 
 // NextEventCycle reports the cycle the earliest in-flight message lands.
 // ok is false when the mesh is quiescent.
 func (m *Mesh) NextEventCycle() (at sim.Cycle, ok bool) {
-	if len(m.inFlight.h) == 0 {
-		return 0, false
-	}
-	return m.inFlight.h[0].arrival, true
+	return m.inFlight.NextAt()
 }
 
 // tickPerturbed gathers the cycle's deliverable batch, reorders it under
@@ -412,14 +379,7 @@ func (m *Mesh) NextEventCycle() (at sim.Cycle, ok bool) {
 // strictly later cycle, so the gather scratch is never touched
 // reentrantly.
 func (m *Mesh) tickPerturbed(now sim.Cycle) {
-	if len(m.inFlight.h) == 0 || m.inFlight.h[0].arrival > now {
-		return
-	}
-	for len(m.inFlight.h) > 0 && m.inFlight.h[0].arrival <= now {
-		msg := m.inFlight.h[0]
-		m.inFlight.pop()
-		m.batch = append(m.batch, msg)
-	}
+	m.inFlight.Run(now, func(msg *Message) { m.batch = append(m.batch, msg) })
 	m.orderPerturbed(m.batch)
 	for i, msg := range m.batch {
 		m.deliver(now, msg)
@@ -430,11 +390,11 @@ func (m *Mesh) tickPerturbed(now sim.Cycle) {
 
 // orderPerturbed reorders one same-cycle delivery batch in place under
 // the PerturbDelivery fault (no-op when the fault is off). batch must be
-// in heap-pop (arrival, injection) order. Messages between the same
-// endpoint pair keep their relative order — each pair's bucket is
-// consumed front-first — so only the ordering freedom the mesh never
-// promised (between different pairs) is exercised. One drng.Intn is
-// drawn per delivery.
+// in (arrival, injection) order, as the in-flight queue fires it.
+// Messages between the same endpoint pair keep their relative order —
+// each pair's bucket is consumed front-first — so only the ordering
+// freedom the mesh never promised (between different pairs) is
+// exercised. One drng.Intn is drawn per delivery.
 func (m *Mesh) orderPerturbed(batch []*Message) {
 	if !m.cfg.Faults.PerturbDelivery || len(batch) == 0 {
 		return
@@ -504,76 +464,16 @@ func (m *Mesh) deliver(now sim.Cycle, msg *Message) {
 }
 
 // Quiescent reports whether no messages are in flight.
-func (m *Mesh) Quiescent() bool { return len(m.inFlight.h) == 0 }
+func (m *Mesh) Quiescent() bool { return m.inFlight.Empty() }
 
 // InFlightCensus counts the messages currently in flight on each virtual
 // network (for hang reports).
 func (m *Mesh) InFlightCensus() (perVNet [NumVNets]int, total int) {
-	for _, msg := range m.inFlight.h {
-		perVNet[msg.VNet]++
-		total++
+	for i := 0; i < m.inFlight.Len(); i++ {
+		perVNet[(*m.inFlight.Stored(i)).VNet]++
 	}
-	return perVNet, total
+	return perVNet, m.inFlight.Len()
 }
 
 // Stats returns a copy of the traffic statistics.
 func (m *Mesh) Stats() Stats { return m.stats }
-
-// msgHeap orders messages by (arrival, seq) for deterministic delivery.
-// Hand-rolled (not container/heap) so push/pop never box through `any`:
-// Mesh.Tick must not allocate. The (arrival, seq) key is unique per
-// message, so pop order is independent of heap layout.
-type msgHeap struct {
-	h []*Message
-}
-
-func (q *msgHeap) less(i, j int) bool {
-	if q.h[i].arrival != q.h[j].arrival {
-		return q.h[i].arrival < q.h[j].arrival
-	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-func (q *msgHeap) push(msg *Message) {
-	q.h = append(q.h, msg)
-	i := len(q.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
-	}
-}
-
-// pop removes the root, keeping the backing array for reuse.
-func (q *msgHeap) pop() {
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = nil
-	q.h = q.h[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			return
-		}
-		q.h[i], q.h[least] = q.h[least], q.h[i]
-		i = least
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

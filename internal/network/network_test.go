@@ -147,6 +147,43 @@ func TestSamePairOrderingWithoutJitter(t *testing.T) {
 	}
 }
 
+// TestSameCycleDeliveryFollowsInjection: messages from different sources
+// that land in the same cycle are delivered in the order they were sent,
+// and a message that lands earlier is delivered first whatever its send
+// order. On the 2x2 mesh a one-hop control message lands 7 cycles after
+// its send and a same-router one 3 cycles after.
+func TestSameCycleDeliveryFollowsInjection(t *testing.T) {
+	m := NewMesh(Config{Width: 2, Height: 2, SwitchLatency: 6, LocalLatency: 2, DataFlits: 5, CtrlFlits: 1}, nil)
+	rec := &sink{} // every endpoint's receiver, so it sees the global order
+	for i := 0; i < 4; i++ {
+		m.Attach(Endpoint(i), i, rec)
+	}
+	sends := map[sim.Cycle][][2]Endpoint{
+		0: {{3, 2}, {0, 1}, {2, 0}, {1, 3}}, // one hop each, on distinct links: land at 7
+		3: {{1, 1}},                         // local: lands at 6, sent after the four above
+		4: {{2, 2}, {0, 0}},                 // local: land at 7, sent after the four above
+	}
+	want := []int{4, 0, 1, 2, 3, 5, 6} // payload = global send index
+	wantAt := []sim.Cycle{6, 7, 7, 7, 7, 7, 7}
+	n := 0
+	for now := sim.Cycle(0); now < 20; now++ {
+		for _, p := range sends[now] {
+			m.Send(now, &Message{Src: p[0], Dst: p[1], VNet: VNetRequest, Flits: 1, Payload: n})
+			n++
+		}
+		m.Tick(now)
+	}
+	if len(rec.got) != len(want) {
+		t.Fatalf("delivered %d messages, want %d", len(rec.got), len(want))
+	}
+	for i, msg := range rec.got {
+		if msg.Payload.(int) != want[i] || rec.at[i] != wantAt[i] {
+			t.Fatalf("delivery %d: message %v at cycle %d, want message %d at cycle %d",
+				i, msg.Payload, rec.at[i], want[i], wantAt[i])
+		}
+	}
+}
+
 func TestJitterDeterminism(t *testing.T) {
 	arrivals := func() []sim.Cycle {
 		m, sinks := build2x2(t, 10)
