@@ -133,13 +133,13 @@ check-liveness-deep: check-liveness
 	$(GO) run ./cmd/wbsimcheck -cores 3 -banks 2 -lines 2 -ops 2 -mode tardis -reduce sym -max-states 500000
 
 # Zero-allocation gates for the event-driven kernel: a warmed-up mesh
-# cycle, a drained System.Step and a busy core's System.Step may not
-# allocate (see DESIGN.md, "Simulation kernel & performance model"); nor
-# may a warm component event queue, nor the model checker's
-# copy-on-write child once its pool is warm, nor a rewrite of a
-# materialized memory line.
+# cycle, a drained System.Step, a busy core's System.Step and two cores
+# ping-ponging shared lines may not allocate (see DESIGN.md, "Simulation
+# kernel & performance model"); nor may a warm component event queue, a
+# warm typed MSHR file, the model checker's copy-on-write child once its
+# pool is warm, nor a rewrite of a materialized memory line.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/sim ./internal/mem ./internal/network ./internal/core ./internal/coherence
+	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/sim ./internal/mem ./internal/cache ./internal/network ./internal/core ./internal/coherence
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast

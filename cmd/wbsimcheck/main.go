@@ -12,6 +12,7 @@
 //	wbsimcheck -cores 3 -lines 2 -banks 2 -max-states 50000
 //	wbsimcheck -prefix                      # pre-fix tables: finds the PR-5 deadlock
 //	wbsimcheck -corrupt                     # corrupted grant row: finds the SWMR break
+//	wbsimcheck -memprofile mem.pprof        # -cpuprofile, -memprofile, -trace as in every command
 //
 // The checker proves two properties at the configured size: safety (no
 // reachable state violates single-writer or read-value coherence) and,
@@ -35,6 +36,7 @@ import (
 
 	"wbsim/internal/coherence"
 	"wbsim/internal/coherence/check"
+	"wbsim/internal/profiling"
 )
 
 // report is the -json document: the exploration result plus the
@@ -94,6 +96,7 @@ func mainExit() int {
 		reduce    = flag.String("reduce", "none", "state-space reduction: none or sym (symmetry)")
 		progress  = flag.Bool("progress", false, "print per-layer frontier progress to stderr")
 	)
+	prof := profiling.AddFlags()
 	flag.Parse()
 
 	// Exploration retains every fingerprint, so the live heap only
@@ -133,6 +136,13 @@ func mainExit() int {
 		fmt.Fprintf(os.Stderr, "wbsimcheck: unknown -reduce %q (want none or sym)\n", *reduce)
 		return 2
 	}
+	stopProf, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wbsimcheck: %v\n", err)
+		return 2
+	}
+	defer stopProf()
+
 	start := time.Now()
 	if *progress {
 		ccfg.Progress = func(p check.ProgressInfo) {

@@ -158,7 +158,7 @@ func TestArrayProperty(t *testing.T) {
 }
 
 func TestMSHRBasics(t *testing.T) {
-	f := NewMSHRFile(4, 1)
+	f := NewMSHRFile[int](4, 1)
 	if f.Capacity() != 4 {
 		t.Fatalf("capacity = %d", f.Capacity())
 	}
@@ -193,7 +193,7 @@ func TestMSHRBasics(t *testing.T) {
 }
 
 func TestMSHRLookup(t *testing.T) {
-	f := NewMSHRFile(8, 2)
+	f := NewMSHRFile[int](8, 2)
 	a := f.Allocate(5)
 	b := f.AllocateReserved(5) // second MSHR on the same line (SoS bypass)
 	if f.Lookup(5) != a {
@@ -214,7 +214,7 @@ func TestMSHRLookup(t *testing.T) {
 }
 
 func TestMSHRReservedNotUsedWhenFree(t *testing.T) {
-	f := NewMSHRFile(4, 1)
+	f := NewMSHRFile[int](4, 1)
 	r := f.AllocateReserved(1)
 	if r.Reserved {
 		t.Fatal("reserved pool used while normal space remains")
@@ -222,7 +222,7 @@ func TestMSHRReservedNotUsedWhenFree(t *testing.T) {
 }
 
 func TestMSHRFreePanics(t *testing.T) {
-	f := NewMSHRFile(2, 1)
+	f := NewMSHRFile[int](2, 1)
 	m := f.Allocate(1)
 	f.Free(m)
 	defer func() {
@@ -238,8 +238,8 @@ func TestMSHRFreePanics(t *testing.T) {
 // reserve, and a reserved allocation succeeds whenever any entry is free.
 func TestMSHRProperty(t *testing.T) {
 	if err := quick.Check(func(ops []uint8) bool {
-		f := NewMSHRFile(8, 2)
-		var live []*MSHR
+		f := NewMSHRFile[int](8, 2)
+		var live []*MSHR[int]
 		normalUsed := func() int {
 			n := 0
 			for _, m := range live {
@@ -304,12 +304,12 @@ func TestMSHRFileMatchesMapOracle(t *testing.T) {
 			r = r*6364136223846793005 + 1442695040888963407
 			return int(r>>33) % n
 		}
-		f := NewMSHRFile(capacity, reserved)
-		oracle := map[mem.Line][]*MSHR{}
-		var live []*MSHR
-		used := map[*MSHR]bool{}
-		var copyOf MSHRFile
-		index := func(file *MSHRFile, m *MSHR) int {
+		f := NewMSHRFile[int](capacity, reserved)
+		oracle := map[mem.Line][]*MSHR[int]{}
+		var live []*MSHR[int]
+		used := map[*MSHR[int]]bool{}
+		var copyOf MSHRFile[int]
+		index := func(file *MSHRFile[int], m *MSHR[int]) int {
 			for i := range file.entries {
 				if &file.entries[i] == m {
 					return i
@@ -320,14 +320,14 @@ func TestMSHRFileMatchesMapOracle(t *testing.T) {
 		check := func(step int, l mem.Line) {
 			t.Helper()
 			want := oracle[l]
-			var first *MSHR
+			var first *MSHR[int]
 			if len(want) > 0 {
 				first = want[0]
 			}
 			if got := f.Lookup(l); got != first {
 				t.Fatalf("seed %d step %d: Lookup(%v) = %p, oracle %p", seed, step, l, got, first)
 			}
-			var buf [2]*MSHR
+			var buf [2]*MSHR[int]
 			pre := append(buf[:0], nil) // LookupAll appends after what dst holds
 			got := f.LookupAll(l, pre)
 			if got[0] != nil || !slices.Equal(got[1:], want) {
@@ -351,7 +351,7 @@ func TestMSHRFileMatchesMapOracle(t *testing.T) {
 				}
 				f.Free(m)
 			case op <= 2:
-				var m *MSHR
+				var m *MSHR[int]
 				if op == 1 {
 					m = f.Allocate(l)
 				} else {
@@ -377,9 +377,9 @@ func TestMSHRFileMatchesMapOracle(t *testing.T) {
 				check(step, l)
 			}
 			if step == 30 {
-				f.CloneInto(&copyOf, func(p any) any { return p })
+				f.CloneInto(&copyOf, func(dst, src *int) { *dst = *src })
 				for _, l := range lines {
-					var a, b [capacity]*MSHR
+					var a, b [capacity]*MSHR[int]
 					orig, cp := f.LookupAll(l, a[:0]), copyOf.LookupAll(l, b[:0])
 					if len(orig) != len(cp) {
 						t.Fatalf("seed %d: the copy holds %d MSHRs for %v, the original %d", seed, len(cp), l, len(orig))
@@ -395,5 +395,41 @@ func TestMSHRFileMatchesMapOracle(t *testing.T) {
 	}
 	if sameLine == 0 || reused == 0 {
 		t.Fatalf("walks met %d same-line allocations and %d reused slots; both checks need some", sameLine, reused)
+	}
+}
+
+// TestMSHRFileZeroAlloc pins the steady state of a file typed by a
+// transaction with a slice: once warm, claiming an entry, growing its
+// transaction's slice back to its earlier length, freeing it, and
+// copying the file with CloneInto allocate nothing, because an entry
+// keeps the storage its previous holder grew and the copy reuses the
+// destination's.
+func TestMSHRFileZeroAlloc(t *testing.T) {
+	type txn struct{ waiters []int }
+	copyTxn := func(dst, src *txn) { dst.waiters = append(dst.waiters[:0], src.waiters...) }
+	f := NewMSHRFile[txn](4, 1)
+	var copyOf MSHRFile[txn]
+	cycle := func() {
+		for l := mem.Line(1); l <= 3; l++ {
+			m := f.Allocate(l)
+			m.Txn.waiters = m.Txn.waiters[:0]
+			for i := 0; i < 8; i++ {
+				m.Txn.waiters = append(m.Txn.waiters, i)
+			}
+		}
+		f.CloneInto(&copyOf, copyTxn)
+		f.ForEach(f.Free)
+	}
+	cycle() // warm
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a warm claim, grow, copy and free cycle allocates %.1f objects, want 0", allocs)
+	}
+	if n := copyOf.InUse(); n != 3 {
+		t.Fatalf("the copy holds %d live entries, want 3", n)
+	}
+	for l := mem.Line(1); l <= 3; l++ {
+		if m := copyOf.Lookup(l); m == nil || len(m.Txn.waiters) != 8 {
+			t.Fatalf("the copy lost line %v's transaction: %+v", l, m)
+		}
 	}
 }

@@ -6,8 +6,8 @@ import "wbsim/internal/mem"
 // (coherence.Model.Clone). An array hands out interior *Entry frames
 // that the coherence layer stores in its own state, so the copy must
 // translate a frame of the original to its counterpart in the copy
-// (FrameOf). An MSHR file holds no pointers but its payloads, which
-// the caller copies.
+// (FrameOf). An MSHR file holds no pointers but those inside its
+// transactions, which the caller copies.
 
 // CloneInto overwrites dst — a zero Array, or one of the same geometry
 // previously written by CloneInto — with a deep copy of a, reusing dst's
@@ -52,19 +52,24 @@ func (a *Array) FrameOf(e *Entry) *Entry {
 }
 
 // CloneInto overwrites dst — a zero file, or one CloneInto wrote
-// before — with f's contents, reusing dst's entry storage.
-// clonePayload rewrites each live entry's Payload (the coherence layer
-// stores transaction state there); invalid entries get a nil payload so
-// dst never retains a stale pointer into the source.
-func (f *MSHRFile) CloneInto(dst *MSHRFile, clonePayload func(any) any) {
-	entries := append(dst.entries[:0], f.entries...)
+// before — with f's contents, reusing dst's entry storage. copyTxn
+// copies a live entry's transaction into dst's entry at the same
+// position, which still holds that entry's previous transaction, so the
+// copy can reuse the storage of its slices. A free entry keeps dst's own
+// stale transaction: its next holder resets it, and dst never shares a
+// slice with f.
+func (f *MSHRFile[T]) CloneInto(dst *MSHRFile[T], copyTxn func(dst, src *T)) {
+	entries := dst.entries
+	if len(entries) != len(f.entries) {
+		entries = make([]MSHR[T], len(f.entries))
+	}
+	for i := range f.entries {
+		e, o := &entries[i], &f.entries[i]
+		if o.valid {
+			copyTxn(&e.Txn, &o.Txn)
+		}
+		e.Line, e.Reserved, e.valid, e.stamp = o.Line, o.Reserved, o.valid, o.stamp
+	}
 	*dst = *f
 	dst.entries = entries
-	for i := range entries {
-		if entries[i].valid {
-			entries[i].Payload = clonePayload(entries[i].Payload)
-		} else {
-			entries[i].Payload = nil
-		}
-	}
 }

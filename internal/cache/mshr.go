@@ -6,12 +6,15 @@ import (
 	"wbsim/internal/mem"
 )
 
-// MSHR tracks one outstanding line-granular miss. The Payload field is
-// owned by the coherence layer (it stores transaction state there).
-type MSHR struct {
+// MSHR tracks one outstanding line-granular miss. Txn is the coherence
+// layer's transaction state, held by value in the entry. A freed
+// entry keeps the Txn its last holder left, so a new holder can reuse
+// the storage that transaction's slices grew; whoever claims an entry
+// resets its Txn.
+type MSHR[T any] struct {
 	Line     mem.Line
 	Reserved bool // allocated from the SoS-reserved pool
-	Payload  any
+	Txn      T
 
 	valid bool
 	stamp uint64 // allocation order among the file's entries
@@ -25,9 +28,9 @@ type MSHR struct {
 // Like the hardware it models, a lookup is a tag match across every
 // entry. Each entry carries its line tag and an allocation stamp, so
 // lookups return the MSHRs of a line oldest first, and the file holds
-// no pointer but the payloads: copying it is a slice copy.
-type MSHRFile struct {
-	entries  []MSHR
+// no pointer but those inside its transactions.
+type MSHRFile[T any] struct {
+	entries  []MSHR[T]
 	capacity int
 	reserved int
 	inUse    int
@@ -37,12 +40,12 @@ type MSHRFile struct {
 
 // NewMSHRFile builds a file with capacity total entries of which reserved
 // are claimable only via AllocateReserved.
-func NewMSHRFile(capacity, reserved int) *MSHRFile {
+func NewMSHRFile[T any](capacity, reserved int) *MSHRFile[T] {
 	if capacity <= 0 || reserved < 0 || reserved >= capacity {
 		panic(fmt.Sprintf("cache: bad MSHR geometry capacity=%d reserved=%d", capacity, reserved))
 	}
-	return &MSHRFile{
-		entries:  make([]MSHR, capacity),
+	return &MSHRFile[T]{
+		entries:  make([]MSHR[T], capacity),
 		capacity: capacity,
 		reserved: reserved,
 	}
@@ -52,8 +55,8 @@ func NewMSHRFile(capacity, reserved int) *MSHRFile {
 // case is a single MSHR per line; a second one can exist transiently
 // when a SoS load bypasses a blocked write (Section 3.5.2), in which
 // case Lookup returns the oldest and LookupAll exposes both.
-func (f *MSHRFile) Lookup(l mem.Line) *MSHR {
-	var oldest *MSHR
+func (f *MSHRFile[T]) Lookup(l mem.Line) *MSHR[T] {
+	var oldest *MSHR[T]
 	for i := range f.entries {
 		e := &f.entries[i]
 		if e.valid && e.Line == l && (oldest == nil || e.stamp < oldest.stamp) {
@@ -66,7 +69,7 @@ func (f *MSHRFile) Lookup(l mem.Line) *MSHR {
 // LookupAll appends every MSHR outstanding for l to dst, oldest first,
 // and returns the extended slice. Callers pass a small stack buffer, so
 // a lookup allocates nothing and nested lookups never share storage.
-func (f *MSHRFile) LookupAll(l mem.Line, dst []*MSHR) []*MSHR {
+func (f *MSHRFile[T]) LookupAll(l mem.Line, dst []*MSHR[T]) []*MSHR[T] {
 	start := len(dst)
 	for i := range f.entries {
 		e := &f.entries[i]
@@ -82,13 +85,13 @@ func (f *MSHRFile) LookupAll(l mem.Line, dst []*MSHR) []*MSHR {
 }
 
 // FullForNormal reports whether a non-reserved allocation would fail.
-func (f *MSHRFile) FullForNormal() bool {
+func (f *MSHRFile[T]) FullForNormal() bool {
 	return f.inUse-f.resInUse >= f.capacity-f.reserved
 }
 
 // Allocate claims a normal MSHR for l. It returns nil when the
 // non-reserved pool is exhausted.
-func (f *MSHRFile) Allocate(l mem.Line) *MSHR {
+func (f *MSHRFile[T]) Allocate(l mem.Line) *MSHR[T] {
 	if f.FullForNormal() {
 		return nil
 	}
@@ -100,7 +103,7 @@ func (f *MSHRFile) Allocate(l mem.Line) *MSHR {
 // entry including the reserved ones is in use (which the protocol
 // guarantees cannot happen for SoS loads, since at most one load per core
 // is SoS and the pool holds at least one reserved entry).
-func (f *MSHRFile) AllocateReserved(l mem.Line) *MSHR {
+func (f *MSHRFile[T]) AllocateReserved(l mem.Line) *MSHR[T] {
 	if f.inUse >= f.capacity {
 		return nil
 	}
@@ -109,14 +112,13 @@ func (f *MSHRFile) AllocateReserved(l mem.Line) *MSHR {
 	return m
 }
 
-func (f *MSHRFile) place(l mem.Line, reserved bool) *MSHR {
+func (f *MSHRFile[T]) place(l mem.Line, reserved bool) *MSHR[T] {
 	for i := range f.entries {
 		e := &f.entries[i]
 		if !e.valid {
 			e.valid = true
 			e.Line = l
 			e.Reserved = reserved
-			e.Payload = nil
 			e.stamp = f.stamp
 			f.stamp++
 			f.inUse++
@@ -129,13 +131,13 @@ func (f *MSHRFile) place(l mem.Line, reserved bool) *MSHR {
 	return nil
 }
 
-// Free releases m.
-func (f *MSHRFile) Free(m *MSHR) {
+// Free releases m. Its Txn stays as it is until the entry's next holder
+// resets it.
+func (f *MSHRFile[T]) Free(m *MSHR[T]) {
 	if !m.valid {
 		panic("cache: freeing invalid MSHR")
 	}
 	m.valid = false
-	m.Payload = nil
 	f.inUse--
 	if m.Reserved {
 		f.resInUse--
@@ -143,13 +145,13 @@ func (f *MSHRFile) Free(m *MSHR) {
 }
 
 // InUse reports the number of live entries.
-func (f *MSHRFile) InUse() int { return f.inUse }
+func (f *MSHRFile[T]) InUse() int { return f.inUse }
 
 // Capacity reports the total entry count.
-func (f *MSHRFile) Capacity() int { return f.capacity }
+func (f *MSHRFile[T]) Capacity() int { return f.capacity }
 
 // ForEach visits live MSHRs in entry order.
-func (f *MSHRFile) ForEach(fn func(*MSHR)) {
+func (f *MSHRFile[T]) ForEach(fn func(*MSHR[T])) {
 	for i := range f.entries {
 		if f.entries[i].valid {
 			fn(&f.entries[i])

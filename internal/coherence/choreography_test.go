@@ -21,7 +21,7 @@ type recorder struct {
 }
 
 func (r *recorder) Receive(now sim.Cycle, m *network.Message) {
-	msg := m.Payload.(*Msg)
+	msg, _ := msgOf(m)
 	*r.log = append(*r.log, fmt.Sprintf("%s<-%v", r.name, msg.Type))
 	r.inner.Receive(now, m)
 }

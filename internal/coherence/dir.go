@@ -53,7 +53,8 @@ func (k dirKind) String() string {
 	return "?"
 }
 
-// dirTxn tracks one in-flight transaction at the directory.
+// dirTxn tracks one in-flight transaction at the directory, held by
+// value in its directory entry.
 type dirTxn struct {
 	write     bool
 	eviction  bool
@@ -101,9 +102,10 @@ type dirLine struct {
 	owner     network.Endpoint
 	hasOwner  bool
 	data      mem.LineData
-	dataValid bool // data is the current value of the line
-	dirty     bool // data differs from memory
-	txn       *dirTxn
+	dataValid bool   // data is the current value of the line
+	dirty     bool   // data differs from memory
+	txn       dirTxn // the in-flight transaction, while hasTxn
+	hasTxn    bool
 	pending   []Msg // queued requests (writes while WB; everything while Busy/Fetching)
 	inEvBuf   bool
 	frame     *cache.Entry
@@ -117,6 +119,14 @@ type dirLine struct {
 	// since stamps the cycle the line last entered a transient state
 	// (Fetching/Busy/WB); the watchdog bounds its age.
 	since sim.Cycle
+}
+
+// openTxn starts t as dl's transaction, keeping the storage of the
+// previous transaction's wait ledgers.
+func (dl *dirLine) openTxn(t dirTxn) {
+	t.ackFrom, t.delayedFrom = dl.txn.ackFrom[:0], dl.txn.delayedFrom[:0]
+	dl.txn = t
+	dl.hasTxn = true
 }
 
 // transient reports whether k is a non-stable directory state.
@@ -162,6 +172,11 @@ type Bank struct {
 	lines map[mem.Line]*dirLine
 	evbuf []*dirLine // eviction buffer, in line order
 
+	// spare holds retired directory entries for newLine to reuse, and
+	// envs is the free list of the envelopes this bank sends in.
+	spare []*dirLine
+	envs  envelopes
+
 	// earlyDelayed buffers DelayedAcks that overtook their Nack in the
 	// unordered network, one line per ack; they are consumed when the
 	// Nack arrives.
@@ -185,6 +200,12 @@ type Bank struct {
 	// the heap. Handlers copy what they keep, so it is dead between
 	// events.
 	fired Msg
+	// replay is the stack of queued requests processPending is
+	// re-dispatching, for the same reason. A replay can stabilize its
+	// line and replay the next request in a nested call, so each level
+	// keeps its own slot; when a push moves the stack, an outer level's
+	// pointer still reads its unchanged slot in the old array.
+	replay []Msg
 }
 
 // NewBank builds an LLC bank/directory slice attached to the network at
@@ -219,7 +240,7 @@ func (b *Bank) fire(ev deferred) {
 	//wbsim:partial(dfPCUSend, dfPCULease) -- a bank schedules only its own kinds
 	switch ev.kind {
 	case dfBankSend:
-		send(b.port, b.now, b.id, ev.dst, &ev.m, b.params.DataFlits, b.params.CtrlFlits)
+		b.envs.send(b.port, b.now, b.id, ev.dst, &ev.m, b.params.DataFlits, b.params.CtrlFlits)
 	case dfBankRetry, dfBankRequeue:
 		b.fired = ev.m
 		b.redispatch(&b.fired)
@@ -249,7 +270,7 @@ func (b *Bank) Quiescent() bool {
 		return false
 	}
 	for _, dl := range b.lines {
-		if dl.txn != nil || len(dl.pending) > 0 {
+		if dl.hasTxn || len(dl.pending) > 0 {
 			return false
 		}
 	}
@@ -257,11 +278,12 @@ func (b *Bank) Quiescent() bool {
 }
 
 // Receive implements network.Receiver: it maps the message to its table
-// event and fires the machine's row. Request stats count only fresh
-// arrivals, never table re-dispatches of queued requests.
+// event, fires the machine's row, and returns the message's envelope to
+// the sender's free list. Request stats count only fresh arrivals,
+// never table re-dispatches of queued requests.
 func (b *Bank) Receive(now sim.Cycle, nm *network.Message) {
 	b.now = now
-	m := nm.Payload.(*Msg)
+	m, e := msgOf(nm)
 	ev := dirEventOf(m.Type)
 	if ev == dirEvRead {
 		b.Stats.GetS++
@@ -269,6 +291,7 @@ func (b *Bank) Receive(now sim.Cycle, nm *network.Message) {
 		b.Stats.GetX++
 	}
 	b.dispatch(ev, m)
+	e.release()
 }
 
 // dispatch fires the machine row for (current state of m's line, ev) and
@@ -340,7 +363,7 @@ func (b *Bank) allocateAndFetch(m *Msg) {
 		dl := b.lines[e.Line]
 		// Keep transient entries and any entry with a parked transaction
 		// (a tardis TsShared line waiting out its leases for a write).
-		return dl != nil && (dl.txn != nil || dl.kind == dirBusy || dl.kind == dirWB || dl.kind == dirFetching)
+		return dl != nil && (dl.hasTxn || dl.kind == dirBusy || dl.kind == dirWB || dl.kind == dirFetching)
 	})
 	canEvict := victim != nil && (!victim.Valid() || len(b.evbuf) < b.params.EvictionBuf)
 	if !canEvict {
@@ -368,12 +391,43 @@ func (b *Bank) allocateAndFetch(m *Msg) {
 		b.startEviction(victim)
 	}
 	frame := b.array.Install(victim, m.Line)
-	dl := &dirLine{line: m.Line, kind: dirFetching, frame: frame, since: b.now}
+	dl := b.newLine(m.Line, frame)
 	dl.pending = append(dl.pending, *m)
 	b.lines[m.Line] = dl
 	b.Stats.MemReads++
 	b.events.After(b.now, sim.Cycle(b.params.MemLatency), deferred{kind: dfBankFetchDone, line: m.Line})
 }
+
+// freshLine is a new directory entry allocated together with room for
+// the request that creates it and for its first sharers, so a line's
+// first touch costs one allocation.
+type freshLine struct {
+	dl      dirLine
+	pending [1]Msg
+	sharers [4]network.Endpoint
+}
+
+// newLine returns a Fetching entry for line in frame: a retired entry
+// from spare, keeping the storage of its slices, or a new one.
+func (b *Bank) newLine(line mem.Line, frame *cache.Entry) *dirLine {
+	var dl *dirLine
+	if n := len(b.spare); n > 0 {
+		dl = b.spare[n-1]
+		b.spare = b.spare[:n-1]
+	} else {
+		f := new(freshLine)
+		dl = &f.dl
+		dl.pending, dl.sharers = f.pending[:0], f.sharers[:0]
+	}
+	*dl = dirLine{line: line, kind: dirFetching, frame: frame, since: b.now,
+		sharers: dl.sharers[:0], pending: dl.pending[:0],
+		txn: dirTxn{ackFrom: dl.txn.ackFrom[:0], delayedFrom: dl.txn.delayedFrom[:0]}}
+	return dl
+}
+
+// retireLine puts dl, which has left both the live directory and the
+// eviction buffer, on spare.
+func (b *Bank) retireLine(dl *dirLine) { b.spare = append(b.spare, dl) }
 
 // fetchDone lands the memory fetch of line's Fetching entry and replays
 // the requests queued on it.
@@ -412,7 +466,7 @@ func (b *Bank) drainPendingReads(dl *dirLine) {
 // transaction: the ack is redirected to the writer (or, for an eviction,
 // the eviction completion is re-checked).
 func (b *Bank) consumeDelayedAck(dl *dirLine) {
-	txn := dl.txn
+	txn := &dl.txn
 	txn.delayedPending--
 	if txn.eviction {
 		b.maybeFinishEviction(dl)
@@ -425,8 +479,8 @@ func (b *Bank) consumeDelayedAck(dl *dirLine) {
 // maybeCompleteRead finishes a shared-grant read once both the Unblock
 // and (for 3-hop reads) the owner's clean copy have arrived.
 func (b *Bank) maybeCompleteRead(dl *dirLine) {
-	txn := dl.txn
-	if txn == nil || txn.write || txn.grantExcl {
+	txn := &dl.txn
+	if !dl.hasTxn || txn.write || txn.grantExcl {
 		return
 	}
 	if !txn.gotUnblock || (txn.fwd && !txn.gotOwnerData) {
@@ -438,7 +492,7 @@ func (b *Bank) maybeCompleteRead(dl *dirLine) {
 	}
 	b.addSharer(dl, txn.requester)
 	dl.kind = dirShared
-	dl.txn = nil
+	dl.hasTxn = false
 	b.processPending(dl)
 }
 
@@ -449,12 +503,11 @@ func (b *Bank) maybeCompleteRead(dl *dirLine) {
 func (b *Bank) processPending(dl *dirLine) {
 	for len(dl.pending) > 0 &&
 		(dl.kind == dirInvalid || dl.kind == dirShared || dl.kind == dirExclusive ||
-			(dl.kind == dirTsShared && dl.txn == nil)) {
-		// The popped slot lies before the slice's start, so nothing the
-		// redispatch queues can overwrite it.
-		m := &dl.pending[0]
-		dl.pending = dl.pending[1:]
-		b.redispatch(m)
+			(dl.kind == dirTsShared && !dl.hasTxn)) {
+		b.replay = append(b.replay, dl.pending[0])
+		dl.pending = slices.Delete(dl.pending, 0, 1)
+		b.redispatch(&b.replay[len(b.replay)-1])
+		b.replay = b.replay[:len(b.replay)-1]
 	}
 }
 
@@ -473,7 +526,7 @@ func (b *Bank) startEviction(frame *cache.Entry) {
 	if dl == nil {
 		panicf("bank %d: evicting unknown line %v", b.id, frame.Line)
 	}
-	if dl.txn != nil || dl.kind == dirBusy || dl.kind == dirWB || dl.kind == dirFetching {
+	if dl.hasTxn || dl.kind == dirBusy || dl.kind == dirWB || dl.kind == dirFetching {
 		panicf("bank %d: evicting line %v in state %v", b.id, frame.Line, dl.kind)
 	}
 	b.Stats.Evictions++
@@ -500,18 +553,19 @@ func (b *Bank) startEviction(frame *cache.Entry) {
 			b.Stats.MemWrites++
 		}
 		b.requeueOrphans(dl)
+		b.retireLine(dl)
 		return
 	case dirShared:
-		dl.txn = &dirTxn{eviction: true, acksPending: len(dl.sharers),
-			ackFrom: append([]network.Endpoint(nil), dl.sharers...)}
+		dl.openTxn(dirTxn{eviction: true, acksPending: len(dl.sharers)})
+		dl.txn.ackFrom = append(dl.txn.ackFrom, dl.sharers...)
 		for _, s := range dl.sharers {
 			b.sendAfter(b.params.TagLatency, s,
 				&Msg{Type: MsgInv, Line: dl.line, Requester: b.id, Eviction: true})
 		}
-		dl.sharers = nil
+		dl.sharers = dl.sharers[:0]
 	case dirExclusive:
-		dl.txn = &dirTxn{eviction: true, acksPending: 1,
-			ackFrom: []network.Endpoint{dl.owner}}
+		dl.openTxn(dirTxn{eviction: true, acksPending: 1})
+		dl.txn.ackFrom = append(dl.txn.ackFrom, dl.owner)
 		b.sendAfter(b.params.TagLatency, dl.owner,
 			&Msg{Type: MsgInv, Line: dl.line, Requester: b.id, Eviction: true})
 		dl.hasOwner = false
@@ -535,6 +589,7 @@ func (b *Bank) maybeFinishEviction(dl *dirLine) {
 	}
 	b.evbufDrop(dl.line)
 	b.requeueOrphans(dl)
+	b.retireLine(dl)
 }
 
 // evbufFind returns line's entry in the eviction buffer, or nil.
@@ -586,11 +641,10 @@ func (b *Bank) earlyDelayedFor(line mem.Line) int {
 // requeueOrphans re-dispatches requests that were queued on an entry that
 // no longer exists; they re-enter as fresh requests and allocate anew.
 func (b *Bank) requeueOrphans(dl *dirLine) {
-	pending := dl.pending
-	dl.pending = nil
-	for _, m := range pending {
+	for _, m := range dl.pending {
 		b.events.After(b.now, 1, deferred{kind: dfBankRequeue, m: m})
 	}
+	dl.pending = dl.pending[:0]
 }
 
 // CheckInvariants panics if internal consistency is violated; tests call
@@ -622,7 +676,7 @@ func (b *Bank) CheckInvariants() {
 				panicf("bank %d: Exclusive %v without owner", b.id, line)
 			}
 		case dirWB:
-			if dl.txn == nil {
+			if !dl.hasTxn {
 				panicf("bank %d: WB %v without transaction", b.id, line)
 			}
 		}
@@ -682,7 +736,7 @@ func (t TransientLine) String() string {
 func (b *Bank) TransientLines(now sim.Cycle) []TransientLine {
 	var out []TransientLine
 	collect := func(dl *dirLine) {
-		if !dl.kind.transient() && dl.txn == nil && len(dl.pending) == 0 {
+		if !dl.kind.transient() && !dl.hasTxn && len(dl.pending) == 0 {
 			return
 		}
 		t := TransientLine{
@@ -693,7 +747,7 @@ func (b *Bank) TransientLines(now sim.Cycle) []TransientLine {
 			Pending: len(dl.pending),
 			InEvBuf: dl.inEvBuf,
 		}
-		if dl.txn != nil {
+		if dl.hasTxn {
 			t.HasTxn = true
 			t.Write = dl.txn.write
 			t.Eviction = dl.txn.eviction
@@ -733,9 +787,9 @@ func (b *Bank) DumpState() string {
 	var sb strings.Builder
 	for _, line := range sortedLines(b.lines) {
 		dl := b.lines[line]
-		if dl.txn != nil || len(dl.pending) > 0 || dl.kind == dirBusy || dl.kind == dirWB {
+		if dl.hasTxn || len(dl.pending) > 0 || dl.kind == dirBusy || dl.kind == dirWB {
 			fmt.Fprintf(&sb, "bank %d line=%v kind=%v pending=%d", b.id, dl.line, dl.kind, len(dl.pending))
-			if dl.txn != nil {
+			if dl.hasTxn {
 				fmt.Fprintf(&sb, " txn{write=%v evict=%v req=%d acksPend=%d delayed=%d}",
 					dl.txn.write, dl.txn.eviction, dl.txn.requester, dl.txn.acksPending, dl.txn.delayedPending)
 			}

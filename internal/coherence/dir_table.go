@@ -57,8 +57,8 @@ func dirStateOf(dl *dirLine) dirState {
 	case dirFetching:
 		return dirStFetching
 	case dirBusy:
-		txn := dl.txn
-		if txn == nil {
+		txn := &dl.txn
+		if !dl.hasTxn {
 			panicf("dir: Busy line %v without transaction", dl.line)
 		}
 		switch {
@@ -71,8 +71,8 @@ func dirStateOf(dl *dirLine) dirState {
 		}
 		return dirStBusyShared
 	case dirWB:
-		txn := dl.txn
-		if txn == nil {
+		txn := &dl.txn
+		if !dl.hasTxn {
 			panicf("dir: WB line %v without transaction", dl.line)
 		}
 		if txn.eviction {
@@ -80,8 +80,8 @@ func dirStateOf(dl *dirLine) dirState {
 		}
 		return dirStWBWrite
 	case dirTsShared:
-		txn := dl.txn
-		if txn == nil {
+		txn := &dl.txn
+		if !dl.hasTxn {
 			return dirStTsShared
 		}
 		if txn.eviction {
@@ -618,7 +618,7 @@ func dirActReadGrantExcl(b *Bank, dl *dirLine, m *Msg) {
 		panicf("bank %d: %v invalid without data", b.id, m.Line)
 	}
 	b.setKind(dl, dirBusy)
-	dl.txn = &dirTxn{requester: m.Requester, grantExcl: true}
+	dl.openTxn(dirTxn{requester: m.Requester, grantExcl: true})
 	b.sendAfter(b.params.LLCLatency, m.Requester,
 		&Msg{Type: MsgData, Line: m.Line, Requester: m.Requester, Data: dl.data, HasData: true, Excl: true})
 }
@@ -626,7 +626,7 @@ func dirActReadGrantExcl(b *Bank, dl *dirLine, m *Msg) {
 // dirActReadGrantShared grants a shared copy from the LLC.
 func dirActReadGrantShared(b *Bank, dl *dirLine, m *Msg) {
 	b.setKind(dl, dirBusy)
-	dl.txn = &dirTxn{requester: m.Requester}
+	dl.openTxn(dirTxn{requester: m.Requester})
 	b.sendAfter(b.params.LLCLatency, m.Requester,
 		&Msg{Type: MsgData, Line: m.Line, Requester: m.Requester, Data: dl.data, HasData: true})
 }
@@ -635,7 +635,7 @@ func dirActReadGrantShared(b *Bank, dl *dirLine, m *Msg) {
 // requester and a clean copy back to the directory.
 func dirActReadFwd(b *Bank, dl *dirLine, m *Msg) {
 	b.setKind(dl, dirBusy)
-	dl.txn = &dirTxn{requester: m.Requester, fwd: true, oldOwner: dl.owner}
+	dl.openTxn(dirTxn{requester: m.Requester, fwd: true, oldOwner: dl.owner})
 	b.sendAfter(b.params.TagLatency, dl.owner,
 		&Msg{Type: MsgFwdGetS, Line: m.Line, Requester: m.Requester})
 }
@@ -647,7 +647,7 @@ func dirActReadTearoff(b *Bank, dl *dirLine, m *Msg) { b.serveTearoff(dl, m) }
 // dirActWriteGrant grants exclusivity for a write to an unshared line.
 func dirActWriteGrant(b *Bank, dl *dirLine, m *Msg) {
 	b.setKind(dl, dirBusy)
-	dl.txn = &dirTxn{write: true, requester: m.Requester}
+	dl.openTxn(dirTxn{write: true, requester: m.Requester})
 	b.sendAfter(b.params.LLCLatency, m.Requester,
 		&Msg{Type: MsgDataExcl, Line: m.Line, Requester: m.Requester, Data: dl.data, HasData: true})
 }
@@ -656,25 +656,23 @@ func dirActWriteGrant(b *Bank, dl *dirLine, m *Msg) {
 // directly to the writer in the base protocol. If the requester already
 // holds the line (upgrade) no data is sent.
 func dirActWriteInvalidate(b *Bank, dl *dirLine, m *Msg) {
-	var invs []network.Endpoint
-	for _, s := range dl.sharers {
-		if s != m.Requester {
-			invs = append(invs, s)
-		}
-	}
 	// Data can be omitted only when the requester both claims and is
 	// registered to hold a shared copy (silent evictions make the
 	// sharer list an over-approximation, and an invalidation racing
 	// with the upgrade may have removed the requester already).
 	upgrade := m.Upgrade && b.isSharer(dl, m.Requester)
 	b.setKind(dl, dirBusy)
-	dl.txn = &dirTxn{write: true, requester: m.Requester}
-	dl.sharers = nil
-	for _, s := range invs {
-		b.sendAfter(b.params.TagLatency, s,
-			&Msg{Type: MsgInv, Line: m.Line, Requester: m.Requester})
+	dl.openTxn(dirTxn{write: true, requester: m.Requester})
+	invs := 0
+	for _, s := range dl.sharers {
+		if s != m.Requester {
+			b.sendAfter(b.params.TagLatency, s,
+				&Msg{Type: MsgInv, Line: m.Line, Requester: m.Requester})
+			invs++
+		}
 	}
-	resp := &Msg{Type: MsgDataExcl, Line: m.Line, Requester: m.Requester, AckCount: len(invs)}
+	dl.sharers = dl.sharers[:0]
+	resp := &Msg{Type: MsgDataExcl, Line: m.Line, Requester: m.Requester, AckCount: invs}
 	delay := b.params.TagLatency
 	if !upgrade {
 		resp.Data = dl.data
@@ -690,7 +688,7 @@ func dirActWriteInvalidate(b *Bank, dl *dirLine, m *Msg) {
 func dirActWriteFwd(b *Bank, dl *dirLine, m *Msg) {
 	old := dl.owner
 	b.setKind(dl, dirBusy)
-	dl.txn = &dirTxn{write: true, requester: m.Requester, fwd: true, oldOwner: old}
+	dl.openTxn(dirTxn{write: true, requester: m.Requester, fwd: true, oldOwner: old})
 	dl.owner = m.Requester // for stale-Put detection
 	b.sendAfter(b.params.TagLatency, old,
 		&Msg{Type: MsgFwdGetX, Line: m.Line, Requester: m.Requester})
@@ -732,8 +730,8 @@ func dirActPutStale(b *Bank, _ *dirLine, m *Msg) {
 // forward, and the stale ack is the designed answer. Queueing it would
 // later replay a stale writeback over the re-granted line.
 func dirActPutRace(b *Bank, dl *dirLine, m *Msg) {
-	txn := dl.txn
-	if txn != nil && m.Src == txn.requester && !(txn.fwd && txn.oldOwner == m.Src) {
+	txn := &dl.txn
+	if dl.hasTxn && m.Src == txn.requester && !(txn.fwd && txn.oldOwner == m.Src) {
 		dl.pending = append(dl.pending, *m)
 		return
 	}
@@ -759,7 +757,7 @@ func dirActPutOwned(b *Bank, dl *dirLine, m *Msg) {
 		// "silent" — the core stays in the sharer list so a future
 		// write's invalidation still reaches its load queue.
 		dl.kind = dirShared
-		dl.sharers = []network.Endpoint{m.Src}
+		dl.sharers = append(dl.sharers[:0], m.Src)
 		if !dl.dataValid {
 			panicf("bank %d: PutS for %v without data", b.id, m.Line)
 		}
@@ -827,7 +825,7 @@ func (b *Bank) absorbNack(dl *dirLine, m *Msg) bool {
 // dirActNackWrite enters (or extends) a write's WritersBlock: a core's
 // lockdown was hit by the write's invalidation (Figure 3.B).
 func dirActNackWrite(b *Bank, dl *dirLine, m *Msg) {
-	txn := dl.txn
+	txn := &dl.txn
 	early := b.absorbNack(dl, m)
 	if dl.kind != dirWB {
 		b.setKind(dl, dirWB)
@@ -904,7 +902,7 @@ func dirActUnblockShared(b *Bank, dl *dirLine, m *Msg) {
 // dirActUnblockExcl finishes a write or exclusive-grant transaction:
 // ownership transferred, so the LLC copy is now potentially stale.
 func dirActUnblockExcl(b *Bank, dl *dirLine, m *Msg) {
-	txn := dl.txn
+	txn := &dl.txn
 	if txn.delayedPending != 0 {
 		panicf("bank %d: Unblock for %v with %d delayed acks outstanding",
 			b.id, m.Line, txn.delayedPending)
@@ -919,8 +917,8 @@ func dirActUnblockExcl(b *Bank, dl *dirLine, m *Msg) {
 	dl.kind = dirExclusive
 	dl.owner = m.Src
 	dl.hasOwner = true
-	dl.sharers = nil
-	dl.txn = nil
+	dl.sharers = dl.sharers[:0]
+	dl.hasTxn = false
 	b.processPending(dl)
 }
 

@@ -16,21 +16,21 @@ func BenchmarkDirDispatch(b *testing.B) {
 }
 
 // TestDirDispatchAllocBudget fails when BenchmarkDirDispatch allocates
-// more than 21 times or 2827 bytes per op: the 19 allocations and
-// 2708–2763 B measured once pending events became values (nothing is
-// allocated when an event is scheduled; a send allocates its envelope
-// when it fires, a retry or requeue a copy of its message), plus 2
-// allocations and 64 B. An operation fires about ten
-// table dispatches, so one extra allocation per dispatch breaks the
-// count budget. Allocation counts are exact, so unlike ns/op they can
-// gate every change.
+// once per op or more, or more than 512 bytes per op. The coherence
+// layer allocates nothing per dispatch once warm: envelopes return to
+// their sender's free list and transactions live by value in their MSHR
+// and directory entries. What remains, 138–186 B/op, is the fake cores'
+// growing record of their callbacks. An operation fires about ten table
+// dispatches, so one allocation in every dispatch breaks the count
+// budget. Allocation counts are exact, so unlike ns/op they can gate
+// every change.
 func TestDirDispatchAllocBudget(t *testing.T) {
 	res := testing.Benchmark(BenchmarkDirDispatch)
 	if res.N == 0 {
 		t.Fatal("BenchmarkDirDispatch did not run")
 	}
-	if allocs, bytes := res.AllocsPerOp(), res.AllocedBytesPerOp(); allocs > 21 || bytes > 2827 {
-		t.Errorf("dispatch ping-pong: %d allocs/op, %d B/op; budget 21 allocs/op, 2827 B/op", allocs, bytes)
+	if allocs, bytes := res.AllocsPerOp(), res.AllocedBytesPerOp(); allocs > 0 || bytes > 512 {
+		t.Errorf("dispatch ping-pong: %d allocs/op, %d B/op; budget 0 allocs/op, 512 B/op", allocs, bytes)
 	}
 }
 

@@ -26,17 +26,21 @@ import (
 // exPeer is a scripted protocol endpoint: it records everything it is
 // delivered and sends hand-built messages on behalf of the scenario.
 type exPeer struct {
-	id  network.Endpoint
-	bch *exBench
-	got []*Msg
+	id   network.Endpoint
+	bch  *exBench
+	got  []*Msg
+	envs envelopes
 }
 
+// Receive keeps the delivered body. It never releases the envelope, so
+// the body stays as delivered.
 func (d *exPeer) Receive(now sim.Cycle, nm *network.Message) {
-	d.got = append(d.got, nm.Payload.(*Msg))
+	m, _ := msgOf(nm)
+	d.got = append(d.got, m)
 }
 
 func (d *exPeer) send(dst network.Endpoint, m *Msg) {
-	send(d.bch.mesh, d.bch.now, d.id, dst, m, d.bch.params.DataFlits, d.bch.params.CtrlFlits)
+	d.envs.send(d.bch.mesh, d.bch.now, d.id, dst, m, d.bch.params.DataFlits, d.bch.params.CtrlFlits)
 }
 
 // last returns the most recent delivery of the given type for the given

@@ -172,20 +172,30 @@ type deferred struct {
 	m      Msg              // sent or re-entered message
 }
 
-// envelope is one message on the mesh: the network envelope and the
-// protocol body it carries, allocated when the send fires and kept
-// alive by the mesh until delivery.
+// envelope is one message on the mesh: the network envelope, the
+// protocol body it carries, and the free list of the component that
+// sent it. The envelope is its own payload, so a receiver tells it from
+// a bare *Msg by type (msgOf).
 type envelope struct {
-	env network.Message
-	m   Msg
+	env  network.Message
+	m    Msg
+	home *envelopes // the sender's free list
 }
 
-// send stamps m with its source and injects it into port. The mesh
-// keeps what it is handed until delivery, so the message travels in an
-// envelope of its own. The model checker's port copies the message into
-// a flight instead, so it gets a stack envelope and nothing is
-// allocated.
-func send(port network.Port, now simCycle, src, dst network.Endpoint, m *Msg, dataFlits, ctrlFlits int) {
+// envelopes is a component's free list of envelopes. send takes one
+// from the sending component's list, and the receiving PCU or bank
+// returns it there once its Receive is done with the body, so a machine
+// allocates envelopes only until it has as many as it ever keeps in
+// flight. Not the mesh: a scripted test peer keeps the bodies it is
+// delivered, so only a receiver knows when a body is dead. Every
+// component of one machine runs on one goroutine, so the list needs no
+// lock.
+type envelopes []*envelope
+
+// send stamps m with its source and injects it into port in an envelope
+// from l. The model checker's port copies the message into a flight
+// instead, so it gets none.
+func (l *envelopes) send(port network.Port, now simCycle, src, dst network.Endpoint, m *Msg, dataFlits, ctrlFlits int) {
 	m.Src = src
 	flits := ctrlFlits
 	if carriesData(m) {
@@ -196,9 +206,35 @@ func send(port network.Port, now simCycle, src, dst network.Endpoint, m *Msg, da
 		mp.put(env, m)
 		return
 	}
-	e := &envelope{env: env, m: *m}
-	e.env.Payload = &e.m
+	var e *envelope
+	if n := len(*l); n > 0 {
+		e = (*l)[n-1]
+		*l = (*l)[:n-1]
+	} else {
+		e = &envelope{home: l}
+	}
+	e.env, e.m = env, *m
+	e.env.Payload = e
 	port.Send(now, &e.env)
+}
+
+// msgOf returns the protocol body of a delivered message and the
+// envelope send made for it. A message that did not come from send (a
+// model-checker flight, a test's hand-built message) carries a bare
+// *Msg, and the envelope is nil.
+func msgOf(nm *network.Message) (*Msg, *envelope) {
+	if e, ok := nm.Payload.(*envelope); ok {
+		return &e.m, e
+	}
+	return nm.Payload.(*Msg), nil
+}
+
+// release returns e to its sender's free list (a no-op on nil). The
+// receiver calls it last: the next send may overwrite the body.
+func (e *envelope) release() {
+	if e != nil {
+		*e.home = append(*e.home, e)
+	}
 }
 
 // panicf reports a protocol-invariant violation. Handlers call this

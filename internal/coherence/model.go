@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"strings"
 
-	"wbsim/internal/cache"
 	"wbsim/internal/coherence/table"
 	"wbsim/internal/mem"
 	"wbsim/internal/network"
@@ -160,7 +159,8 @@ type modelPort struct{ m *Model }
 // Send copies the message into a flight of the model's own; the
 // components' sends reach put directly (send, messages.go).
 func (p modelPort) Send(_ sim.Cycle, env *network.Message) {
-	p.put(*env, env.Payload.(*Msg))
+	m, _ := msgOf(env)
+	p.put(*env, m)
 }
 
 // put parks a copy of env and its body m in the in-flight multiset.
@@ -1036,9 +1036,9 @@ func pcuLineKey(b []byte, p *PCU, line mem.Line, id int64) []byte {
 		b = fpInt(b, int64(e.Data.Get(line.Base())))
 		b = fpInt(b, int64(p.l2.LRURank(e)))
 	}
-	var buf [4]*cache.MSHR
+	var buf [4]*pcuMSHR
 	for _, ms := range p.mshrs.LookupAll(line, buf[:0]) {
-		txn := ms.Payload.(*pcuTxn)
+		txn := &ms.Txn
 		b = append(b, 'm')
 		b = fpInt(b, id)
 		b = append(b, fpBool(ms.Reserved, 0)|fpBool(txn.write, 1)|fpBool(txn.upgrade, 2)|
@@ -1090,7 +1090,7 @@ func appendSortedKeys(b, kb []byte, offs []int32) []byte {
 // has a transaction, into its flag byte.
 func dirLineFlags(dl *dirLine) byte {
 	return fpBool(dl.hasOwner, 0) | fpBool(dl.dataValid, 1) | fpBool(dl.dirty, 2) |
-		fpBool(dl.inEvBuf, 3) | fpBool(dl.txn != nil, 4)
+		fpBool(dl.inEvBuf, 3) | fpBool(dl.hasTxn, 4)
 }
 
 // dirTxnFlags packs a directory transaction's bools into its flag byte.
@@ -1113,7 +1113,8 @@ func (m *Model) dirLineKey(b []byte, bank *Bank, dl *dirLine) []byte {
 		b = fpInt(b, int64(dl.owner))
 	}
 	b = fpInt(b, int64(dl.data.Get(dl.line.Base())))
-	if t := dl.txn; t != nil {
+	if dl.hasTxn {
+		t := &dl.txn
 		b = append(b, dirTxnFlags(t))
 		b = fpInt(b, int64(t.requester))
 		b = fpInt(b, int64(t.oldOwner))

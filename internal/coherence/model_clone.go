@@ -26,21 +26,23 @@ package coherence
 // queues.
 //
 // A component's mutable state holds no pointer the copy would have to
-// translate but its cache frames, directory entries and MSHR payloads:
-// pending events are values naming lines and messages, the MSHR file
-// orders entries by stamp, and the write-back and eviction buffers are
-// short slices. So copying a snapshot is a run of slice copies, plus a
-// deep copy of each directory entry and MSHR transaction.
+// translate but its cache frames and directory entries: pending events
+// are values naming lines and messages, MSHR transactions live by value
+// in their entries, which the file orders by stamp, and the write-back
+// and eviction buffers are short slices. So copying a snapshot is a run
+// of slice copies, plus a copy of each directory entry.
 //
 // Snapshots and flights carry reference counts. When a model is
 // released its references are dropped; an object whose count reaches
 // zero goes onto the releasing pool's free list, and cloneFrom later
-// reuses a snapshot's maps, slices, arenas and cache frames. A
-// snapshot's arenas are reset only while cloneFrom overwrites it as a
-// whole, and grow only past the slots its current contents use, so
-// nothing live is handed out twice. Creating a child and privatizing
-// one snapshot therefore allocates nothing in steady state
-// (TestModelChildZeroAlloc, in make alloc-gate).
+// reuses a snapshot's maps, slices, arena and cache frames. A
+// snapshot's arena is reset only while cloneFrom overwrites it as a
+// whole, and grows only past the slots its current contents use, so
+// nothing live is handed out twice. The free lists a simulated PCU or
+// bank keeps (envelopes, retired directory entries) start empty in a
+// copy: they would hand out storage the original may still use.
+// Creating a child and privatizing one snapshot therefore allocates
+// nothing in steady state (TestModelChildZeroAlloc, in make alloc-gate).
 //
 // Clone, the whole-model deep copy, is the test oracle the
 // copy-on-write path is checked against (model_clone_test.go).
@@ -66,8 +68,6 @@ type pcuSnap struct {
 	fp     []byte
 	fpCore int
 	fpOK   bool
-
-	ptxnArena []pcuTxn // MSHR payloads
 }
 
 // bankSnap is one bank's snapshot: the bank, the memory its lines are
@@ -81,9 +81,7 @@ type bankSnap struct {
 	fp   []byte // cached fingerprint section; valid while fpOK
 	fpOK bool
 
-	// Arenas backing directory lines and directory transactions.
-	dlArena   []dirLine
-	dtxnArena []dirTxn
+	dlArena []dirLine // backs the directory lines
 }
 
 // flight is one in-flight message, held by every model that has it in
@@ -297,7 +295,7 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
-// arenaSlot hands out the next slot of one of a snapshot's arenas.
+// arenaSlot hands out the next slot of a snapshot's arena.
 // Extending into existing capacity hands back an earlier generation's
 // slot — garbage, but its slice fields still own reusable backing
 // arrays, which the callers harvest before overwriting. When an append
@@ -340,26 +338,19 @@ func (s *pcuSnap) cloneFrom(o *pcuSnap, lines []mem.Line) {
 	c.locksUsed = oc.locksUsed
 	c.observed = append(c.observed[:0], oc.observed...)
 	s.fpOK = false
-	s.ptxnArena = s.ptxnArena[:0]
 	if s.pcu == nil {
-		s.pcu = &PCU{l1: new(cache.Array), l2: new(cache.Array), mshrs: new(cache.MSHRFile)}
+		s.pcu = &PCU{l1: new(cache.Array), l2: new(cache.Array), mshrs: new(cache.MSHRFile[pcuTxn])}
 	}
 	s.clonePCUInto(s.pcu, o.pcu, lines)
 }
 
-// clonePCUTxn deep-copies an MSHR transaction payload into the arena.
-func (s *pcuSnap) clonePCUTxn(pay any) any {
-	if pay == nil {
-		return nil
-	}
-	src := pay.(*pcuTxn)
-	t := arenaSlot(&s.ptxnArena)
-	loads := t.loads[:0]
-	atomics := t.atomics[:0]
-	*t = *src
-	t.loads = append(loads, src.loads...)
-	t.atomics = append(atomics, src.atomics...)
-	return t
+// copyPCUTxn overwrites t with a copy of o, reusing the storage of t's
+// waiter slices.
+func copyPCUTxn(t, o *pcuTxn) {
+	loads, atomics := t.loads[:0], t.atomics[:0]
+	*t = *o
+	t.loads = append(loads, o.loads...)
+	t.atomics = append(atomics, o.atomics...)
 }
 
 // clonePCUInto deep-copies one private cache unit into np, hooking it
@@ -367,7 +358,7 @@ func (s *pcuSnap) clonePCUTxn(pay any) any {
 func (s *pcuSnap) clonePCUInto(np *PCU, p *PCU, lines []mem.Line) {
 	p.l1.CloneInto(np.l1)
 	p.l2.CloneInto(np.l2)
-	p.mshrs.CloneInto(np.mshrs, s.clonePCUTxn)
+	p.mshrs.CloneInto(np.mshrs, copyPCUTxn)
 	np.id = p.id
 	np.port = nil
 	np.params = p.params // immutable after NewModel
@@ -380,6 +371,9 @@ func (s *pcuSnap) clonePCUInto(np *PCU, p *PCU, lines []mem.Line) {
 	np.trace = p.trace
 	np.conf = nil // conformance recorders watch one component; never cloned
 	np.wbBuf = append(np.wbBuf[:0], p.wbBuf...)
+	np.envs = nil         // the model's port makes no envelopes
+	np.boundLoads = nil   // dead between events
+	np.boundAtomics = nil // dead between events
 	if p.leases != nil {
 		if np.leases == nil {
 			np.leases = make(map[mem.Line]simCycle, len(p.leases))
@@ -416,34 +410,27 @@ func (s *bankSnap) cloneFrom(o *bankSnap, lines []mem.Line) {
 	o.memory.CloneInto(s.memory)
 	s.fpOK = false
 	s.dlArena = s.dlArena[:0]
-	s.dtxnArena = s.dtxnArena[:0]
 	if s.bank == nil {
 		s.bank = &Bank{array: new(cache.Array)}
 	}
 	s.cloneBankInto(s.bank, o.bank, lines)
 }
 
-// cloneDirLine deep-copies a directory entry into the arena, rewriting
-// its frame pointer into the cloned bank's array.
+// cloneDirLine deep-copies a directory entry, its transaction included,
+// into the arena, rewriting its frame pointer into the cloned bank's
+// array.
 func (s *bankSnap) cloneDirLine(dl *dirLine, array *cache.Array) *dirLine {
 	n := arenaSlot(&s.dlArena)
 	// Harvest the slot's previous-generation slice capacity before the
 	// overwrite (nil for a fresh slot).
-	sharers := n.sharers[:0]
-	pending := n.pending[:0]
+	sharers, pending := n.sharers[:0], n.pending[:0]
+	ackFrom, delayedFrom := n.txn.ackFrom[:0], n.txn.delayedFrom[:0]
 	*n = *dl
 	n.frame = array.FrameOf(dl.frame)
 	n.sharers = append(sharers, dl.sharers...)
 	n.pending = append(pending, dl.pending...)
-	if dl.txn != nil {
-		t := arenaSlot(&s.dtxnArena)
-		ackFrom := t.ackFrom[:0]
-		delayedFrom := t.delayedFrom[:0]
-		*t = *dl.txn
-		t.ackFrom = append(ackFrom, dl.txn.ackFrom...)
-		t.delayedFrom = append(delayedFrom, dl.txn.delayedFrom...)
-		n.txn = t
-	}
+	n.txn.ackFrom = append(ackFrom, dl.txn.ackFrom...)
+	n.txn.delayedFrom = append(delayedFrom, dl.txn.delayedFrom...)
 	return n
 }
 
@@ -465,7 +452,11 @@ func (s *bankSnap) cloneBankInto(nb *Bank, b *Bank, lines []mem.Line) {
 	nb.conf = nil // conformance recorders watch one component; never cloned
 	nb.Stats = b.Stats
 	nb.now = b.now
-	nb.fired = Msg{} // dead between events
+	nb.fired = Msg{}          // dead between events
+	nb.replay = nb.replay[:0] // dead between events
+	clear(nb.spare)           // may hold this snapshot's arena slots,
+	nb.spare = nb.spare[:0]   // which the copy below reuses
+	nb.envs = nil             // the model's port makes no envelopes
 	// Universe walk instead of map iteration, as for the PCU's leases.
 	copied := 0
 	for _, l := range lines {

@@ -233,7 +233,7 @@ func TestUnchangedStoreRetry(t *testing.T) {
 			}
 		}
 	}
-	p.mshrs.Allocate(other).Payload = &pcuTxn{}
+	begin(p.mshrs.Allocate(other))
 	if !p.mshrs.FullForNormal() {
 		t.Fatal("allocating a miss for the other line left a normal MSHR free")
 	}
@@ -423,7 +423,7 @@ func TestBankFireZeroAlloc(t *testing.T) {
 				return false
 			}
 			dl := b.lines[ev.line]
-			return dl != nil && dl.txn != nil && dl.txn.write
+			return dl != nil && dl.hasTxn && dl.txn.write
 		}},
 	}
 	for _, tc := range cases {
@@ -479,7 +479,7 @@ var zeroAllocFeatures = []struct {
 	{"two MSHRs on one line", func(m *Model) bool {
 		for _, s := range m.ps {
 			for _, l := range m.lines {
-				var buf [4]*cache.MSHR
+				var buf [4]*pcuMSHR
 				if len(s.pcu.mshrs.LookupAll(l, buf[:0])) >= 2 {
 					return true
 				}
@@ -512,8 +512,8 @@ func sosBypass(m *Model) *Model {
 	for i, s := range m.ps {
 		var line mem.Line
 		blocked := false
-		s.pcu.mshrs.ForEach(func(ms *cache.MSHR) {
-			if t := ms.Payload.(*pcuTxn); t.write && t.blocked {
+		s.pcu.mshrs.ForEach(func(ms *pcuMSHR) {
+			if ms.Txn.write && ms.Txn.blocked {
 				line, blocked = ms.Line, true
 			}
 		})

@@ -456,7 +456,8 @@ func (m *Model) dirLineKeyMapped(b []byte, bank *Bank, dl *dirLine, p *symPerm) 
 		b = fpInt(b, int64(m.mapEP(p, dl.owner)))
 	}
 	b = fpInt(b, int64(dl.data.Get(dl.line.Base())))
-	if t := dl.txn; t != nil {
+	if dl.hasTxn {
+		t := &dl.txn
 		b = append(b, dirTxnFlags(t))
 		b = fpInt(b, int64(m.mapEP(p, t.requester)))
 		// oldOwner is populated only for forwarding transactions; without

@@ -89,7 +89,8 @@ type LoadResult struct {
 	DoneAt sim.Cycle // for hits: when dependents may wake
 }
 
-// pcuTxn is the protocol state carried in an MSHR payload.
+// pcuTxn is the protocol state of one outstanding miss, held by value in
+// its MSHR entry.
 type pcuTxn struct {
 	write      bool
 	upgrade    bool // GetX sent while holding S (no data expected)
@@ -105,6 +106,17 @@ type pcuTxn struct {
 	acksGot    int
 	data       mem.LineData
 	hasData    bool
+}
+
+// pcuMSHR is one entry of a PCU's MSHR file.
+type pcuMSHR = cache.MSHR[pcuTxn]
+
+// begin claims ms's transaction for a new miss: it is reset, keeping the
+// storage of the waiter slices its entry's previous holder grew.
+func begin(ms *pcuMSHR) *pcuTxn {
+	t := &ms.Txn
+	*t = pcuTxn{loads: t.loads[:0], atomics: t.atomics[:0]}
+	return t
 }
 
 type loadWaiter struct {
@@ -173,8 +185,15 @@ type PCU struct {
 
 	l1    *cache.Array
 	l2    *cache.Array
-	mshrs *cache.MSHRFile
+	mshrs *cache.MSHRFile[pcuTxn]
 	wbBuf []wbEntry // in line order; a handful at most
+
+	// envs is the free list of the envelopes this PCU sends in.
+	envs envelopes
+	// boundLoads and boundAtomics hold the waiters of the transaction
+	// being retired while they bind (retire).
+	boundLoads   []loadWaiter
+	boundAtomics []atomicWaiter
 
 	// leases maps each leased shared line to its expiry cycle (tardis
 	// only; nil in every other mode). Entries are stamps, not state: the
@@ -214,7 +233,7 @@ func NewPCU(id network.Endpoint, port network.Port, params *Params, home HomeFun
 		cov:     machine.NewCoverage(),
 		l1:      cache.NewArray(params.L1Lines, params.L1Ways),
 		l2:      cache.NewArray(params.L2Lines, params.L2Ways),
-		mshrs:   cache.NewMSHRFile(params.MSHRs, params.ReservedMSHRs),
+		mshrs:   cache.NewMSHRFile[pcuTxn](params.MSHRs, params.ReservedMSHRs),
 	}
 	if mode == ModeTardis {
 		p.leases = make(map[mem.Line]sim.Cycle)
@@ -234,7 +253,7 @@ func (p *PCU) fire(ev deferred) {
 	//wbsim:partial(dfBankSend, dfBankRetry, dfBankFetchDone, dfBankRequeue, dfBankLease) -- a PCU schedules only its own kinds
 	switch ev.kind {
 	case dfPCUSend:
-		send(p.port, p.now, p.id, ev.dst, &ev.m, p.params.DataFlits, p.params.CtrlFlits)
+		p.envs.send(p.port, p.now, p.id, ev.dst, &ev.m, p.params.DataFlits, p.params.CtrlFlits)
 	case dfPCULease:
 		p.leaseLapsed(ev.line, ev.expiry)
 	default:
@@ -265,8 +284,8 @@ func (p *PCU) Quiescent() bool {
 // calls it after every run, beside Bank.CheckInvariants.
 func (p *PCU) CheckInvariants() {
 	n := 0
-	p.mshrs.ForEach(func(m *cache.MSHR) {
-		if t := m.Payload.(*pcuTxn); t.write && t.blocked {
+	p.mshrs.ForEach(func(m *pcuMSHR) {
+		if m.Txn.write && m.Txn.blocked {
 			n++
 		}
 	})
@@ -313,7 +332,7 @@ func (p *PCU) Load(now sim.Cycle, token uint64, addr mem.Addr, ordered bool) Loa
 	p.Stats.LoadMisses++
 	// Outstanding transaction for this line?
 	if m := p.mshrs.Lookup(line); m != nil {
-		txn := m.Payload.(*pcuTxn)
+		txn := &m.Txn
 		txn.loads = append(txn.loads, loadWaiter{token: token, addr: addr})
 		if txn.write && txn.blocked && ordered {
 			// Do not let the SoS load wait behind a blocked write —
@@ -323,7 +342,7 @@ func (p *PCU) Load(now sim.Cycle, token uint64, addr mem.Addr, ordered bool) Loa
 		return LoadResult{Status: LoadPending}
 	}
 	// Allocate a fresh read MSHR.
-	var ms *cache.MSHR
+	var ms *pcuMSHR
 	msgType := MsgGetS
 	if ordered {
 		ms = p.mshrs.AllocateReserved(line)
@@ -337,29 +356,19 @@ func (p *PCU) Load(now sim.Cycle, token uint64, addr mem.Addr, ordered bool) Loa
 	if ms == nil {
 		return LoadResult{Status: LoadNoMSHR}
 	}
-	txn := &pcuTxn{loads: []loadWaiter{{token: token, addr: addr}}}
-	ms.Payload = txn
+	txn := begin(ms)
+	txn.loads = append(txn.loads, loadWaiter{token: token, addr: addr})
 	p.sendAfter(p.params.L2Latency, p.home(line), &Msg{Type: msgType, Line: line, Requester: p.id})
 	return LoadResult{Status: LoadPending}
 }
 
 // bypassBlockedWrite moves the SoS load with the given token off a
 // blocked write MSHR onto its own reserved read MSHR.
-func (p *PCU) bypassBlockedWrite(writeMSHR *cache.MSHR, token uint64) {
-	wtxn := writeMSHR.Payload.(*pcuTxn)
-	var bypassed []loadWaiter
-	var kept []loadWaiter
-	for _, lw := range wtxn.loads {
-		if lw.token == token {
-			bypassed = append(bypassed, lw)
-		} else {
-			kept = append(kept, lw)
-		}
-	}
-	if len(bypassed) == 0 {
+func (p *PCU) bypassBlockedWrite(writeMSHR *pcuMSHR, token uint64) {
+	wtxn := &writeMSHR.Txn
+	if !slices.ContainsFunc(wtxn.loads, func(lw loadWaiter) bool { return lw.token == token }) {
 		return
 	}
-	wtxn.loads = kept
 	ms := p.mshrs.AllocateReserved(writeMSHR.Line)
 	if ms == nil {
 		// Cannot happen by construction: the reserved pool is sized so
@@ -367,7 +376,16 @@ func (p *PCU) bypassBlockedWrite(writeMSHR *cache.MSHR, token uint64) {
 		panicf("pcu %d: no reserved MSHR for SoS bypass", p.id)
 	}
 	p.Stats.SoSBypasses++
-	ms.Payload = &pcuTxn{loads: bypassed}
+	txn := begin(ms)
+	kept := wtxn.loads[:0]
+	for _, lw := range wtxn.loads {
+		if lw.token == token {
+			txn.loads = append(txn.loads, lw)
+		} else {
+			kept = append(kept, lw)
+		}
+	}
+	wtxn.loads = kept
 	p.sendAfter(p.params.TagLatency, p.home(writeMSHR.Line),
 		&Msg{Type: MsgRetryRd, Line: writeMSHR.Line, Requester: p.id})
 }
@@ -382,10 +400,9 @@ func (p *PCU) PromoteSoS(now sim.Cycle, token uint64, addr mem.Addr) {
 		return
 	}
 	line := mem.LineOf(addr)
-	var buf [4]*cache.MSHR
+	var buf [4]*pcuMSHR
 	for _, m := range p.mshrs.LookupAll(line, buf[:0]) {
-		txn := m.Payload.(*pcuTxn)
-		if txn.write && txn.blocked {
+		if m.Txn.write && m.Txn.blocked {
 			p.bypassBlockedWrite(m, token)
 			return
 		}
@@ -406,11 +423,11 @@ func (p *PCU) StorePrefetch(now sim.Cycle, line mem.Line) {
 	if ms == nil {
 		return // MSHRs full; SB will retry
 	}
-	txn := &pcuTxn{write: true}
+	txn := begin(ms)
+	txn.write = true
 	if e := p.l2.Lookup(line); e != nil && e.State == stateS {
 		txn.upgrade = true
 	}
-	ms.Payload = txn
 	p.Stats.StoreMisses++
 	p.sendAfter(p.params.L2Latency, p.home(line),
 		&Msg{Type: MsgGetX, Line: line, Requester: p.id, Upgrade: txn.upgrade})
@@ -451,7 +468,7 @@ func (p *PCU) AtomicExec(now sim.Cycle, token uint64, addr mem.Addr, fn isa.Fn, 
 		return true
 	}
 	if m := p.mshrs.Lookup(line); m != nil {
-		txn := m.Payload.(*pcuTxn)
+		txn := &m.Txn
 		if txn.write {
 			txn.atomics = append(txn.atomics, atomicWaiter{token: token, addr: addr, fn: fn, operand: operand})
 			return true
@@ -464,12 +481,12 @@ func (p *PCU) AtomicExec(now sim.Cycle, token uint64, addr mem.Addr, fn isa.Fn, 
 	if ms == nil {
 		return false
 	}
-	txn := &pcuTxn{write: true, atomicOnly: true,
-		atomics: []atomicWaiter{{token: token, addr: addr, fn: fn, operand: operand}}}
+	txn := begin(ms)
+	txn.write, txn.atomicOnly = true, true
+	txn.atomics = append(txn.atomics, atomicWaiter{token: token, addr: addr, fn: fn, operand: operand})
 	if e := p.l2.Lookup(line); e != nil && e.State == stateS {
 		txn.upgrade = true
 	}
-	ms.Payload = txn
 	p.sendAfter(p.params.L2Latency, p.home(line),
 		&Msg{Type: MsgGetX, Line: line, Requester: p.id, Atomic: true, Upgrade: txn.upgrade})
 	return true
@@ -509,15 +526,21 @@ func (p *PCU) PeekWord(addr mem.Addr) (mem.Word, bool) {
 // Network-facing handlers
 // ---------------------------------------------------------------------
 
-// Receive implements network.Receiver: it classifies the message,
-// derives the line's dispatch state from its outstanding MSHRs, and
-// fires the transition row. A read and a write MSHR can coexist (SoS
-// bypass of a blocked write); the row's action receives both, resolved
-// once here.
+// Receive implements network.Receiver: it dispatches the message, then
+// returns its envelope to the sender's free list.
 func (p *PCU) Receive(now sim.Cycle, nm *network.Message) {
 	p.now = now
 	p.activeAt = now
-	m := nm.Payload.(*Msg)
+	m, e := msgOf(nm)
+	p.dispatch(m)
+	e.release()
+}
+
+// dispatch classifies a message, derives the line's dispatch state from
+// its outstanding MSHRs, and fires the transition row. A read and a
+// write MSHR can coexist (SoS bypass of a blocked write); the row's
+// action receives both, resolved once here.
+func (p *PCU) dispatch(m *Msg) {
 	ev := pcuEventOf(m.Type)
 	rd, wr := p.lineMSHRs(m.Line)
 	st := pcuStateOf(rd, wr)
@@ -533,10 +556,10 @@ func (p *PCU) Receive(now sim.Cycle, nm *network.Message) {
 
 // lineMSHRs returns line's oldest outstanding read and write MSHRs
 // (either may be nil).
-func (p *PCU) lineMSHRs(line mem.Line) (rd, wr *cache.MSHR) {
-	var buf [4]*cache.MSHR
+func (p *PCU) lineMSHRs(line mem.Line) (rd, wr *pcuMSHR) {
+	var buf [4]*pcuMSHR
 	for _, ms := range p.mshrs.LookupAll(line, buf[:0]) {
-		if ms.Payload.(*pcuTxn).write {
+		if ms.Txn.write {
 			if wr == nil {
 				wr = ms
 			}
@@ -551,10 +574,24 @@ func (p *PCU) lineMSHRs(line mem.Line) (rd, wr *cache.MSHR) {
 // outstanding MSHRs (conformance recorder).
 func (p *PCU) lineState(line mem.Line) pcuState { return pcuStateOf(p.lineMSHRs(line)) }
 
+// retire frees ms and returns its waiters, copied out of the entry.
+// The entry is freed before they bind, so a load a binding issues
+// starts a transaction of its own instead of joining the finished one;
+// that load may claim the freed entry and reuse its waiter storage,
+// which the copies do not share. Binding calls only the core's
+// delivery hooks, which never complete another transaction, so retires
+// do not nest and one copy buffer serves them all.
+func (p *PCU) retire(ms *pcuMSHR) ([]loadWaiter, []atomicWaiter) {
+	p.boundLoads = append(p.boundLoads[:0], ms.Txn.loads...)
+	p.boundAtomics = append(p.boundAtomics[:0], ms.Txn.atomics...)
+	p.mshrs.Free(ms)
+	return p.boundLoads, p.boundAtomics
+}
+
 // maybeCompleteWrite finishes a write transaction once the grant and all
 // acks (direct InvAcks plus redirected WritersBlock acks) have arrived.
-func (p *PCU) maybeCompleteWrite(ms *cache.MSHR) {
-	txn := ms.Payload.(*pcuTxn)
+func (p *PCU) maybeCompleteWrite(ms *pcuMSHR) {
+	txn := &ms.Txn
 	if !txn.gotGrant || txn.acksGot < txn.acksNeeded {
 		return
 	}
@@ -576,12 +613,10 @@ func (p *PCU) maybeCompleteWrite(ms *cache.MSHR) {
 	p.sendAfter(p.params.TagLatency, p.home(line),
 		&Msg{Type: MsgUnblock, Line: line, Requester: p.id})
 
-	atomics := txn.atomics
-	loads := txn.loads
 	if txn.blocked {
 		p.blockedWrites--
 	}
-	p.mshrs.Free(ms)
+	loads, atomics := p.retire(ms)
 
 	// Atomics execute in order against the freshly-owned line.
 	e := p.l2.Lookup(line)
@@ -798,8 +833,8 @@ type PCUWaitSnapshot struct {
 // diagnosis.
 func (p *PCU) WaitSnapshot() PCUWaitSnapshot {
 	s := PCUWaitSnapshot{Core: p.id}
-	p.mshrs.ForEach(func(m *cache.MSHR) {
-		t := m.Payload.(*pcuTxn)
+	p.mshrs.ForEach(func(m *pcuMSHR) {
+		t := &m.Txn
 		w := MSHRWait{
 			Line:     m.Line,
 			Home:     p.home(m.Line),
@@ -825,8 +860,8 @@ func (p *PCU) WaitSnapshot() PCUWaitSnapshot {
 func (p *PCU) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pcu %d: mshrs=%d wbBuf=%d\n", p.id, p.mshrs.InUse(), len(p.wbBuf))
-	p.mshrs.ForEach(func(m *cache.MSHR) {
-		t := m.Payload.(*pcuTxn)
+	p.mshrs.ForEach(func(m *pcuMSHR) {
+		t := &m.Txn
 		fmt.Fprintf(&b, "  mshr line=%v write=%v upgrade=%v blocked=%v grant=%v acks=%d/%d loads=%d atomics=%d\n",
 			m.Line, t.write, t.upgrade, t.blocked, t.gotGrant, t.acksGot, t.acksNeeded, len(t.loads), len(t.atomics))
 	})

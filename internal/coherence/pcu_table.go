@@ -11,7 +11,6 @@ package coherence
 // inside the delta.
 
 import (
-	"wbsim/internal/cache"
 	"wbsim/internal/coherence/table"
 	"wbsim/internal/mem"
 )
@@ -34,7 +33,7 @@ var pcuStateNames = [numPCUStates]string{"Idle", "Rd", "Wr", "RdWr"}
 func (s pcuState) String() string { return pcuStateNames[s] }
 
 // pcuStateOf derives the dispatch state from the resolved MSHRs.
-func pcuStateOf(rd, wr *cache.MSHR) pcuState {
+func pcuStateOf(rd, wr *pcuMSHR) pcuState {
 	switch {
 	case rd == nil && wr == nil:
 		return pcuStIdle
@@ -100,7 +99,7 @@ func pcuEventOf(t MsgType) pcuEvent {
 // pcuAction is the payload of a PCU transition row. rd and wr are the
 // line's read and write MSHRs, resolved once at dispatch (nil when the
 // state says they do not exist).
-type pcuAction func(p *PCU, m *Msg, rd, wr *cache.MSHR)
+type pcuAction func(p *PCU, m *Msg, rd, wr *pcuMSHR)
 
 // Row constructors, keeping the table literals narrow.
 func ph(s pcuState, e pcuEvent, do pcuAction) table.Row[pcuAction] {
@@ -271,8 +270,7 @@ var pcuMachines = func() [numModes]*table.Machine[pcuAction] {
 // ---------------------------------------------------------------------
 
 // pcuActReadGrant installs a cacheable copy and binds all waiting loads.
-func pcuActReadGrant(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	txn := rd.Payload.(*pcuTxn)
+func pcuActReadGrant(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	st := stateS
 	if m.Excl {
 		st = stateE
@@ -280,8 +278,7 @@ func pcuActReadGrant(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 	p.install(m.Line, m.Data, st)
 	p.sendAfter(p.params.TagLatency, p.home(m.Line),
 		&Msg{Type: MsgUnblock, Line: m.Line, Requester: p.id})
-	loads := txn.loads
-	p.mshrs.Free(rd)
+	loads, _ := p.retire(rd)
 	for _, lw := range loads {
 		p.data.LoadDone(p.now, lw.token, m.Data.Get(lw.addr), false)
 	}
@@ -289,10 +286,8 @@ func pcuActReadGrant(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 
 // pcuActTearoff delivers uncacheable data: nothing is installed, no
 // Unblock is owed, and only ordered loads may consume the value.
-func pcuActTearoff(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	txn := rd.Payload.(*pcuTxn)
-	loads := txn.loads
-	p.mshrs.Free(rd)
+func pcuActTearoff(p *PCU, m *Msg, rd, wr *pcuMSHR) {
+	loads, _ := p.retire(rd)
 	p.Stats.TearoffsUsed++
 	for _, lw := range loads {
 		p.data.LoadDone(p.now, lw.token, m.Data.Get(lw.addr), true)
@@ -300,8 +295,8 @@ func pcuActTearoff(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 }
 
 // pcuActWriteGrant processes the DataExcl response of a GetX.
-func pcuActWriteGrant(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	txn := wr.Payload.(*pcuTxn)
+func pcuActWriteGrant(p *PCU, m *Msg, rd, wr *pcuMSHR) {
+	txn := &wr.Txn
 	txn.gotGrant = true
 	txn.acksNeeded = m.AckCount
 	if m.HasData {
@@ -312,25 +307,25 @@ func pcuActWriteGrant(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 }
 
 // pcuActAck counts a direct or redirected invalidation acknowledgement.
-func pcuActAck(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	wr.Payload.(*pcuTxn).acksGot++
+func pcuActAck(p *PCU, m *Msg, rd, wr *pcuMSHR) {
+	wr.Txn.acksGot++
 	p.maybeCompleteWrite(wr)
 }
 
 // pcuActInv and pcuActInvWB process an invalidation from a writer or a
 // directory eviction; only the WritersBlock variant may nack.
-func pcuActInv(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActInv(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	p.invalidate(m, wr, false)
 }
 
-func pcuActInvWB(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActInvWB(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	p.invalidate(m, wr, true)
 }
 
 // invalidate drops the line (if present), queries the core for
 // lockdowns, and produces either an InvAck (to the requester) or — when
 // nacking is allowed — a Nack to the home directory.
-func (p *PCU) invalidate(m *Msg, wr *cache.MSHR, nackAllowed bool) {
+func (p *PCU) invalidate(m *Msg, wr *pcuMSHR, nackAllowed bool) {
 	p.Stats.InvsReceived++
 	line := m.Line
 	var data mem.LineData
@@ -349,7 +344,7 @@ func (p *PCU) invalidate(m *Msg, wr *cache.MSHR, nackAllowed bool) {
 	// An invalidation may target an upgrade in flight: the S copy (or
 	// its ghost) is gone, so the eventual grant must carry data.
 	if wr != nil {
-		wr.Payload.(*pcuTxn).lostLine = true
+		wr.Txn.lostLine = true
 	}
 
 	if p.order.OnInvalidation(p.now, line) {
@@ -376,7 +371,7 @@ func (p *PCU) invalidate(m *Msg, wr *cache.MSHR, nackAllowed bool) {
 // pcuActFwdGetS serves a read forwarded to this owner: data to the
 // requester, a clean copy to the directory, local downgrade to Shared.
 // Reads never interact with lockdowns, so there is no WB variant.
-func pcuActFwdGetS(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActFwdGetS(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	data, ok := p.ownedData(m.Line)
 	if !ok {
 		panicf("pcu %d: FwdGetS for %v not owned", p.id, m.Line)
@@ -396,22 +391,22 @@ func pcuActFwdGetS(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 // writer. Under a lockdown the WB variant sends the data but withholds
 // the ack: AckCount 1 plus a Nack+Data to the directory, which enters
 // WritersBlock (Figure 3.B).
-func pcuActFwdGetX(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActFwdGetX(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	p.forwardWrite(m, wr, false)
 }
 
-func pcuActFwdGetXWB(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActFwdGetXWB(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	p.forwardWrite(m, wr, true)
 }
 
-func (p *PCU) forwardWrite(m *Msg, wr *cache.MSHR, nackAllowed bool) {
+func (p *PCU) forwardWrite(m *Msg, wr *pcuMSHR, nackAllowed bool) {
 	data, ok := p.ownedData(m.Line)
 	if !ok {
 		panicf("pcu %d: FwdGetX for %v not owned", p.id, m.Line)
 	}
 	p.dropLine(m.Line)
 	if wr != nil {
-		wr.Payload.(*pcuTxn).lostLine = true
+		wr.Txn.lostLine = true
 	}
 	p.Stats.InvsReceived++
 	nack := p.order.OnInvalidation(p.now, m.Line)
@@ -433,7 +428,7 @@ func (p *PCU) forwardWrite(m *Msg, wr *cache.MSHR, nackAllowed bool) {
 
 // pcuActPutAck completes an eviction: a normal ack frees the writeback
 // entry; a stale ack frees it only once the racing forward is served.
-func pcuActPutAck(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActPutAck(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	wb := p.wbFind(m.Line)
 	if wb == nil {
 		return
@@ -447,12 +442,12 @@ func pcuActPutAck(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 
 // pcuActHint marks the write transaction as blocked behind a
 // WritersBlock so SoS loads bypass it (Section 3.5.2).
-func pcuActHint(p *PCU, m *Msg, rd, wr *cache.MSHR) {
-	if txn := wr.Payload.(*pcuTxn); !txn.blocked {
+func pcuActHint(p *PCU, m *Msg, rd, wr *pcuMSHR) {
+	if txn := &wr.Txn; !txn.blocked {
 		txn.blocked = true
 		p.blockedWrites++
 	}
 }
 
 // pcuActHintStale drops a hint that lost the race with write completion.
-func pcuActHintStale(p *PCU, m *Msg, rd, wr *cache.MSHR) {}
+func pcuActHintStale(p *PCU, m *Msg, rd, wr *pcuMSHR) {}

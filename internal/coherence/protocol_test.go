@@ -25,6 +25,10 @@ type fakeCore struct {
 	// these lines and records the pending ack in seen.
 	lockLines map[mem.Line]bool
 	seen      []mem.Line
+
+	// onLoadDone, when set, runs after LoadDone records a delivery, as
+	// a core that reacts to a binding by issuing more accesses.
+	onLoadDone func(now sim.Cycle, token uint64)
 }
 
 type loadEvent struct {
@@ -42,6 +46,9 @@ func newFakeCore() *fakeCore {
 
 func (f *fakeCore) LoadDone(now sim.Cycle, token uint64, value mem.Word, tearoff bool) {
 	f.loads[token] = loadEvent{value: value, tearoff: tearoff}
+	if f.onLoadDone != nil {
+		f.onLoadDone(now, token)
+	}
 }
 func (f *fakeCore) AtomicDone(now sim.Cycle, token uint64, old mem.Word) {
 	f.atomics[token] = old

@@ -173,16 +173,15 @@ func extendRTS(dl *dirLine, exp simCycle) {
 // forward-service time (owner_now + span), so the directory's own
 // stamp, taken strictly later, always covers it.
 func dirActTsOwnerData(b *Bank, dl *dirLine, m *Msg) {
-	txn := dl.txn
-	if txn == nil || !txn.fwd {
+	if !dl.hasTxn || !dl.txn.fwd {
 		panicf("bank %d: stray OwnerData for %v", b.id, m.Line)
 	}
 	dl.data = m.Data
 	dl.dataValid = true
 	dl.dirty = true
 	dl.hasOwner = false
-	dl.sharers = nil
-	dl.txn = nil
+	dl.sharers = dl.sharers[:0]
+	dl.hasTxn = false
 	b.setKind(dl, dirTsShared)
 	extendRTS(dl, leaseSpan(b.now, b.params))
 	b.processPending(dl)
@@ -208,7 +207,7 @@ func dirActTsReadLease(b *Bank, dl *dirLine, m *Msg) {
 // model checker sees one uniform transition structure.
 func dirActTsWritePark(b *Bank, dl *dirLine, m *Msg) {
 	b.Stats.BlockedWrites++
-	dl.txn = &dirTxn{write: true, requester: m.Requester}
+	dl.openTxn(dirTxn{write: true, requester: m.Requester})
 	dl.since = b.now
 	b.armLeaseTimer(dl)
 }
@@ -219,7 +218,7 @@ func dirActTsWritePark(b *Bank, dl *dirLine, m *Msg) {
 // ordinary Unblock in BusyW.
 func dirActTsWriteRelease(b *Bank, dl *dirLine, m *Msg) {
 	b.Stats.LeaseExpiries++
-	txn := dl.txn
+	txn := &dl.txn
 	b.setKind(dl, dirBusy)
 	b.sendAfter(b.params.LLCLatency, txn.requester,
 		&Msg{Type: MsgDataExcl, Line: dl.line, Requester: txn.requester, Data: dl.data, HasData: true})
@@ -229,7 +228,7 @@ func dirActTsWriteRelease(b *Bank, dl *dirLine, m *Msg) {
 // buffer until its leases expire. The caller (startEviction) already
 // detached the entry from the live array and map.
 func (b *Bank) startTsEviction(dl *dirLine) {
-	dl.txn = &dirTxn{eviction: true}
+	dl.openTxn(dirTxn{eviction: true})
 	dl.since = b.now
 	dl.inEvBuf = true
 	b.evbufPut(dl)
@@ -246,9 +245,10 @@ func dirActTsEvictDone(b *Bank, dl *dirLine, m *Msg) {
 		b.Stats.MemWrites++
 	}
 	b.evbufDrop(dl.line)
-	dl.txn = nil
+	dl.hasTxn = false
 	dl.inEvBuf = false
 	b.requeueOrphans(dl)
+	b.retireLine(dl)
 }
 
 // armLeaseTimer schedules dirEvLeaseExpired for the cycle after the
@@ -305,14 +305,12 @@ func pcuTardisDelta() table.Delta[pcuAction] {
 // A lease that already expired in flight (possible only under extreme
 // injected network delay) is delivered tear-off style: the value binds
 // but nothing is installed, so a stale copy can never form.
-func pcuActReadGrantTs(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActReadGrantTs(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	if m.Excl {
 		pcuActReadGrant(p, m, rd, wr)
 		return
 	}
-	txn := rd.Payload.(*pcuTxn)
-	loads := txn.loads
-	p.mshrs.Free(rd)
+	loads, _ := p.retire(rd)
 	if m.Lease <= p.now {
 		p.Stats.TearoffsUsed++
 		for _, lw := range loads {
@@ -337,7 +335,7 @@ func pcuActReadGrantTs(p *PCU, m *Msg, rd, wr *cache.MSHR) {
 // the expiry that bounds their staleness. Dropping ends invalidation
 // delivery for good, so M-speculative loads on the line squash now,
 // exactly as on a non-silent owned eviction.
-func pcuActFwdGetSTs(p *PCU, m *Msg, rd, wr *cache.MSHR) {
+func pcuActFwdGetSTs(p *PCU, m *Msg, rd, wr *pcuMSHR) {
 	data, ok := p.ownedData(m.Line)
 	if !ok {
 		panicf("pcu %d: FwdGetS for %v not owned", p.id, m.Line)

@@ -4,11 +4,13 @@
 // Start/stop pair that owns the file handles, so the commands don't each
 // reimplement the boilerplate (or drift in how they do it).
 //
-// It also owns the collector tuning the simulator wants: the hot loop
-// allocates short-lived coherence transactions against a pointer-rich
-// heap (cache arrays, directories, instruction windows), and the default
-// GOGC target makes the collector re-scan that heap far too eagerly. TuneGC widens the target unless the
-// user set GOGC themselves.
+// It also owns the collector tuning the simulator wants: once its caches
+// are warm the hot loop allocates almost nothing (coherence messages and
+// transactions are recycled), but a run still allocates the cache frames
+// and directory entries it touches first, against a pointer-rich heap
+// (cache arrays, directories, instruction windows) that the default GOGC
+// target makes the collector re-scan far too eagerly. TuneGC widens the
+// target unless the user set GOGC themselves.
 package profiling
 
 import (
