@@ -137,9 +137,10 @@ check-liveness-deep: check-liveness
 # ping-ponging shared lines may not allocate (see DESIGN.md, "Simulation
 # kernel & performance model"); nor may a warm component event queue, a
 # warm typed MSHR file, the model checker's copy-on-write child once its
-# pool is warm, nor a rewrite of a materialized memory line.
+# pool is warm, nor a rewrite of a materialized memory line. A new cache
+# array may allocate only its set index (TestNewArrayAllocBudget).
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/sim ./internal/mem ./internal/cache ./internal/network ./internal/core ./internal/coherence
+	$(GO) test -count=1 -run 'ZeroAlloc|NewArrayAllocBudget' ./internal/sim ./internal/mem ./internal/cache ./internal/network ./internal/core ./internal/coherence
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast
@@ -161,11 +162,14 @@ bench-dir:
 	$(GO) test -count=5 -run '^$$' -bench 'DirDispatch' -benchtime 200x -benchmem ./internal/coherence
 
 # Kernel microbenchmarks: cycles/sec and allocs/op for the scheduler's
-# inner loop and the mesh (loaded and quiescent), plus a short
-# end-to-end throughput smoke (3 iterations; sim-cycles/sec is the
-# headline metric).
+# inner loop and the mesh (loaded and quiescent), the cache array's tag
+# match, building the 16-core machine (B/op and allocs/op of its
+# set-up), plus a short end-to-end throughput smoke (3 iterations;
+# sim-cycles/sec is the headline metric).
 bench-kernel:
 	$(GO) test -count=1 -run '^$$' -bench 'SystemStep' -benchtime 50000x -benchmem ./internal/core
+	$(GO) test -count=1 -run '^$$' -bench 'NewSystem' -benchtime 200x -benchmem ./internal/core
+	$(GO) test -count=1 -run '^$$' -bench 'ArrayLookup' -benchtime 2000000x -benchmem ./internal/cache
 	$(GO) test -count=1 -run '^$$' -bench 'MeshTick' -benchtime 200000x -benchmem ./internal/network
 	$(GO) test -count=1 -run '^$$' -bench 'SimulatorThroughput$$' -benchtime 3x -benchmem .
 

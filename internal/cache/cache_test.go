@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -431,5 +433,398 @@ func TestMSHRFileZeroAlloc(t *testing.T) {
 		if m := copyOf.Lookup(l); m == nil || len(m.Txn.waiters) != 8 {
 			t.Fatalf("the copy lost line %v's transaction: %+v", l, m)
 		}
+	}
+}
+
+// sliceArrayOracle is the array as it was before set storage was carved
+// from chunks: two per-set slice indexes allocated up front, and a set's
+// frames and tags allocated on its first touch. TestArrayMatchesSliceOracle
+// drives it beside Array.
+type sliceArrayOracle struct {
+	sets     int
+	ways     int
+	frames   [][]Entry // frames[set], nil until the set is first touched
+	tags     [][]mem.Line
+	occupied int
+	lruTick  uint64
+}
+
+func newSliceArrayOracle(capacityLines, ways int) *sliceArrayOracle {
+	return &sliceArrayOracle{
+		sets:   capacityLines / ways,
+		ways:   ways,
+		frames: make([][]Entry, capacityLines/ways),
+		tags:   make([][]mem.Line, capacityLines/ways),
+	}
+}
+
+func (a *sliceArrayOracle) setFrames(set int) []Entry {
+	fs := a.frames[set]
+	if fs == nil {
+		fs = make([]Entry, a.ways)
+		for i := range fs {
+			fs[i].set = int32(set)
+			fs[i].way = uint16(i)
+		}
+		a.frames[set] = fs
+		a.tags[set] = make([]mem.Line, a.ways)
+	}
+	return fs
+}
+
+func (a *sliceArrayOracle) SetIndex(l mem.Line) int {
+	return int((uint64(l) * 0x9e3779b97f4a7c15 >> 17) % uint64(a.sets))
+}
+
+func (a *sliceArrayOracle) Lookup(l mem.Line) *Entry {
+	set := a.SetIndex(l)
+	for i, t := range a.tags[set] {
+		if t == l {
+			if e := &a.frames[set][i]; e.valid {
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+func (a *sliceArrayOracle) Touch(e *Entry) {
+	a.lruTick++
+	e.lru = a.lruTick
+}
+
+func (a *sliceArrayOracle) Victim(l mem.Line, keep func(*Entry) bool) *Entry {
+	fs := a.setFrames(a.SetIndex(l))
+	var victim *Entry
+	for i := 0; i < a.ways; i++ {
+		e := &fs[i]
+		if !e.valid {
+			return e
+		}
+		if keep != nil && keep(e) {
+			continue
+		}
+		if victim == nil || e.lru < victim.lru {
+			victim = e
+		}
+	}
+	return victim
+}
+
+func (a *sliceArrayOracle) Install(e *Entry, l mem.Line) *Entry {
+	if e.valid || a.SetIndex(l) != int(e.set) {
+		panic("oracle: bad install")
+	}
+	e.Line = l
+	e.valid = true
+	e.Dirty = false
+	e.State = 0
+	e.Data = mem.LineData{}
+	a.tags[e.set][e.way] = l
+	a.occupied++
+	a.Touch(e)
+	return e
+}
+
+func (a *sliceArrayOracle) LRURank(e *Entry) int {
+	rank := 0
+	for i := range a.frames[e.set] {
+		o := &a.frames[e.set][i]
+		if o.valid && o != e && o.lru < e.lru {
+			rank++
+		}
+	}
+	return rank
+}
+
+func (a *sliceArrayOracle) Evict(e *Entry) {
+	if !e.valid {
+		return
+	}
+	e.valid = false
+	e.Dirty = false
+	e.State = 0
+	a.occupied--
+}
+
+func (a *sliceArrayOracle) Occupancy() int { return a.occupied }
+
+func (a *sliceArrayOracle) ForEach(f func(*Entry)) {
+	for _, fs := range a.frames {
+		for i := range fs {
+			if fs[i].valid {
+				f(&fs[i])
+			}
+		}
+	}
+}
+
+func (a *sliceArrayOracle) CloneInto(dst *sliceArrayOracle) {
+	dst.sets, dst.ways = a.sets, a.ways
+	dst.occupied, dst.lruTick = a.occupied, a.lruTick
+	if len(dst.frames) != len(a.frames) {
+		dst.frames = make([][]Entry, len(a.frames))
+		dst.tags = make([][]mem.Line, len(a.frames))
+	}
+	for s, fs := range a.frames {
+		if fs == nil {
+			for w := range dst.frames[s] {
+				dst.frames[s][w] = Entry{set: int32(s), way: uint16(w)}
+			}
+			continue
+		}
+		if len(dst.frames[s]) != len(fs) {
+			dst.frames[s] = make([]Entry, len(fs))
+			dst.tags[s] = make([]mem.Line, len(fs))
+		}
+		copy(dst.frames[s], fs)
+		copy(dst.tags[s], a.tags[s])
+	}
+}
+
+func (a *sliceArrayOracle) FrameOf(e *Entry) *Entry {
+	if e == nil {
+		return nil
+	}
+	return &a.frames[e.set][e.way]
+}
+
+// arrayPair is an Array and the oracle it must match.
+type arrayPair struct {
+	a *Array
+	o *sliceArrayOracle
+}
+
+// frameDump lists every valid frame by value, in ForEach order.
+func frameDump(forEach func(func(*Entry))) []Entry {
+	var es []Entry
+	forEach(func(e *Entry) { es = append(es, *e) })
+	return es
+}
+
+// TestArrayMatchesSliceOracle drives random Install, Victim (with and
+// without a keep predicate), Evict, Touch, Lookup, LRURank, ForEach,
+// SetIndex and CloneInto with FrameOf through Array and the two-slice
+// oracle it replaced, and requires equal results: the same frame (by
+// set, way and contents) from every call. Clones ping-pong between two
+// arrays, so a copy lands on a destination that touched sets its source
+// did not, and the walk continues on the copy.
+func TestArrayMatchesSliceOracle(t *testing.T) {
+	geometries := []struct{ sets, ways int }{
+		{1, 1},
+		{1, 2}, // the model checker's LLC over two lines
+		{2, 2},
+		{3, 2}, // not a power of two
+		{64, 8},
+		{2048, 8},
+	}
+	stale, fullChunks := 0, 0 // valid sets a clone resets; arrays that reached full-size chunks
+	for _, g := range geometries {
+		capacity := g.sets * g.ways
+		for seed := uint64(1); seed <= 20; seed++ {
+			r := seed
+			next := func(n int) int {
+				r = r*6364136223846793005 + 1442695040888963407
+				return int(r>>33) % n
+			}
+			cur := arrayPair{NewArray(capacity, g.ways), newSliceArrayOracle(capacity, g.ways)}
+			var other arrayPair // the next clone's destination
+			// Lines come from a window a few times the capacity, so sets
+			// fill and evict, and from a few lines that share one set, so
+			// even a big array sees conflicts.
+			hot := sameSetLines(cur.a, mem.Line(seed), g.ways+2)
+			line := func() mem.Line {
+				if next(2) == 0 {
+					return hot[next(len(hot))]
+				}
+				return mem.Line(next(4*capacity + 8))
+			}
+			same := func(step int, what string, e, oe *Entry) {
+				t.Helper()
+				if (e == nil) != (oe == nil) {
+					t.Fatalf("%d×%d seed %d step %d: %s = %v, oracle %v", g.sets, g.ways, seed, step, what, e, oe)
+				}
+				if e != nil && *e != *oe {
+					t.Fatalf("%d×%d seed %d step %d: %s = %+v, oracle %+v", g.sets, g.ways, seed, step, what, *e, *oe)
+				}
+			}
+			for step := 0; step < 400; step++ {
+				a, o := cur.a, cur.o
+				l := line()
+				switch op := next(8); op {
+				case 0, 1: // fill: the victim for l, evicted if need be
+					if a.Lookup(l) != nil {
+						break
+					}
+					state := next(3)
+					var keep func(*Entry) bool
+					if next(2) == 0 {
+						keep = func(e *Entry) bool { return e.State == state }
+					}
+					v, ov := a.Victim(l, keep), o.Victim(l, keep)
+					same(step, "Victim", v, ov)
+					if v == nil {
+						break
+					}
+					if v.Valid() {
+						a.Evict(v)
+						o.Evict(ov)
+					}
+					e, oe := a.Install(v, l), o.Install(ov, l)
+					e.State = next(3)
+					oe.State = e.State
+					e.Dirty = next(2) == 0
+					oe.Dirty = e.Dirty
+					e.Data[0] = mem.Word(step)
+					oe.Data[0] = e.Data[0]
+				case 2: // evict
+					e, oe := a.Lookup(l), o.Lookup(l)
+					same(step, "Lookup", e, oe)
+					if e != nil {
+						a.Evict(e)
+						o.Evict(oe)
+					}
+				case 3: // touch and rank
+					e, oe := a.Lookup(l), o.Lookup(l)
+					same(step, "Lookup", e, oe)
+					if e != nil {
+						if rk, ork := a.LRURank(e), o.LRURank(oe); rk != ork {
+							t.Fatalf("%d×%d seed %d step %d: LRURank = %d, oracle %d", g.sets, g.ways, seed, step, rk, ork)
+						}
+						a.Touch(e)
+						o.Touch(oe)
+					}
+				case 4: // a victim that is not taken
+					same(step, "Victim", a.Victim(l, nil), o.Victim(l, nil))
+				case 5: // set mapping
+					if s, os := a.SetIndex(l), o.SetIndex(l); s != os {
+						t.Fatalf("%d×%d seed %d step %d: SetIndex(%v) = %d, oracle %d", g.sets, g.ways, seed, step, l, s, os)
+					}
+				case 6: // clone, stir the source, and go on with the copy
+					if other.a == nil {
+						other = arrayPair{new(Array), new(sliceArrayOracle)}
+					}
+					for s, v := range other.a.index {
+						if v == 0 || a.index[s] != 0 {
+							continue
+						}
+						if slices.ContainsFunc(other.a.set(s).frames, func(e Entry) bool { return e.valid }) {
+							stale++
+						}
+					}
+					a.CloneInto(other.a)
+					o.CloneInto(other.o)
+					if other.a.FrameOf(nil) != nil {
+						t.Fatal("FrameOf(nil) is not nil")
+					}
+					a.ForEach(func(e *Entry) {
+						c := other.a.FrameOf(e)
+						if c == e || c != other.a.Lookup(e.Line) {
+							t.Fatalf("%d×%d seed %d step %d: FrameOf(%v) is not the copy's frame of it", g.sets, g.ways, seed, step, e.Line)
+						}
+						same(step, "FrameOf", c, other.o.FrameOf(o.Lookup(e.Line)))
+					})
+					snap := frameDump(other.a.ForEach)
+					for i := 0; i < 3; i++ { // writes to the source must not reach the copy
+						l := line()
+						if a.Lookup(l) != nil {
+							continue
+						}
+						v, ov := a.Victim(l, nil), o.Victim(l, nil)
+						same(step, "Victim", v, ov)
+						if v.Valid() {
+							v.Data[1]++
+							ov.Data[1]++
+							a.Evict(v)
+							o.Evict(ov)
+						}
+						a.Install(v, l).Data[1]++
+						o.Install(ov, l).Data[1]++
+					}
+					if got := frameDump(other.a.ForEach); !slices.Equal(got, snap) {
+						t.Fatalf("%d×%d seed %d step %d: writes to the source changed the copy", g.sets, g.ways, seed, step)
+					}
+					cur, other = other, cur
+				}
+				if n, on := cur.a.Occupancy(), cur.o.Occupancy(); n != on {
+					t.Fatalf("%d×%d seed %d step %d: Occupancy = %d, oracle %d", g.sets, g.ways, seed, step, n, on)
+				}
+				if step%16 == 0 {
+					if d, od := frameDump(cur.a.ForEach), frameDump(cur.o.ForEach); !slices.Equal(d, od) {
+						t.Fatalf("%d×%d seed %d step %d: ForEach visits %v, oracle %v", g.sets, g.ways, seed, step, d, od)
+					}
+				}
+			}
+			if len(cur.a.slots) > 2*maxChunkSets {
+				fullChunks++
+			}
+		}
+	}
+	if stale == 0 || fullChunks == 0 {
+		t.Fatalf("clones reset %d sets with valid frames their source had not touched, and %d arrays reached full-size chunks; both checks need some", stale, fullChunks)
+	}
+}
+
+// TestNewArrayAllocBudget pins construction to the index: a 1 MB LLC
+// bank (2048 sets of 8 ways) may allocate one pointer per set plus a
+// little for the array itself, because frames and tags wait for the
+// set's first touch. The least of a few measurements is taken, so an
+// allocation elsewhere in the process that lands inside one cannot fail
+// the test.
+func TestNewArrayAllocBudget(t *testing.T) {
+	const sets, ways = 2048, 8
+	const budget = 8*sets + 512
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		a := NewArray(sets*ways, ways)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(a)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > budget {
+		t.Fatalf("NewArray(%d, %d) allocates %d B, want at most %d", sets*ways, ways, least, budget)
+	}
+}
+
+// BenchmarkArrayLookup measures the tag match: lookups of an L1-shaped
+// array (64 sets of 8 ways, full) and of an LLC-bank-shaped one (2048
+// sets of 8 ways, 128 sets touched, as a 16-core fft run leaves each
+// bank), half of them hits.
+func BenchmarkArrayLookup(b *testing.B) {
+	for _, g := range []struct {
+		name        string
+		sets, lines int
+	}{{"l1", 64, 512}, {"llc", 2048, 1024}} {
+		b.Run(g.name, func(b *testing.B) {
+			const ways = 8
+			a := NewArray(g.sets*ways, ways)
+			var lines []mem.Line
+			for l := mem.Line(0); len(lines) < g.lines; l++ {
+				if g.sets == 2048 && a.SetIndex(l) >= 128 {
+					continue
+				}
+				if v := a.Victim(l, nil); !v.Valid() {
+					a.Install(v, l)
+					lines = append(lines, l)
+				}
+			}
+			probes := make([]mem.Line, 0, 2*len(lines))
+			for _, l := range lines {
+				probes = append(probes, l, l+1<<30) // a hit and a miss
+			}
+			mask := len(probes) - 1 // a power of two
+			b.ResetTimer()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if a.Lookup(probes[i&mask]) != nil {
+					hits++
+				}
+			}
+			if b.N >= len(probes) && hits < b.N/2-1 {
+				b.Fatalf("%d hits in %d lookups", hits, b.N)
+			}
+		})
 	}
 }

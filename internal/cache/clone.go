@@ -1,7 +1,5 @@
 package cache
 
-import "wbsim/internal/mem"
-
 // Deep-copy support for the model checker's state cloning
 // (coherence.Model.Clone). An array hands out interior *Entry frames
 // that the coherence layer stores in its own state, so the copy must
@@ -14,30 +12,35 @@ import "wbsim/internal/mem"
 // frame and tag storage. LRU ticks and occupancy are preserved exactly,
 // so victim selection in the copy matches the original. A set untouched
 // in a keeps dst's frames, reset to invalid, so that a later clone that
-// touches it does not reallocate them. Map frames of a to their copies
-// with dst.FrameOf.
+// touches it does not carve them again; a set a touched and dst did not
+// is carved from dst's own chunks. Map frames of a to their copies with
+// dst.FrameOf.
 func (a *Array) CloneInto(dst *Array) {
+	if len(dst.index) != len(a.index) || dst.ways != a.ways {
+		// A first copy, or one of another geometry: dst's storage
+		// does not fit, so it starts afresh.
+		dst.index = make([]int32, len(a.index))
+		dst.slots, dst.spareFrames, dst.spareTags = nil, nil, nil
+	}
 	dst.sets, dst.ways = a.sets, a.ways
 	dst.occupied, dst.lruTick = a.occupied, a.lruTick
-	if len(dst.frames) != len(a.frames) {
-		dst.frames = make([][]Entry, len(a.frames))
-		dst.tags = make([][]mem.Line, len(a.frames))
-	}
-	for s, fs := range a.frames {
+	for s := range a.index {
+		fs, d := a.set(s), dst.set(s)
 		if fs == nil {
 			// An untouched set and a set of invalid frames behave alike:
 			// every lookup misses and Victim hands out way 0 first.
-			for w := range dst.frames[s] {
-				dst.frames[s][w] = Entry{set: s, way: w}
+			if d != nil {
+				for w := range d.frames {
+					d.frames[w] = Entry{set: int32(s), way: uint16(w)}
+				}
 			}
 			continue
 		}
-		if len(dst.frames[s]) != len(fs) {
-			dst.frames[s] = make([]Entry, len(fs))
-			dst.tags[s] = make([]mem.Line, len(fs))
+		if d == nil {
+			d = dst.carve(s)
 		}
-		copy(dst.frames[s], fs)
-		copy(dst.tags[s], a.tags[s])
+		copy(d.frames, fs.frames)
+		copy(d.tags, fs.tags)
 	}
 }
 
@@ -48,7 +51,7 @@ func (a *Array) FrameOf(e *Entry) *Entry {
 	if e == nil {
 		return nil
 	}
-	return &a.frames[e.set][e.way]
+	return &a.set(int(e.set)).frames[e.way]
 }
 
 // CloneInto overwrites dst — a zero file, or one CloneInto wrote

@@ -137,11 +137,19 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 	}
 	c.events.init(cfg.ROBSize)
 	slots := make([]DynInstr, cfg.ROBSize)
+	waiters := make([]instrRef, slotWaiters*cfg.ROBSize)
 	for i := range slots {
+		lo := i * slotWaiters
+		slots[i].waiters = waiters[lo : lo : lo+slotWaiters]
 		c.free[i] = &slots[i]
 	}
 	return c
 }
+
+// slotWaiters is the waiter capacity each window slot starts with, cut
+// from one array per core: no instruction of a 16-core fft run has more
+// than four dependents in flight, so its slots never grow their lists.
+const slotWaiters = 4
 
 // pow2AtLeast returns the smallest power of two that is at least n (n > 0).
 func pow2AtLeast(n int) int { return 1 << bits.Len(uint(n-1)) }

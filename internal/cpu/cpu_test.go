@@ -142,3 +142,95 @@ func TestCommitModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// counterOracle is the predictor as a plain table of 2-bit counters,
+// each initialised to 1 (weakly not taken), which the XOR-stored table
+// must reproduce.
+type counterOracle struct {
+	table   []uint8
+	history uint64
+	mask    uint64
+}
+
+func newCounterOracle(bits int) *counterOracle {
+	o := &counterOracle{table: make([]uint8, 1<<bits), mask: 1<<bits - 1}
+	for i := range o.table {
+		o.table[i] = 1
+	}
+	return o
+}
+
+func (o *counterOracle) Predict(pc int) bool {
+	taken := o.table[(uint64(pc)^o.history)&o.mask] >= 2
+	o.history = o.history<<1 | b2u(taken)
+	return taken
+}
+
+func (o *counterOracle) Train(pc int, historyAt uint64, taken bool) {
+	idx := (uint64(pc) ^ historyAt) & o.mask
+	if c := o.table[idx]; taken && c < 3 {
+		o.table[idx] = c + 1
+	} else if !taken && c > 0 {
+		o.table[idx] = c - 1
+	}
+}
+
+func (o *counterOracle) Restore(historyAt uint64, taken bool) {
+	o.history = historyAt<<1 | b2u(taken)
+}
+
+// TestPredictorMatchesCounterOracle drives random Predict, Train and
+// Restore sequences, trained out of order as branches resolve, through
+// the predictor and the plain-counter oracle, and requires the same
+// prediction and history at every step. A small table makes branches
+// share counters, and the walks must drive some counter to each end.
+func TestPredictorMatchesCounterOracle(t *testing.T) {
+	const bits = 4
+	saw := [4]bool{}
+	for seed := uint64(1); seed <= 50; seed++ {
+		r := seed
+		next := func(n int) int {
+			r = r*6364136223846793005 + 1442695040888963407
+			return int(r>>33) % n
+		}
+		p, o := NewPredictor(bits), newCounterOracle(bits)
+		type branch struct {
+			pc   int
+			hist uint64
+		}
+		var inFlight []branch
+		for step := 0; step < 500; step++ {
+			switch op := next(4); {
+			case op <= 1 || len(inFlight) == 0:
+				pc := next(24)
+				h := p.History()
+				if got, want := p.Predict(pc), o.Predict(pc); got != want {
+					t.Fatalf("seed %d step %d: Predict(%d) = %v, oracle %v", seed, step, pc, got, want)
+				}
+				inFlight = append(inFlight, branch{pc, h})
+			case op == 2:
+				i := next(len(inFlight))
+				b := inFlight[i]
+				inFlight = append(inFlight[:i], inFlight[i+1:]...)
+				taken := next(4) != 0 || b.pc%3 == 0 // biased, so counters saturate
+				p.Train(b.pc, b.hist, taken)
+				o.Train(b.pc, b.hist, taken)
+			default: // a squash back to an in-flight branch
+				i := next(len(inFlight))
+				taken := next(2) == 0
+				p.Restore(inFlight[i].hist, taken)
+				o.Restore(inFlight[i].hist, taken)
+				inFlight = inFlight[:i]
+			}
+			if p.History() != o.history {
+				t.Fatalf("seed %d step %d: history %#x, oracle %#x", seed, step, p.History(), o.history)
+			}
+			for _, c := range o.table {
+				saw[c] = true
+			}
+		}
+	}
+	if saw != [4]bool{true, true, true, true} {
+		t.Fatalf("counter values seen: %v; the walks must reach all four", saw)
+	}
+}

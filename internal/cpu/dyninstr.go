@@ -45,8 +45,10 @@ type DynInstr struct {
 	dataPending        bool // store data operand still outstanding
 
 	result mem.Word
-	// waiters keeps its backing array across slot reuse, so a slot
-	// grows it at most once to its largest dependent count.
+	// waiters starts with room for slotWaiters dependents, cut by
+	// NewCore, and keeps its backing array across slot reuse, so a slot
+	// grows it only past that, and at most once to its largest
+	// dependent count.
 	waiters []instrRef
 
 	// Control flow.

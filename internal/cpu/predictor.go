@@ -4,19 +4,19 @@ package cpu
 // 2-bit saturating counters indexed by PC xor global history. Targets are
 // static in the ISA, so no BTB is needed.
 type Predictor struct {
+	// table holds each counter XOR 1, so the zeroed table a fresh
+	// predictor gets reads as every counter weakly not taken (1). The
+	// flip keeps the high bit, which is the prediction.
 	table   []uint8
 	history uint64
 	mask    uint64
 }
 
-// NewPredictor builds a predictor with 2^bits counters.
+// NewPredictor builds a predictor with 2^bits counters, each weakly not
+// taken.
 func NewPredictor(bits int) *Predictor {
 	size := 1 << bits
-	p := &Predictor{table: make([]uint8, size), mask: uint64(size - 1)}
-	for i := range p.table {
-		p.table[i] = 1 // weakly not taken
-	}
-	return p
+	return &Predictor{table: make([]uint8, size), mask: uint64(size - 1)}
 }
 
 func (p *Predictor) index(pc int) uint64 {
@@ -35,13 +35,13 @@ func (p *Predictor) Predict(pc int) bool {
 // historyAt is the history snapshot captured at prediction time.
 func (p *Predictor) Train(pc int, historyAt uint64, taken bool) {
 	idx := (uint64(pc) ^ historyAt) & p.mask
-	c := p.table[idx]
+	c := p.table[idx] ^ 1
 	if taken && c < 3 {
 		c++
 	} else if !taken && c > 0 {
 		c--
 	}
-	p.table[idx] = c
+	p.table[idx] = c ^ 1
 }
 
 // History returns the current global history (snapshot before Predict).
