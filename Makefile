@@ -137,10 +137,11 @@ check-liveness-deep: check-liveness
 # ping-ponging shared lines may not allocate (see DESIGN.md, "Simulation
 # kernel & performance model"); nor may a warm component event queue, a
 # warm typed MSHR file, the model checker's copy-on-write child once its
-# pool is warm, nor a rewrite of a materialized memory line. A new cache
-# array may allocate only its set index (TestNewArrayAllocBudget).
+# pool is warm, nor a rewrite of a materialized memory line, nor a warm
+# core's load-ordering state. A new cache array may allocate only its set
+# index (TestNewArrayAllocBudget).
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc|NewArrayAllocBudget' ./internal/sim ./internal/mem ./internal/cache ./internal/network ./internal/core ./internal/coherence
+	$(GO) test -count=1 -run 'ZeroAlloc|NewArrayAllocBudget' ./internal/sim ./internal/mem ./internal/cache ./internal/network ./internal/core ./internal/coherence ./internal/ordering
 
 # Determinism goldens: tool stdout must be byte-identical to the
 # pre-kernel-change captures in testdata/. golden-short runs the fast

@@ -22,6 +22,7 @@ var simPathPackages = map[string]bool{
 	"isa":       true,
 	"mem":       true,
 	"network":   true,
+	"ordering":  true,
 	"sim":       true,
 	"stats":     true,
 }

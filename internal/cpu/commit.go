@@ -106,13 +106,14 @@ func (c *Core) commitOutOfOrder() int {
 			}
 			if loadsOK {
 				if !ldFresh {
-					ldBlock, ldFresh = c.oldestUnperformedLoad(), true
+					_, ldBlock = c.ord.SoS()
+					ldFresh = true
 				}
 				loadsOK = d.seq < ldBlock
 			}
 			if !loadsOK && atomicsOK {
 				if !atFresh {
-					atBlock, atFresh = c.oldestPendingAtomicSeq(), true
+					atBlock, atFresh = c.ord.PendingAtomic(), true
 				}
 				atomicsOK = d.seq < atBlock
 			}
@@ -231,15 +232,6 @@ func (c *Core) oldestUnaddressedStore() uint64 {
 	return noSeq
 }
 
-// oldestUnperformedLoad returns the seq of the oldest unperformed load
-// or atomic in the LQ (noSeq if none): the SoS load.
-func (c *Core) oldestUnperformedLoad() uint64 {
-	if i := c.sosIndex(); i < len(c.lq) {
-		return c.lq[i].d.seq
-	}
-	return noSeq
-}
-
 // oldestStore returns the seq of the oldest store in the SQ (noSeq if
 // none).
 func (c *Core) oldestStore() uint64 {
@@ -305,9 +297,9 @@ func (o *scanOracle) pass(d *DynInstr) {
 		}
 		o.olderStorePending = true
 	case isa.OpLoad, isa.OpAtomic:
-		if !d.lq.performed {
+		if _, pending := o.c.ord.Pending(d.seq); pending {
 			o.loadsOK = false
-			if d.lq.isAtomic {
+			if d.op == isa.OpAtomic {
 				o.atomicsOK = false
 			}
 		}
@@ -390,7 +382,7 @@ func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomi
 			if !atomicsOK {
 				return false
 			}
-			if d.lq.fwdSeq != 0 || c.ldtFree() {
+			if c.ord.LDTRoom(d.seq) {
 				return true
 			}
 			c.Stats.LDTFullStalls++
@@ -415,8 +407,6 @@ func (c *Core) canCommit(d *DynInstr, head, branchesOK, storesOK, loadsOK, atomi
 	}
 }
 
-func (c *Core) ldtFree() bool { return len(c.ldt) < c.cfg.LDTSize }
-
 // commitOne retires one instruction: architectural state is updated (WAW
 // guarded, since commits can be out of order), memory structures are
 // released, and M-speculative loads export their lockdown to the LDT.
@@ -439,11 +429,11 @@ func (c *Core) commitOne(d *DynInstr, head bool) {
 	switch d.op {
 	case isa.OpLoad:
 		c.Stats.CommittedLoads++
-		c.removeLoad(&d.lq)
+		c.removeLoad(d)
 	case isa.OpAtomic:
 		c.Stats.CommittedLoads++
 		c.Stats.CommittedStores++
-		c.removeLoad(&d.lq)
+		c.removeLoad(d)
 	case isa.OpStore:
 		c.Stats.CommittedStores++
 		c.sb = pushRing(c.sb, &c.sbHead, sbEntry{seq: d.seq, addr: d.sq.addr, line: d.sq.line, value: d.sq.value})
@@ -455,32 +445,13 @@ func (c *Core) commitOne(d *DynInstr, head bool) {
 
 // removeLoad removes a committed load from the collapsible LQ. If it is
 // still M-speculative (ooo-wb or ooo-unsafe commit), ooo-wb exports its
-// lockdown to the LDT, where it holds until every older load has
-// performed (Section 4.2). Unsafe commit simply drops the entry — which
-// is exactly what makes it unsafe.
-func (c *Core) removeLoad(e *lqEntry) {
-	idx := c.lqSearch(e.d.seq)
-	if idx == len(c.lq) || c.lq[idx] != e {
-		panic(fmt.Sprintf("cpu %d: committing load not in LQ: %v", c.ID, e.d))
-	}
-	ordered := idx <= c.sosIndex() // every older load has performed
-
-	// Store-forwarded loads (fwdSeq != 0) never need a lockdown: their
-	// value came from the local store buffer and cannot be seen.
-	if !ordered && e.fwdSeq == 0 {
+// lockdown to the LDT (see ordering.LoadOrder.Commit).
+func (c *Core) removeLoad(d *DynInstr) {
+	if c.ord.Commit(d.seq) {
 		c.Stats.MSpecCommits++
-		if c.cfg.CommitMode == CommitOoOWB {
-			if !c.ldtFree() {
-				panic(fmt.Sprintf("cpu %d: LDT overflow (canCommit must gate)", c.ID))
-			}
+		if c.cfg.Lockdown {
 			c.Stats.LDTExports++
-			c.ldt = append(c.ldt, ldtEntry{seq: e.d.seq, line: e.line})
 		}
-	}
-
-	c.lq = append(c.lq[:idx], c.lq[idx+1:]...)
-	if idx < c.lqSoS {
-		c.lqSoS--
 	}
 	c.onOrderingChange()
 }

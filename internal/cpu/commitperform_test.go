@@ -80,13 +80,18 @@ func TestLoadPerformsInsideCommit(t *testing.T) {
 		p.Receive(now, &network.Message{Src: 1, Dst: 0, Payload: &coherence.Msg{
 			Type: typ, Line: l, Src: 1, Requester: 0, HasData: true}})
 	}
-	load := func(line mem.Line) *lqEntry {
-		for _, e := range c.lq {
-			if e.addrValid && e.line == line {
-				return e
+	// load returns the window slot of the in-flight load of line, or nil.
+	load := func(line mem.Line) *DynInstr {
+		for i := range c.ord.Loads() {
+			if d := c.loadSlot(i); d.lq.addrValid && mem.LineOf(d.lq.addr) == line {
+				return d
 			}
 		}
 		return nil
+	}
+	performed := func(d *DynInstr) bool {
+		_, pending := c.ord.Pending(d.seq)
+		return !pending
 	}
 	until := func(what string, done func() bool) {
 		for start := now; !done(); tick() {
@@ -97,10 +102,10 @@ func TestLoadPerformsInsideCommit(t *testing.T) {
 	}
 
 	lineA, lineB := mem.LineOf(addrA), mem.LineOf(addrB)
-	until("L2 issuing its miss", func() bool { e := load(lineB); return e != nil && e.issued })
+	until("L2 issuing its miss", func() bool { d := load(lineB); return d != nil && d.lq.issued })
 	l2 := load(lineB)
 	answer(coherence.MsgTearoff, lineB)
-	if !l2.needRetry {
+	if !l2.lq.needRetry {
 		t.Fatal("the tear-off did not leave the unordered L2 waiting to retry")
 	}
 	var ghosts []mem.Line
@@ -112,20 +117,20 @@ func TestLoadPerformsInsideCommit(t *testing.T) {
 		ghosts = append(ghosts, line)
 	}
 
-	var l1 *lqEntry
+	var l1 *DynInstr
 	until("L1 forwarding", func() bool {
-		for _, e := range c.lq {
-			if e.line == lineA && e.performed {
-				l1 = e
+		for i, l := range c.ord.Loads() {
+			if l.Line == lineA && l.Performed {
+				l1 = c.loadSlot(i)
 				return true
 			}
 		}
 		return false
 	})
 	tick() // L2 retries again and finds no MSHR
-	if l2.performed || !l2.needRetry || l1.d.state == stCompleted {
+	if performed(l2) || !l2.lq.needRetry || l1.state == stCompleted {
 		t.Fatalf("cycle %d: want L2 waiting to retry and L1 not completed (L2 performed=%v retry=%v, L1 %v)",
-			now, l2.performed, l2.needRetry, l1.d.state)
+			now, performed(l2), l2.lq.needRetry, l1.state)
 	}
 	answer(coherence.MsgData, ghosts[0])
 	if p.Load(now, ghost-1, addrB, true).Status != coherence.LoadPending {
@@ -137,8 +142,8 @@ func TestLoadPerformsInsideCommit(t *testing.T) {
 	}
 
 	tick()
-	if !c.archValid[r1] || !l2.performed {
-		t.Fatalf("L1 committed=%v, L2 performed=%v: want both", c.archValid[r1], l2.performed)
+	if !c.archValid[r1] || !performed(l2) {
+		t.Fatalf("L1 committed=%v, L2 performed=%v: want both", c.archValid[r1], performed(l2))
 	}
 	if c.archValid[r6] {
 		t.Fatal("L1 committed at the ROB head: its visit did not read the load blocker")

@@ -7,6 +7,7 @@ import (
 	"wbsim/internal/coherence"
 	"wbsim/internal/isa"
 	"wbsim/internal/mem"
+	"wbsim/internal/ordering"
 	"wbsim/internal/sim"
 )
 
@@ -64,24 +65,25 @@ type Core struct {
 	brHead, brTail uint64
 	sqAddrOK       int
 
-	lq        []*lqEntry
-	lqSoS     int // no LQ entry before it is unperformed (see sosIndex)
+	// ord is the LQ's program order and load-ordering state, the LDT and
+	// the seen lines; a load's timing state is its slot's lqEntry.
+	ord       ordering.LoadOrder
 	sq        []*sqEntry
 	sqHead    int // consumed prefix of sq (ring-style, backing array reused)
 	sb        []sbEntry
 	sbHead    int // consumed prefix of sb (ring-style, backing array reused)
-	ldt       []ldtEntry
 	readyQ    []instrRef
 	readyHead int // consumed prefix of readyQ (ring-style, backing array reused)
 	iqCount   int
 
-	// free holds the instruction-window slots no in-flight instruction
-	// occupies. NewCore allocates ROBSize slots, each with room for the
-	// instruction's LQ or SQ entry; commit and squash return a slot here
-	// and dispatch takes one, so the steady state allocates nothing.
-	// Every in-flight instruction sits in the ROB, whose occupancy fetch
-	// caps at ROBSize, so the list runs empty only if a slot leaks.
-	free []*DynInstr
+	// slots are the ROBSize instruction-window slots, each with room for
+	// the instruction's LQ or SQ entry, and free holds those no in-flight
+	// instruction occupies. Commit and squash return a slot to free and
+	// dispatch takes one, so the steady state allocates nothing. Every
+	// in-flight instruction sits in the ROB, whose occupancy fetch caps
+	// at ROBSize, so the list runs empty only if a slot leaks.
+	slots []DynInstr
+	free  []*DynInstr
 
 	// checkScan, set only by tests, walks the window from the head at
 	// every commit call as the scanning commit did, and counts in
@@ -89,11 +91,6 @@ type Core struct {
 	// the decisions (prefix flags, stop point) that disagreed.
 	checkScan                  bool
 	scanChecks, scanMismatches int
-
-	// seenLines records cache lines for which an invalidation hit a
-	// lockdown (the union of the per-entry S bits of the paper); the
-	// delayed Ack is sent when the last lockdown for the line lifts.
-	seenLines []mem.Line
 
 	// dispatch-block reason for this cycle's stall accounting.
 	blockReason string
@@ -125,7 +122,7 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 		cfg:     cfg,
 		program: program,
 		pred:    NewPredictor(12),
-		ldt:     make([]ldtEntry, 0, cfg.LDTSize),
+		ord:     ordering.New(cfg.LQSize, cfg.LDTSize, cfg.Lockdown),
 		nextSeq: 1, // seq 0 reserved (fwdSeq sentinel, free slots)
 		free:    make([]*DynInstr, cfg.ROBSize),
 		rob:     make([]*DynInstr, ring),
@@ -136,12 +133,12 @@ func NewCore(id int, cfg Config, program *isa.Program) *Core {
 		c.branches = make([]instrRef, pow2AtLeast(cfg.ROBSize))
 	}
 	c.events.init(cfg.ROBSize)
-	slots := make([]DynInstr, cfg.ROBSize)
+	c.slots = make([]DynInstr, cfg.ROBSize)
 	waiters := make([]instrRef, slotWaiters*cfg.ROBSize)
-	for i := range slots {
+	for i := range c.slots {
 		lo := i * slotWaiters
-		slots[i].waiters = waiters[lo : lo : lo+slotWaiters]
-		c.free[i] = &slots[i]
+		c.slots[i].slot, c.slots[i].waiters = int32(i), waiters[lo:lo:lo+slotWaiters]
+		c.free[i] = &c.slots[i]
 	}
 	return c
 }
@@ -169,9 +166,9 @@ func (c *Core) Done() bool {
 // lifted), a withheld invalidation ack, or an LQ, SQ or ROB entry.
 // System.Run calls it after every run, beside the bank and PCU checks.
 func (c *Core) CheckInvariants() {
-	if len(c.ldt)+len(c.seenLines)+len(c.lq)+c.sqLen()+c.robLen() != 0 {
+	if len(c.ord.LDT())+len(c.ord.Seen())+len(c.ord.Loads())+c.sqLen()+c.robLen() != 0 {
 		panic(fmt.Sprintf("cpu %d: finished run left ldt=%d seen=%d lq=%d sq=%d rob=%d",
-			c.ID, len(c.ldt), len(c.seenLines), len(c.lq), c.sqLen(), c.robLen()))
+			c.ID, len(c.ord.LDT()), len(c.ord.Seen()), len(c.ord.Loads()), c.sqLen(), c.robLen()))
 	}
 }
 
@@ -340,7 +337,7 @@ func (c *Core) fetch() {
 		//wbsim:partial(OpNop, OpALU, OpStore, OpBranch, OpJump, OpHalt) -- only LQ-allocating ops are gated here; stores are gated just below
 		switch si.Op {
 		case isa.OpLoad, isa.OpAtomic:
-			if len(c.lq) >= c.cfg.LQSize {
+			if len(c.ord.Loads()) >= c.cfg.LQSize {
 				c.blockReason = "lq"
 				return
 			}
@@ -401,10 +398,10 @@ func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
 	c.free = c.free[:n]
 	// Clear in place and then fill in: a composite literal that reads *d
 	// would be built in a temporary and copied over the whole slot.
-	waiters := d.waiters[:0]
+	slot, waiters := d.slot, d.waiters[:0]
 	*d = DynInstr{}
-	d.seq, d.pc, d.si, d.op, d.waiters = c.nextSeq, pc, si, si.Op, waiters
-	d.lq.d, d.sq.d = d, d
+	d.seq, d.pc, d.si, d.op, d.slot, d.waiters = c.nextSeq, pc, si, si.Op, slot, waiters
+	d.sq.d = d
 	c.nextSeq++
 	if c.robTail-c.robHead == uint64(len(c.rob)) {
 		c.compactROB()
@@ -444,8 +441,7 @@ func (c *Core) dispatch(si *isa.Instr, pc int) *DynInstr {
 	//wbsim:partial(OpNop, OpALU, OpBranch, OpJump, OpHalt) -- non-memory ops occupy no LSQ entries
 	switch si.Op {
 	case isa.OpLoad, isa.OpAtomic:
-		d.lq.isAtomic = si.Op == isa.OpAtomic
-		c.lq = append(c.lq, &d.lq)
+		c.ord.Push(d.seq, d.slot, si.Op == isa.OpAtomic)
 	case isa.OpStore:
 		c.sq = pushRing(c.sq, &c.sqHead, &d.sq)
 		if d.dataPending {
@@ -581,7 +577,6 @@ func (c *Core) execute(d *DynInstr) {
 		c.events.after(c.now, 1, evBranch, d, 0)
 	case isa.OpLoad, isa.OpAtomic:
 		d.lq.addr = mem.AlignWord(mem.Addr(d.src1Val + d.si.Imm))
-		d.lq.line = mem.LineOf(d.lq.addr)
 		d.lq.addrValid = true
 		// Memory issue is attempted by tryMemoryIssue (this cycle too).
 	case isa.OpStore:
@@ -680,8 +675,7 @@ func (c *Core) squashFrom(cut uint64, pc int, penalty int) {
 
 	// Trim LQ and SQ (before the squashed slots are freed, which clears
 	// the seqs the trim compares).
-	c.lq = trimLQ(c.lq, cut)
-	c.lqSoS = min(c.lqSoS, len(c.lq))
+	c.ord.Squash(cut)
 	c.sq = c.sq[:c.sqHead+len(trimSQ(c.sqLive(), cut))]
 	c.sqAddrOK = min(c.sqAddrOK, c.sqLen())
 	for c.brTail > c.brHead && c.branches[(c.brTail-1)&uint64(len(c.branches)-1)].seq >= cut {
@@ -784,15 +778,6 @@ func (c *Core) release(d *DynInstr) {
 // writer of register r.
 func (c *Core) newerThanArch(r isa.Reg, seq uint64) bool {
 	return !c.archValid[r] || seq > c.archSeq[r]
-}
-
-func trimLQ(entries []*lqEntry, cut uint64) []*lqEntry {
-	for i, e := range entries {
-		if e.d.seq >= cut {
-			return entries[:i]
-		}
-	}
-	return entries
 }
 
 func trimSQ(entries []*sqEntry, cut uint64) []*sqEntry {

@@ -43,18 +43,18 @@ func (c *Core) Snapshot() Snapshot {
 		Committed: c.Stats.Committed,
 		FetchPC:   c.fetchPC,
 		ROB:       c.robLen(),
-		LQ:        len(c.lq),
+		LQ:        len(c.ord.Loads()),
 		SQ:        c.sqLen(),
 		SB:        c.sbLen(),
 		IQ:        c.iqCount,
-		Lockdowns: len(c.ldt),
+		Lockdowns: len(c.ord.LDT()),
 	}
 	if d := c.robOldest(); d != nil {
 		s.OldestROB = fmt.Sprintf("%v state=%d pend=%d", d, d.state, d.pendingIssue)
 	}
-	if len(c.lq) > 0 {
-		e := c.lq[0]
-		s.OldestLQ = fmt.Sprintf("%v addrV=%v perf=%v issued=%v retry=%v", e.d, e.addrValid, e.performed, e.issued, e.needRetry)
+	if loads := c.ord.Loads(); len(loads) > 0 {
+		d := &c.slots[loads[0].Slot]
+		s.OldestLQ = fmt.Sprintf("%v addrV=%v perf=%v issued=%v retry=%v", d, d.lq.addrValid, loads[0].Performed, d.lq.issued, d.lq.needRetry)
 	}
 	return s
 }

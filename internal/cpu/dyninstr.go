@@ -23,11 +23,12 @@ const (
 // free list when its instruction commits or is squashed, and the next
 // dispatch reuses it for a younger instruction.
 type DynInstr struct {
-	seq uint64 // per-core program-order age; also the memory token (0 while the slot is free)
-	pos uint64 // ROB position: the instruction sits in Core.rob[pos&Core.robMask]
-	pc  int
-	si  *isa.Instr
-	op  isa.Op // si.Op, copied at dispatch: commit reads the opcode of
+	seq  uint64 // per-core program-order age; also the memory token (0 while the slot is free)
+	pos  uint64 // ROB position: the instruction sits in Core.rob[pos&Core.robMask]
+	slot int32  // the slot's fixed index in Core.slots, by which Core.ord names it
+	pc   int
+	si   *isa.Instr
+	op   isa.Op // si.Op, copied at dispatch: commit reads the opcode of
 	// every completed instruction it visits, and the copy spares it the
 	// si pointer chase
 
@@ -100,20 +101,14 @@ func (d *DynInstr) String() string {
 	return fmt.Sprintf("#%d@%d %s", d.seq, d.pc, d.si)
 }
 
-// lqEntry is a load-queue entry (loads and the load half of atomics), in
-// program order. The collapsible LQ removes committed loads from any
-// position.
+// lqEntry is the timing state of a load-queue entry (loads and the load
+// half of atomics). Its place in program order, whether it has performed
+// and from where, live in the core's ordering.LoadOrder.
 type lqEntry struct {
-	d         *DynInstr
 	addr      mem.Addr
-	line      mem.Line
 	addrValid bool
-	performed bool
 	issued    bool // outstanding request in the memory system
 	needRetry bool // received a tear-off copy while unordered (Section 3.4)
-	value     mem.Word
-	fwdSeq    uint64 // seq of the store that forwarded the value (0 = memory)
-	isAtomic  bool
 	atomicGo  bool // atomic handed to the PCU
 }
 
@@ -134,18 +129,6 @@ type sbEntry struct {
 	addr  mem.Addr
 	line  mem.Line
 	value mem.Word
-}
-
-// ldtEntry is a Lockdown Table entry: the lockdown of a load that
-// committed out of order, kept at the L1 until the load would have become
-// ordered (Section 4.2) — that is, until no load older than seq is
-// unperformed. Loads never unperform, so onOrderingChange frees the entry
-// as soon as the oldest unperformed load is younger than it. The "seen"
-// bit of the paper is tracked per line in Core.seenLines (equivalent
-// encoding: an Ack is owed when the last lockdown for a seen line lifts).
-type ldtEntry struct {
-	seq  uint64 // the committed load's seq
-	line mem.Line
 }
 
 // Stats aggregates per-core counters used by the figures.

@@ -63,8 +63,8 @@ func TestLDTNestedRelease(t *testing.T) {
 		}
 	}
 	live := func(seq uint64) bool {
-		for _, l := range c.ldt {
-			if l.seq == seq {
+		for _, l := range c.ord.LDT() {
+			if l.Seq == seq {
 				return true
 			}
 		}
@@ -72,22 +72,22 @@ func TestLDTNestedRelease(t *testing.T) {
 	}
 
 	until("all three loads issuing their misses", func() bool {
-		if len(c.lq) != 3 {
+		if len(c.ord.Loads()) != 3 {
 			return false
 		}
-		for _, e := range c.lq {
-			if !e.issued {
+		for i := range c.ord.Loads() {
+			if !c.loadSlot(i).lq.issued {
 				return false
 			}
 		}
 		return true
 	})
-	l2, l3 := c.lq[1].d.seq, c.lq[2].d.seq
+	l2, l3 := c.ord.Loads()[1].Seq, c.ord.Loads()[2].Seq
 
 	answer(addrC)
 	until("L3 committing out of order", func() bool { return c.archValid[r3] })
 	if !live(l3) {
-		t.Fatalf("cycle %d: L3 committed while L1 and L2 miss, but exported no LDT entry (ldt %v)", now, c.ldt)
+		t.Fatalf("cycle %d: L3 committed while L1 and L2 miss, but exported no LDT entry (ldt %v)", now, c.ord.LDT())
 	}
 
 	answer(addrB)
@@ -95,7 +95,7 @@ func TestLDTNestedRelease(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if !live(l3) || !live(l2) {
 			t.Fatalf("cycle %d: an LDT entry freed while L1 has not performed (ldt %v, L2 seq %d, L3 seq %d)",
-				now, c.ldt, l2, l3)
+				now, c.ord.LDT(), l2, l3)
 		}
 		tick()
 	}
@@ -104,8 +104,8 @@ func TestLDTNestedRelease(t *testing.T) {
 	}
 
 	answer(addrA)
-	if len(c.ldt) != 0 {
-		t.Fatalf("cycle %d: L1 performed, but LDT entries %v are still live", now, c.ldt)
+	if len(c.ord.LDT()) != 0 {
+		t.Fatalf("cycle %d: L1 performed, but LDT entries %v are still live", now, c.ord.LDT())
 	}
 	until("the core finishing", c.Done)
 	c.CheckInvariants()
